@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // A reusable worker pool with optional per-core pinning — the execution
-// substrate for every fan-out path in the tree (core/parallel.h shards,
-// ShardedIndexSet scatter-gather, engine workers). Before this existed,
-// ParallelFor constructed and joined fresh std::threads on every call,
+// substrate for every fan-out path in the tree (parallel index builds
+// and sorts, intra-query II verification, ShardedIndexSet
+// scatter-gather, engine workers). Before this existed, a parallel-for
+// constructed and joined fresh std::threads on every call,
 // paying spawn latency even for tiny batches; the pool amortizes that
 // cost across the process lifetime and is the one place allowed to
 // construct std::thread in src/ (planar_lint rule `threads-via-pool`).
@@ -98,7 +99,7 @@ class ThreadPool {
   /// supported on this platform).
   bool pinned() const { return pinned_; }
 
-  /// Process-wide shared pool used by the free ParallelFor shim and any
+  /// Process-wide shared pool used by every library fan-out and any
   /// caller without an explicit pool. Default-sized, unpinned,
   /// constructed on first use and joined at static destruction.
   static ThreadPool& Shared();

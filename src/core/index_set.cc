@@ -10,8 +10,9 @@
 
 #include "common/macros.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
+#include "core/fold.h"
 #include "core/mixed.h"
-#include "core/parallel.h"
 #include "geometry/vec.h"
 
 namespace planar {
@@ -56,6 +57,10 @@ std::vector<double> SampleNormal(const std::vector<ParameterDomain>& domains,
   }
   return c;
 }
+
+/// Route's refine floor for answers that always stream their II: any
+/// intermediate interval wider than the scan-fallback fraction diverts.
+constexpr double kAlwaysRefines = -std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -132,7 +137,7 @@ Status PlanarIndexSet::BuildIndicesParallel(
   // and every stretch/angle score — is identical to the serial build.
   std::vector<std::optional<PlanarIndex>> slots(count);
   std::vector<Status> statuses(count, Status::OK());
-  ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       count,
       [&](size_t i) {
         Result<PlanarIndex> index =
@@ -243,83 +248,65 @@ InequalityResult PlanarIndexSet::Inequality(const ScalarProductQuery& q) const {
   return std::move(result).value();
 }
 
-Result<InequalityResult> PlanarIndexSet::Inequality(
-    const ScalarProductQuery& q, const Deadline& deadline) const {
+template <typename T, typename Scan, typename Serve>
+Result<T> PlanarIndexSet::Route(const ScalarProductQuery& q,
+                                double refine_floor, const Scan& scan,
+                                const Serve& serve) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
   const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanInequality(*phi_, q, deadline);
-  }
+  if (best < 0) return scan();
   const PlanarIndex& index = indices_[static_cast<size_t>(best)];
   if (options_.scan_fallback_fraction < 1.0) {
     const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
     PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
     const double intermediate =
         static_cast<double>(iv->larger_begin - iv->smaller_end);
-    if (intermediate > options_.scan_fallback_fraction *
+    if (intermediate > refine_floor &&
+        intermediate > options_.scan_fallback_fraction *
                            static_cast<double>(phi_->size())) {
-      return ScanInequality(*phi_, q, deadline);
+      return scan();
     }
   }
-  Result<InequalityResult> result = index.Inequality(norm, deadline);
-  if (result.ok()) result->stats.index_used = best;
+  Result<T> result = serve(index, norm);
+  if (result.ok()) StatsOf(result.value()).index_used = best;
   return result;
+}
+
+Result<InequalityResult> PlanarIndexSet::Inequality(
+    const ScalarProductQuery& q, const Deadline& deadline) const {
+  return Route<InequalityResult>(
+      q, kAlwaysRefines, [&] { return ScanInequality(*phi_, q, deadline); },
+      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
+        return index.Inequality(norm, deadline);
+      });
 }
 
 Result<CountResult> PlanarIndexSet::CountInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanCountInequality(*phi_, q, deadline);
-  }
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    // Divert to the flat scan only when the index would refine anyway
-    // (gap over tolerance): a bounds-only answer is O(log n) and beats
-    // the scan no matter how wide the intermediate interval is.
-    if (intermediate >
-            tolerance.Allowed(static_cast<double>(phi_->size())) &&
-        intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return ScanCountInequality(*phi_, q, deadline);
-    }
-  }
-  Result<CountResult> result = index.CountInequality(norm, tolerance, deadline);
-  if (result.ok()) result->stats.index_used = best;
-  return result;
+  // Divert to the flat scan only when the index would refine anyway
+  // (gap over tolerance): a bounds-only answer is O(log n) and beats the
+  // scan no matter how wide the intermediate interval is.
+  return Route<CountResult>(
+      q, tolerance.Allowed(static_cast<double>(phi_->size())),
+      [&] { return ScanCountInequality(*phi_, q, deadline); },
+      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
+        return index.CountInequality(norm, tolerance, deadline);
+      });
 }
 
 Result<AggregateResult> PlanarIndexSet::AggregateInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
-    return ScanAggregateInequality(*phi_, options_.index_options.payload_column,
-                                   q, deadline);
-  }
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    if (intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return ScanAggregateInequality(
-          *phi_, options_.index_options.payload_column, q, deadline);
-    }
-  }
-  Result<AggregateResult> result =
-      index.AggregateInequality(norm, tolerance, deadline);
-  if (result.ok()) result->count.stats.index_used = best;
-  return result;
+  const int payload_column = options_.index_options.payload_column;
+  return Route<AggregateResult>(
+      q, kAlwaysRefines,
+      [&] {
+        return ScanAggregateInequality(*phi_, payload_column, q, deadline);
+      },
+      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
+        return index.AggregateInequality(norm, tolerance, deadline);
+      });
 }
 
 Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q,

@@ -275,10 +275,19 @@ class PlanarIndexSet {
   // regenerates the mirror; it is never serialized.
   void MaybeEnableMixedPrecision();
 
-  // Builds every definition (sharded across options_.build_threads via
-  // ParallelFor) and appends the indices in definition order; on any
-  // failure appends nothing and returns the first failing status.
+  // Builds every definition (sharded across options_.build_threads on
+  // the shared ThreadPool) and appends the indices in definition order;
+  // on any failure appends nothing and returns the first failing status.
   Status BuildIndicesParallel(std::vector<IndexDefinition> definitions);
+
+  // The serving route Inequality, CountInequality and
+  // AggregateInequality share: select the best index, divert to
+  // `scan()` when none can serve or the hybrid guard fires (an II wider
+  // than both `refine_floor` and the scan-fallback fraction), else
+  // answer `serve(index, normalized query)` and stamp index_used.
+  template <typename T, typename Scan, typename Serve>
+  Result<T> Route(const ScalarProductQuery& q, double refine_floor,
+                  const Scan& scan, const Serve& serve) const;
 
   std::unique_ptr<PhiMatrix> phi_;  // stable address for index back-pointers
   IndexSetOptions options_;

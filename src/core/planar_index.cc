@@ -12,8 +12,8 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/thread_pool.h"
 #include "core/kernels/kernels.h"
-#include "core/parallel.h"
 #include "core/sort_util.h"
 #include "geometry/vec.h"
 
@@ -179,7 +179,7 @@ void PlanarIndex::Rebuild() {
   }
   if (threads > 1 && n >= kParallelBuildMinRows) {
     const size_t chunk = (n + threads - 1) / threads;
-    ParallelFor(
+    ThreadPool::Shared().ParallelFor(
         threads,
         [&](size_t s) {
           const size_t begin = s * chunk;
@@ -641,7 +641,7 @@ bool PlanarIndex::VerifyCandidatesParallel(const NormalizedQuery& q,
   // impossible (relaxed is the floor). Do not replace the flag with a
   // plain bool: concurrent shards store and load it without any lock.
   std::atomic<bool> expired(false);
-  ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       shards,
       [&](size_t s) {
         const size_t begin = s * chunk;

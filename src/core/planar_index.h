@@ -518,8 +518,9 @@ class PlanarIndex {
                               const MixedQueryPlan& mixed, const uint32_t* ids,
                               size_t count, const Deadline& deadline,
                               std::vector<uint32_t>* out) const;
-  // Same contract, sharded across ParallelFor with per-shard buffers
-  // merged in shard order (deterministic: identical output to serial).
+  // Same contract, sharded across the shared ThreadPool with per-shard
+  // buffers merged in shard order (deterministic: identical output to
+  // serial).
   bool VerifyCandidatesParallel(const NormalizedQuery& q,
                                 const MixedQueryPlan& mixed,
                                 const uint32_t* ids, size_t count,

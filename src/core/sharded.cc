@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "core/parallel.h"
-#include "core/topk.h"
+#include "common/thread_pool.h"
+#include "core/fold.h"
 
 namespace planar {
 
@@ -28,76 +28,54 @@ constexpr char kAggregateDeadlineMsg[] =
 /// original absolute budget) and the relative budget passes through
 /// (each shard reads it against its own scale; shard scales sum to the
 /// global scale, so the merged gap stays within relative * global
-/// scale).
+/// scale). One shard keeps the whole budget (x / 1.0 == x).
 CountTolerance SplitTolerance(const CountTolerance& tolerance, size_t shards) {
   CountTolerance split = tolerance;
   split.absolute = tolerance.absolute / static_cast<double>(shards);
   return split;
 }
 
-/// Sums per-shard QueryStats into `*merged` and returns whether every
-/// shard reported the same serving index as shard 0.
-void MergeQueryStats(const QueryStats& part, const QueryStats& first,
-                     QueryStats* merged, bool* common_index) {
+/// Runs task(s) for every shard: inline for a single shard (no pool
+/// handoff), else on the process-wide pool across up to `width` threads.
+template <typename Task>
+void RunShards(size_t shards, size_t width, const Task& task) {
+  if (shards == 1) {
+    task(0);
+    return;
+  }
+  ThreadPool::Shared().ParallelFor(shards, task, width);
+}
+
+/// Rebases one shard's answer to global row ids (shard 0's offset is 0:
+/// no pass). Inequality ids also take the canonical ascending order (see
+/// header): the monolithic rank order is index-dependent and shards
+/// select independently, so ascending-id is the one merge order every
+/// shard count agrees on. Count and aggregate answers carry no ids.
+void ToGlobal(uint32_t offset, InequalityResult* result) {
+  if (offset != 0) {
+    for (uint32_t& id : result->ids) id += offset;
+  }
+  std::sort(result->ids.begin(), result->ids.end());
+}
+void ToGlobal(uint32_t offset, TopKResult* result) {
+  if (offset == 0) return;
+  for (Neighbor& neighbor : result->neighbors) neighbor.id += offset;
+}
+void ToGlobal(uint32_t, CountResult*) {}
+void ToGlobal(uint32_t, AggregateResult*) {}
+
+void AddStats(const QueryStats& part, QueryStats* merged) {
   merged->num_points += part.num_points;
   merged->accepted_directly += part.accepted_directly;
   merged->rejected_directly += part.rejected_directly;
   merged->verified += part.verified;
   merged->result_size += part.result_size;
-  if (part.index_used != first.index_used) *common_index = false;
 }
-
-/// Folds per-shard count results into one: bounds, estimates, and stats
-/// sum (shards partition the rows).
-CountResult MergeCount(
-    size_t shards,
-    const std::function<const CountResult&(size_t)>& result_at) {
-  CountResult merged;
-  merged.exact = true;
-  bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const CountResult& part = result_at(s);
-    merged.lower += part.lower;
-    merged.upper += part.upper;
-    merged.estimate += part.estimate;
-    merged.exact &= part.exact;
-    merged.refined |= part.refined;
-    merged.model_estimated |= part.model_estimated;
-    MergeQueryStats(part.stats, result_at(0).stats, &merged.stats,
-                    &common_index);
-  }
-  merged.stats.index_used = common_index ? result_at(0).stats.index_used : -1;
-  return merged;
-}
-
-/// Folds per-shard aggregate results into one (sum bounds and the count
-/// piggyback both sum across the row partition).
-AggregateResult MergeAggregate(
-    size_t shards,
-    const std::function<const AggregateResult&(size_t)>& result_at) {
-  AggregateResult merged;
-  merged.exact = true;
-  merged.count.exact = true;
-  bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const AggregateResult& part = result_at(s);
-    merged.sum_lower += part.sum_lower;
-    merged.sum_upper += part.sum_upper;
-    merged.sum += part.sum;
-    merged.exact &= part.exact;
-    merged.refined |= part.refined;
-    merged.count.lower += part.count.lower;
-    merged.count.upper += part.count.upper;
-    merged.count.estimate += part.count.estimate;
-    merged.count.exact &= part.count.exact;
-    merged.count.refined |= part.count.refined;
-    merged.count.model_estimated |= part.count.model_estimated;
-    MergeQueryStats(part.count.stats, result_at(0).count.stats,
-                    &merged.count.stats, &common_index);
-  }
-  merged.count.stats.index_used =
-      common_index ? result_at(0).count.stats.index_used : -1;
-  return merged;
+void AddStats(const TopKStats& part, TopKStats* merged) {
+  merged->num_points += part.num_points;
+  merged->verified_intermediate += part.verified_intermediate;
+  merged->scanned_accept_region += part.scanned_accept_region;
+  merged->early_terminated |= part.early_terminated;
 }
 
 /// Merges per-shard statuses deterministically: the first (lowest-shard)
@@ -105,12 +83,12 @@ AggregateResult MergeAggregate(
 /// every shard reports the same one — and any deadline expiry collapses
 /// to one canonical message, independent of which shard(s) happened to
 /// observe the expiry or were cancelled before starting.
-template <typename ResultAt>
-Status MergeStatuses(size_t shards, const ResultAt& result_at,
+template <typename T>
+Status MergeStatuses(const std::vector<Result<T>>& partial,
                      const char* deadline_msg) {
   bool any_deadline = false;
-  for (size_t s = 0; s < shards; ++s) {
-    const Status& status = result_at(s).status();
+  for (const Result<T>& part : partial) {
+    const Status& status = part.status();
     if (status.ok()) continue;
     if (status.code() != StatusCode::kDeadlineExceeded) return status;
     any_deadline = true;
@@ -119,31 +97,78 @@ Status MergeStatuses(size_t shards, const ResultAt& result_at,
   return Status::OK();
 }
 
-/// Folds per-shard inequality results (already rebased and sorted) into
-/// one: shard-order id concatenation (globally ascending, the shards
-/// cover disjoint ascending ranges) and per-shard stat sums.
-InequalityResult MergeInequality(
-    size_t shards,
-    const std::function<const InequalityResult&(size_t)>& result_at) {
+/// Gathers per-shard answers (rebased, in shard order) into one. The
+/// merged status comes first; then `merge` folds the answers and the
+/// shards' stats are summed — result_size and num_points equal the
+/// monolithic values, and index_used is the serving index every shard
+/// chose, else -1. A lone shard's answer passes through untouched.
+template <typename T, typename Merge>
+Result<T> Gather(std::vector<Result<T>>& partial, const char* deadline_msg,
+                 const Merge& merge) {
+  PLANAR_RETURN_IF_ERROR(MergeStatuses(partial, deadline_msg));
+  if (partial.size() == 1) return std::move(partial[0]);
+  T merged = merge(partial);
+  auto& stats = StatsOf(merged);
+  const int first = StatsOf(partial[0].value()).index_used;
+  bool common_index = true;
+  for (Result<T>& part : partial) {
+    AddStats(StatsOf(part.value()), &stats);
+    common_index &= StatsOf(part.value()).index_used == first;
+  }
+  stats.index_used = common_index ? first : -1;
+  return merged;
+}
+
+/// Shard-order id concatenation: globally ascending, since each shard's
+/// ids are sorted and the shards cover disjoint ascending row ranges.
+InequalityResult ConcatIds(
+    const std::vector<Result<InequalityResult>>& partial) {
   InequalityResult merged;
   size_t total = 0;
-  for (size_t s = 0; s < shards; ++s) total += result_at(s).ids.size();
+  for (const auto& part : partial) total += part.value().ids.size();
   merged.ids.reserve(total);
-  bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const InequalityResult& part = result_at(s);
-    merged.ids.insert(merged.ids.end(), part.ids.begin(), part.ids.end());
-    merged.stats.num_points += part.stats.num_points;
-    merged.stats.accepted_directly += part.stats.accepted_directly;
-    merged.stats.rejected_directly += part.stats.rejected_directly;
-    merged.stats.verified += part.stats.verified;
-    merged.stats.result_size += part.stats.result_size;
-    if (part.stats.index_used != result_at(0).stats.index_used) {
-      common_index = false;
-    }
+  for (const auto& part : partial) {
+    const std::vector<uint32_t>& ids = part.value().ids;
+    merged.ids.insert(merged.ids.end(), ids.begin(), ids.end());
   }
-  merged.stats.index_used =
-      common_index ? result_at(0).stats.index_used : -1;
+  return merged;
+}
+
+CountResult SumCounts(const std::vector<Result<CountResult>>& partial) {
+  CountResult merged;
+  merged.exact = true;
+  for (const auto& part : partial) FoldCount(part.value(), &merged);
+  return merged;
+}
+
+AggregateResult SumAggregates(
+    const std::vector<Result<AggregateResult>>& partial) {
+  AggregateResult merged;
+  merged.exact = true;
+  merged.count.exact = true;
+  for (const auto& part : partial) FoldAggregate(part.value(), &merged);
+  return merged;
+}
+
+/// The global top-k is contained in the union of per-shard top-ks, and
+/// distances are computed from raw phi rows (index-independent), so
+/// folding every shard's candidates through the shared bounded merge
+/// reproduces the monolithic result bit for bit.
+TopKResult MergeShardTopK(size_t k,
+                          const std::vector<Result<TopKResult>>& partial) {
+  size_t candidates = 0;
+  for (const auto& part : partial) candidates += part.value().neighbors.size();
+  Result<std::vector<Neighbor>> neighbors =
+      MergeTopK(k, candidates, [&](TopKBuffer* buffer) {
+        for (const auto& part : partial) {
+          for (const Neighbor& n : part.value().neighbors) {
+            buffer->Insert(n.id, n.distance);
+          }
+        }
+        return Status::OK();
+      });
+  TopKResult merged;
+  merged.neighbors = std::move(neighbors).value();
   return merged;
 }
 
@@ -198,13 +223,13 @@ Result<ShardedIndexSet> ShardedIndexSet::Build(
   for (size_t s = 0; s < shards; ++s) {
     built.emplace_back(Status::Internal("shard not built"));
   }
-  ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       shards,
       [&](size_t s) {
         built[s] = PlanarIndexSet::Build(std::move(slices[s]), domains,
                                          options.set_options);
       },
-      options.build_threads == 0 ? 0 : options.build_threads);
+      options.build_threads);
   for (size_t s = 0; s < shards; ++s) {
     if (!built[s].ok()) return built[s].status();
   }
@@ -216,198 +241,85 @@ Result<ShardedIndexSet> ShardedIndexSet::Build(
   return ShardedIndexSet(std::move(sets), std::move(offsets), options);
 }
 
-size_t ShardedIndexSet::FanoutWidth() const { return options_.query_threads; }
-
-Result<InequalityResult> ShardedIndexSet::Inequality(
-    const ScalarProductQuery& q, const Deadline& deadline) const {
+template <typename T, typename Run, typename Merge>
+Result<T> ShardedIndexSet::FanOut(const char* deadline_msg, const Run& run,
+                                  const Merge& merge) const {
   const size_t shards = shards_.size();
-  // Single shard: no fan-out to run or merge — execute inline, skipping
-  // the partial-result scaffolding, so the 1-shard configuration costs
-  // the same as the monolithic path it wraps (plus the canonical sort).
-  if (shards == 1) {
-    Result<InequalityResult> result = shards_[0].Inequality(q, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(result.value().stats.verified,
-                                  std::memory_order_relaxed);
-      std::vector<uint32_t>& ids = result.value().ids;
-      std::sort(ids.begin(), ids.end());
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kInequalityDeadlineMsg);
-    }
-    return result;
-  }
-  std::vector<Result<InequalityResult>> partial(
-      shards, Status::Internal("shard not executed"));
+  std::vector<Result<T>> partial(shards,
+                                 Status::Internal("shard not executed"));
   // First-expiry cancellation: the first shard whose verification loop
   // observes the deadline raises the flag; sibling shards still queued
   // behind busy workers short-circuit before touching their index.
   // Running shards poll the same wall-clock deadline themselves.
   std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag — a shard that misses a
-        // racing store simply runs and expires on its own deadline
-        // poll; the merge below reads `partial` after ParallelFor's
-        // join, which is the authoritative synchronization.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kInequalityDeadlineMsg);
-          return;
-        }
-        Result<InequalityResult> result = shards_[s].Inequality(q, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().stats.verified,
-                                      std::memory_order_relaxed);
-          std::vector<uint32_t>& ids = result.value().ids;
-          // Shard 0's offset is 0: skip the no-op rebase pass.
-          if (offsets_[s] != 0) {
-            for (uint32_t& id : ids) id += offsets_[s];
-          }
-          // Canonical ascending-id order per shard (see header): the
-          // monolithic rank order is index-dependent and shards select
-          // independently, so ascending-id is the one merge order every
-          // shard count agrees on.
-          std::sort(ids.begin(), ids.end());
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
-      },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards, [&](size_t s) -> const Result<InequalityResult>& {
-        return partial[s];
-      },
-      kInequalityDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-  return MergeInequality(shards, [&](size_t s) -> const InequalityResult& {
-    return partial[s].value();
+  RunShards(shards, options_.query_threads, [&](size_t s) {
+    // relaxed-ok: advisory fast-skip flag — a shard that misses a racing
+    // store simply runs and expires on its own deadline poll; Gather
+    // reads `partial` after the fan-out's join, which is the
+    // authoritative synchronization.
+    if (expired.load(std::memory_order_relaxed)) {
+      partial[s] = Status::DeadlineExceeded(deadline_msg);
+      return;
+    }
+    Result<T> result = run(shards_[s]);
+    if (result.ok()) {
+      // relaxed-ok: monotone monitoring counter (see header); nothing
+      // orders on it.
+      rows_verified_[s].fetch_add(RowsVerified(result.value()),
+                                  std::memory_order_relaxed);
+      ToGlobal(offsets_[s], &result.value());
+    } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
+      // relaxed-ok: see the flag's declaration above.
+      expired.store(true, std::memory_order_relaxed);
+    }
+    partial[s] = std::move(result);
   });
+  return Gather(partial, deadline_msg, merge);
+}
+
+Result<InequalityResult> ShardedIndexSet::Inequality(
+    const ScalarProductQuery& q, const Deadline& deadline) const {
+  return FanOut<InequalityResult>(
+      kInequalityDeadlineMsg,
+      [&](const PlanarIndexSet& shard) {
+        return shard.Inequality(q, deadline);
+      },
+      ConcatIds);
 }
 
 Result<CountResult> ShardedIndexSet::CountInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: no fan-out to run or merge — execute inline with the
-  // caller's whole tolerance (see Inequality).
-  if (shards == 1) {
-    Result<CountResult> result =
-        shards_[0].CountInequality(q, tolerance, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(result.value().stats.verified,
-                                  std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kCountDeadlineMsg);
-    }
-    return result;
-  }
-  const CountTolerance shard_tolerance = SplitTolerance(tolerance, shards);
-  std::vector<Result<CountResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  // First-expiry cancellation, same protocol as Inequality above.
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag — a shard that misses a
-        // racing store simply runs and expires on its own deadline
-        // poll; the merge below reads `partial` after ParallelFor's
-        // join, which is the authoritative synchronization.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kCountDeadlineMsg);
-          return;
-        }
-        Result<CountResult> result =
-            shards_[s].CountInequality(q, shard_tolerance, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().stats.verified,
-                                      std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
+  const CountTolerance split = SplitTolerance(tolerance, shards_.size());
+  return FanOut<CountResult>(
+      kCountDeadlineMsg,
+      [&](const PlanarIndexSet& shard) {
+        return shard.CountInequality(q, split, deadline);
       },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<CountResult>& { return partial[s]; },
-      kCountDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-  return MergeCount(shards, [&](size_t s) -> const CountResult& {
-    return partial[s].value();
-  });
+      SumCounts);
 }
 
 Result<AggregateResult> ShardedIndexSet::AggregateInequality(
     const ScalarProductQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: inline, no fan-out scaffolding (see Inequality).
-  if (shards == 1) {
-    Result<AggregateResult> result =
-        shards_[0].AggregateInequality(q, tolerance, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(result.value().count.stats.verified,
-                                  std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kAggregateDeadlineMsg);
-    }
-    return result;
-  }
-  const CountTolerance shard_tolerance = SplitTolerance(tolerance, shards);
-  std::vector<Result<AggregateResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag, same protocol as
-        // Inequality above; the post-join merge is authoritative.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kAggregateDeadlineMsg);
-          return;
-        }
-        Result<AggregateResult> result =
-            shards_[s].AggregateInequality(q, shard_tolerance, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(result.value().count.stats.verified,
-                                      std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
+  const CountTolerance split = SplitTolerance(tolerance, shards_.size());
+  return FanOut<AggregateResult>(
+      kAggregateDeadlineMsg,
+      [&](const PlanarIndexSet& shard) {
+        return shard.AggregateInequality(q, split, deadline);
       },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<AggregateResult>& { return partial[s]; },
-      kAggregateDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-  return MergeAggregate(shards, [&](size_t s) -> const AggregateResult& {
-    return partial[s].value();
-  });
+      SumAggregates);
+}
+
+Result<TopKResult> ShardedIndexSet::TopK(const ScalarProductQuery& q,
+                                         size_t k,
+                                         const Deadline& deadline) const {
+  return FanOut<TopKResult>(
+      kTopKDeadlineMsg,
+      [&](const PlanarIndexSet& shard) { return shard.TopK(q, k, deadline); },
+      [k](const std::vector<Result<TopKResult>>& partial) {
+        return MergeShardTopK(k, partial);
+      });
 }
 
 std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
@@ -418,170 +330,49 @@ std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
   if (exec_stats != nullptr) *exec_stats = BatchExecStats{};
   if (count == 0) return {};
 
-  // Single shard: inline, no fan-out scaffolding (see Inequality).
-  if (shards == 1) {
-    BatchExecStats stats;
-    std::vector<Result<InequalityResult>> results =
-        shards_[0].BatchInequality(queries, deadlines, &stats);
+  // The whole batch fans to every shard, so each shard's cross-query
+  // coalescing applies within its slice; per query, the shards' answers
+  // then gather exactly as a single query's do.
+  std::vector<std::vector<Result<InequalityResult>>> partial(shards);
+  std::vector<BatchExecStats> shard_stats(shards);
+  RunShards(shards, options_.query_threads, [&](size_t s) {
+    partial[s] =
+        shards_[s].BatchInequality(queries, deadlines, &shard_stats[s]);
     uint64_t verified = 0;
-    for (Result<InequalityResult>& result : results) {
-      if (result.ok()) {
-        verified += result.value().stats.verified;
-        std::vector<uint32_t>& ids = result.value().ids;
-        std::sort(ids.begin(), ids.end());
-      } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-        result = Status::DeadlineExceeded(kInequalityDeadlineMsg);
-      }
+    for (Result<InequalityResult>& result : partial[s]) {
+      if (!result.ok()) continue;
+      verified += RowsVerified(result.value());
+      ToGlobal(offsets_[s], &result.value());
     }
     // relaxed-ok: monotone monitoring counter (see header); nothing
     // orders on it.
-    rows_verified_[0].fetch_add(verified, std::memory_order_relaxed);
-    if (exec_stats != nullptr) *exec_stats = stats;
-    return results;
-  }
+    rows_verified_[s].fetch_add(verified, std::memory_order_relaxed);
+  });
 
-  struct ShardBatch {
-    std::vector<Result<InequalityResult>> results;
-    BatchExecStats stats;
-  };
-  std::vector<ShardBatch> partial(shards);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        ShardBatch& batch = partial[s];
-        batch.results =
-            shards_[s].BatchInequality(queries, deadlines, &batch.stats);
-        uint64_t verified = 0;
-        for (Result<InequalityResult>& result : batch.results) {
-          if (!result.ok()) continue;
-          verified += result.value().stats.verified;
-          std::vector<uint32_t>& ids = result.value().ids;
-          // Shard 0's offset is 0: skip the no-op rebase pass.
-          if (offsets_[s] != 0) {
-            for (uint32_t& id : ids) id += offsets_[s];
-          }
-          std::sort(ids.begin(), ids.end());
-        }
-        // relaxed-ok: monotone monitoring counter (see header); nothing
-        // orders on it.
-        rows_verified_[s].fetch_add(verified, std::memory_order_relaxed);
-      },
-      FanoutWidth());
-
-  std::vector<Result<InequalityResult>> merged(
-      count, Status::Internal("query not executed"));
+  std::vector<Result<InequalityResult>> merged;
+  merged.reserve(count);
+  std::vector<Result<InequalityResult>> column;
+  column.reserve(shards);
   for (size_t qi = 0; qi < count; ++qi) {
-    const Status status = MergeStatuses(
-        shards, [&](size_t s) -> const Result<InequalityResult>& {
-          return partial[s].results[qi];
-        },
-        kInequalityDeadlineMsg);
-    if (!status.ok()) {
-      merged[qi] = status;
-      continue;
+    column.clear();
+    for (size_t s = 0; s < shards; ++s) {
+      column.push_back(std::move(partial[s][qi]));
     }
-    merged[qi] =
-        MergeInequality(shards, [&](size_t s) -> const InequalityResult& {
-          return partial[s].results[qi].value();
-        });
+    merged.push_back(Gather(column, kInequalityDeadlineMsg, ConcatIds));
   }
   if (exec_stats != nullptr) {
     // Per-shard sums; `queries` counts each query once. A query that
     // scan-served in k shards contributes k to scan_queries — the
     // fan-out really did run k scans.
     exec_stats->queries = count;
-    for (size_t s = 0; s < shards; ++s) {
-      exec_stats->index_groups += partial[s].stats.index_groups;
-      exec_stats->scan_queries += partial[s].stats.scan_queries;
-      exec_stats->merged_ranges += partial[s].stats.merged_ranges;
-      exec_stats->rows_streamed += partial[s].stats.rows_streamed;
-      exec_stats->rows_demanded += partial[s].stats.rows_demanded;
+    for (const BatchExecStats& stats : shard_stats) {
+      exec_stats->index_groups += stats.index_groups;
+      exec_stats->scan_queries += stats.scan_queries;
+      exec_stats->merged_ranges += stats.merged_ranges;
+      exec_stats->rows_streamed += stats.rows_streamed;
+      exec_stats->rows_demanded += stats.rows_demanded;
     }
   }
-  return merged;
-}
-
-Result<TopKResult> ShardedIndexSet::TopK(const ScalarProductQuery& q,
-                                         size_t k,
-                                         const Deadline& deadline) const {
-  const size_t shards = shards_.size();
-  // Single shard: inline, no fan-out scaffolding (see Inequality). The
-  // shard's neighbors are already canonical ((distance, id)-sorted) with
-  // offset 0, so its answer is the merged answer bit for bit.
-  if (shards == 1) {
-    Result<TopKResult> result = shards_[0].TopK(q, k, deadline);
-    if (result.ok()) {
-      // relaxed-ok: monotone monitoring counter (see header); nothing
-      // orders on it.
-      rows_verified_[0].fetch_add(
-          result.value().stats.verified_intermediate,
-          std::memory_order_relaxed);
-      return result;
-    }
-    if (result.status().code() == StatusCode::kDeadlineExceeded) {
-      return Status::DeadlineExceeded(kTopKDeadlineMsg);
-    }
-    return result;
-  }
-  std::vector<Result<TopKResult>> partial(
-      shards, Status::Internal("shard not executed"));
-  std::atomic<bool> expired(false);
-  ParallelFor(
-      shards,
-      [&](size_t s) {
-        // relaxed-ok: advisory fast-skip flag, same protocol as
-        // Inequality above; the post-join merge is authoritative.
-        if (expired.load(std::memory_order_relaxed)) {
-          partial[s] = Status::DeadlineExceeded(kTopKDeadlineMsg);
-          return;
-        }
-        Result<TopKResult> result = shards_[s].TopK(q, k, deadline);
-        if (result.ok()) {
-          // relaxed-ok: monotone monitoring counter (see header);
-          // nothing orders on it.
-          rows_verified_[s].fetch_add(
-              result.value().stats.verified_intermediate,
-              std::memory_order_relaxed);
-        } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
-          // relaxed-ok: see the flag's declaration above.
-          expired.store(true, std::memory_order_relaxed);
-        }
-        partial[s] = std::move(result);
-      },
-      FanoutWidth());
-  const Status merged_status = MergeStatuses(
-      shards,
-      [&](size_t s) -> const Result<TopKResult>& { return partial[s]; },
-      kTopKDeadlineMsg);
-  if (!merged_status.ok()) return merged_status;
-
-  // The global top-k is contained in the union of per-shard top-ks, and
-  // distances are computed from raw phi rows (index-independent), so
-  // folding every shard's candidates through the canonical
-  // (distance, id) buffer reproduces the monolithic result bit for bit.
-  TopKResult merged;
-  if (k > 0) {
-    TopKBuffer buffer(k);
-    for (size_t s = 0; s < shards; ++s) {
-      for (const Neighbor& neighbor : partial[s].value().neighbors) {
-        buffer.Insert(neighbor.id + offsets_[s], neighbor.distance);
-      }
-    }
-    merged.neighbors = buffer.TakeSorted();
-  }
-  bool common_index = true;
-  for (size_t s = 0; s < shards; ++s) {
-    const TopKStats& stats = partial[s].value().stats;
-    merged.stats.num_points += stats.num_points;
-    merged.stats.verified_intermediate += stats.verified_intermediate;
-    merged.stats.scanned_accept_region += stats.scanned_accept_region;
-    merged.stats.early_terminated |= stats.early_terminated;
-    if (stats.index_used != partial[0].value().stats.index_used) {
-      common_index = false;
-    }
-  }
-  merged.stats.index_used =
-      common_index ? partial[0].value().stats.index_used : -1;
   return merged;
 }
 

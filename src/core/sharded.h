@@ -163,8 +163,14 @@ class ShardedIndexSet {
                   std::vector<uint32_t> offsets,
                   const ShardedIndexSetOptions& options);
 
-  /// Resolved fan-out width for one query.
-  size_t FanoutWidth() const;
+  /// The scatter-gather body every single-query kind shares: runs
+  /// `run(shard)` on every shard (inline for one shard, else on the
+  /// pool), accounts rows verified, rebases ids to global ones, and
+  /// gathers the partial answers through `merge` under one canonical
+  /// `deadline_msg` (see sharded.cc).
+  template <typename T, typename Run, typename Merge>
+  Result<T> FanOut(const char* deadline_msg, const Run& run,
+                   const Merge& merge) const;
 
   std::vector<PlanarIndexSet> shards_;
   /// Shard row offsets, size num_shards() + 1; shard s covers global

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/macros.h"
-#include "core/parallel.h"
+#include "common/thread_pool.h"
 
 namespace planar {
 
@@ -39,7 +39,7 @@ void SortEntries(std::vector<Entry>* entries, size_t threads) {
   for (size_t b = 0; b < n; b += chunk) bounds.push_back(b);
   bounds.push_back(n);
 
-  ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       bounds.size() - 1,
       [&](size_t s) {
         std::sort(entries->begin() + static_cast<ptrdiff_t>(bounds[s]),
@@ -58,7 +58,7 @@ void SortEntries(std::vector<Entry>* entries, size_t threads) {
   while (bounds.size() > 2) {
     const size_t runs = bounds.size() - 1;
     const size_t pairs = runs / 2;
-    ParallelFor(
+    ThreadPool::Shared().ParallelFor(
         pairs + (runs % 2),
         [&](size_t p) {
           const size_t lo = bounds[2 * p];

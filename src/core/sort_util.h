@@ -4,8 +4,8 @@
 // chokepoint every core build path sorts through (enforced by
 // tools/planar_lint.py, rule core-sort-via-sort-util).
 //
-// The algorithm is shard-sort + multiway merge on top of the existing
-// ParallelFor pool: the entry array is cut into contiguous shards, each
+// The algorithm is shard-sort + multiway merge on top of the shared
+// ThreadPool (ThreadPool::Shared().ParallelFor): the entry array is cut into contiguous shards, each
 // shard is std::sort-ed on its own thread, and sorted runs are merged
 // pairwise (also in parallel) until one run remains. Because entries are
 // ordered by the total (key, id) lexicographic order and ids are unique
@@ -37,7 +37,7 @@ namespace planar {
 inline constexpr size_t kParallelSortMinEntries = 1u << 14;
 
 /// Sorts `entries` ascending by (key, id). `threads` follows the
-/// ParallelFor convention: 1 = serial (the default), 0 = hardware
+/// ThreadPool::ParallelFor width convention: 1 = serial (the default), 0 = hardware
 /// concurrency, n = at most n threads. The result is identical to
 /// std::sort for every thread count.
 void SortEntries(std::vector<OrderStatisticBTree::Entry>* entries,

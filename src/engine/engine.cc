@@ -5,10 +5,12 @@
 #include <chrono>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/batch.h"
+#include "core/fold.h"
 
 namespace planar {
 
@@ -132,8 +134,6 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
     }
     return response;
   }
-  // Reads against an ingest-managed target overlay the delta inside the
-  // backend; everything else serves from the catalog snapshot as before.
   // A name resolves to a monolithic entry or a sharded one, never both
   // (Catalog exclusivity); sharded targets are never ingest-managed.
   // NotFound keeps precedence over an expired deadline, as on the
@@ -153,93 +153,73 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
         "deadline expired before execution started");
     return response;
   }
+  const ScalarProductQuery& q = request.query;
+  const Deadline& deadline = request.deadline;
+  const CountTolerance& tolerance = request.tolerance;
+  // One triage for every read kind: a sharded entry fans out, an
+  // ingest-managed target overlays its delta inside the backend, and
+  // everything else serves from the catalog snapshot. `read` runs the
+  // query on a sharded or monolithic set (they share method names);
+  // `overlay` asks the ingest backend, which declines unmanaged targets.
+  // The answer lands in `*slot`, an error in the response status.
+  const auto serve = [&](auto* slot, const auto& read, const auto& overlay) {
+    Result<std::remove_pointer_t<decltype(slot)>> result =
+        Status::Internal("unset");
+    if (sharded != nullptr) {
+      result = read(*sharded);
+      metrics_.OnShardedExecuted(
+          sharded->num_shards(),
+          result.ok() ? RowsVerified(result.value()) : 0);
+    } else if (ingest == nullptr || !overlay(ingest, &result)) {
+      result = read(*set);
+    }
+    if (!result.ok()) {
+      response.status = result.status();
+      return false;
+    }
+    *slot = std::move(result).value();
+    return true;
+  };
   switch (request.kind) {
-    case QueryKind::kInequality: {
-      Result<InequalityResult> result = Status::Internal("unset");
-      if (sharded != nullptr) {
-        result = sharded->Inequality(request.query, request.deadline);
-        metrics_.OnShardedExecuted(
-            sharded->num_shards(),
-            result.ok() ? result.value().stats.verified : 0);
-      } else if (ingest == nullptr ||
-                 !ingest->Inequality(request.target, request.query,
-                                     request.deadline, &result)) {
-        result = set->Inequality(request.query, request.deadline);
-      }
-      if (result.ok()) {
-        response.inequality = std::move(result).value();
-      } else {
-        response.status = result.status();
+    case QueryKind::kInequality:
+      serve(&response.inequality,
+            [&](const auto& s) { return s.Inequality(q, deadline); },
+            [&](IngestBackend* in, auto* out) {
+              return in->Inequality(request.target, q, deadline, out);
+            });
+      break;
+    case QueryKind::kTopK:
+      serve(&response.topk,
+            [&](const auto& s) { return s.TopK(q, request.k, deadline); },
+            [&](IngestBackend* in, auto* out) {
+              return in->TopK(request.target, q, request.k, deadline, out);
+            });
+      break;
+    case QueryKind::kCount:
+      if (serve(&response.count,
+                [&](const auto& s) {
+                  return s.CountInequality(q, tolerance, deadline);
+                },
+                [&](IngestBackend* in, auto* out) {
+                  return in->Count(request.target, q, tolerance, deadline,
+                                   out);
+                })) {
+        metrics_.OnCountExecuted(response.count.refined, response.count.gap());
       }
       break;
-    }
-    case QueryKind::kTopK: {
-      Result<TopKResult> result = Status::Internal("unset");
-      if (sharded != nullptr) {
-        result = sharded->TopK(request.query, request.k, request.deadline);
-        metrics_.OnShardedExecuted(
-            sharded->num_shards(),
-            result.ok() ? result.value().stats.verified_intermediate : 0);
-      } else if (ingest == nullptr ||
-                 !ingest->TopK(request.target, request.query, request.k,
-                               request.deadline, &result)) {
-        result = set->TopK(request.query, request.k, request.deadline);
-      }
-      if (result.ok()) {
-        response.topk = std::move(result).value();
-      } else {
-        response.status = result.status();
+    case QueryKind::kAggregate:
+      if (serve(&response.aggregate,
+                [&](const auto& s) {
+                  return s.AggregateInequality(q, tolerance, deadline);
+                },
+                [&](IngestBackend* in, auto* out) {
+                  return in->Aggregate(request.target, q, tolerance, deadline,
+                                       out);
+                })) {
+        metrics_.OnCountExecuted(response.aggregate.count.refined,
+                                 response.aggregate.count.gap());
       }
       break;
-    }
-    case QueryKind::kCount: {
-      Result<CountResult> result = Status::Internal("unset");
-      if (sharded != nullptr) {
-        result = sharded->CountInequality(request.query, request.tolerance,
-                                          request.deadline);
-        metrics_.OnShardedExecuted(
-            sharded->num_shards(),
-            result.ok() ? result.value().stats.verified : 0);
-      } else if (ingest == nullptr ||
-                 !ingest->Count(request.target, request.query,
-                                request.tolerance, request.deadline,
-                                &result)) {
-        result = set->CountInequality(request.query, request.tolerance,
-                                      request.deadline);
-      }
-      if (result.ok()) {
-        metrics_.OnCountExecuted(result.value().refined,
-                                 result.value().gap());
-        response.count = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
-    case QueryKind::kAggregate: {
-      Result<AggregateResult> result = Status::Internal("unset");
-      if (sharded != nullptr) {
-        result = sharded->AggregateInequality(request.query, request.tolerance,
-                                              request.deadline);
-        metrics_.OnShardedExecuted(
-            sharded->num_shards(),
-            result.ok() ? result.value().count.stats.verified : 0);
-      } else if (ingest == nullptr ||
-                 !ingest->Aggregate(request.target, request.query,
-                                    request.tolerance, request.deadline,
-                                    &result)) {
-        result = set->AggregateInequality(request.query, request.tolerance,
-                                          request.deadline);
-      }
-      if (result.ok()) {
-        metrics_.OnCountExecuted(result.value().count.refined,
-                                 result.value().count.gap());
-        response.aggregate = std::move(result).value();
-      } else {
-        response.status = result.status();
-      }
-      break;
-    }
     case QueryKind::kAppend:
       break;  // handled above
   }
@@ -352,7 +332,7 @@ void Engine::RunGroup(std::vector<Pending>& batch,
           std::span<const Deadline>(deadlines), &exec_stats);
       uint64_t verified = 0;
       for (const Result<InequalityResult>& result : results) {
-        if (result.ok()) verified += result.value().stats.verified;
+        if (result.ok()) verified += RowsVerified(result.value());
       }
       metrics_.OnShardedExecuted(sharded->num_shards(), verified);
     } else if (ingest == nullptr ||

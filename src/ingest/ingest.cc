@@ -6,41 +6,44 @@
 
 #include "common/macros.h"
 #include "common/timer.h"
+#include "core/fold.h"
 #include "core/mixed.h"
 #include "core/scan.h"
-#include "core/topk.h"
 #include "engine/metrics.h"
 
 namespace planar {
 
 namespace {
 
-// Scan-verifies `delta_rows` published delta rows, routing through the
-// mixed-precision band discipline when the delta carries an f32 mirror
-// (the plan's envelope comes from the delta's grow-only column bounds,
-// so every scanned row is covered). The appended ids are bit-identical
-// either way — the band contract of core/mixed.h.
-Result<size_t> ScanDeltaInequality(const DeltaBuffer& delta, size_t delta_rows,
-                                   uint32_t id_offset,
-                                   const ScalarProductQuery& q,
-                                   const Deadline& deadline,
-                                   std::vector<uint32_t>* out) {
-  if (delta_rows == 0) return static_cast<size_t>(0);
+// Scan-verifies `delta_rows` published delta rows and appends the matches
+// (ids from `id_offset` on), routing through the mixed-precision band
+// discipline when the delta carries an f32 mirror (the plan's envelope
+// comes from the delta's grow-only column bounds, so every scanned row is
+// covered). The appended ids are bit-identical either way — the band
+// contract of core/mixed.h.
+Status FoldDeltaInequality(const DeltaBuffer& delta, size_t delta_rows,
+                           uint32_t id_offset, const ScalarProductQuery& q,
+                           const Deadline& deadline, InequalityResult* result) {
   const size_t dim = delta.dim();
+  MixedQueryPlan plan;
   if (delta.has_f32_mirror() && dim == q.a.size()) {
     std::vector<double> envelope(dim);
     for (size_t i = 0; i < dim; ++i) envelope[i] = delta.column_abs_max(i);
-    const MixedQueryPlan plan = MakeMixedPlanWithEnvelope(
-        q.a.data(), dim, q.b, q.cmp == Comparison::kLessEqual,
-        envelope.data());
-    if (plan.usable) {
-      return ScanRowsInequalityMixed(delta.data(), delta.f32_data(), dim,
-                                     delta_rows, id_offset, q, plan, deadline,
-                                     out);
-    }
+    plan = MakeMixedPlanWithEnvelope(q.a.data(), dim, q.b,
+                                     q.cmp == Comparison::kLessEqual,
+                                     envelope.data());
   }
-  return ScanRowsInequality(delta.data(), dim, delta_rows, id_offset, q,
-                            deadline, out);
+  const Result<size_t> appended =
+      plan.usable ? ScanRowsInequalityMixed(delta.data(), delta.f32_data(),
+                                            dim, delta_rows, id_offset, q,
+                                            plan, deadline, &result->ids)
+                  : ScanRowsInequality(delta.data(), dim, delta_rows,
+                                       id_offset, q, deadline, &result->ids);
+  PLANAR_RETURN_IF_ERROR(appended.status());
+  result->stats.num_points += delta_rows;
+  result->stats.verified += delta_rows;
+  result->stats.result_size = result->ids.size();
+  return Status::OK();
 }
 
 }  // namespace
@@ -153,71 +156,69 @@ Result<uint32_t> IngestManager::Append(const std::string& target,
   return first;
 }
 
+template <typename T, typename Base, typename Fold>
+bool IngestManager::Overlay(const std::string& target, const Base& base,
+                            const Fold& fold, Result<T>* out) const {
+  const std::shared_ptr<const View> view = PinView(target);
+  if (view == nullptr) return false;
+  // Snapshot the published delta length first: rows appended after this
+  // point belong to a later read.
+  const size_t delta_rows = view->delta->size();
+  // The base call also validates the query (and k, and the payload
+  // configuration); an error passes through untouched, exactly as on
+  // the unmanaged path.
+  *out = base(*view->base);
+  if (out->ok() && delta_rows > 0) {
+    const Status folded = fold(*view, delta_rows, &out->value());
+    if (!folded.ok()) *out = folded;
+  }
+  return true;
+}
+
 bool IngestManager::Inequality(const std::string& target,
                                const ScalarProductQuery& q,
                                const Deadline& deadline,
                                Result<InequalityResult>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  const size_t delta_rows = view->delta->size();
-  Result<InequalityResult> base = view->base->Inequality(q, deadline);
-  if (!base.ok()) {
-    *out = base.status();
-    return true;
-  }
-  InequalityResult result = std::move(base).value();
-  Result<size_t> appended = ScanDeltaInequality(
-      *view->delta, delta_rows, static_cast<uint32_t>(view->base->size()), q,
-      deadline, &result.ids);
-  if (!appended.ok()) {
-    *out = appended.status();
-    return true;
-  }
-  result.stats.num_points += delta_rows;
-  result.stats.verified += delta_rows;
-  result.stats.result_size = result.ids.size();
-  *out = std::move(result);
-  return true;
+  return Overlay(
+      target,
+      [&](const PlanarIndexSet& base) { return base.Inequality(q, deadline); },
+      [&](const View& view, size_t delta_rows, InequalityResult* result) {
+        return FoldDeltaInequality(*view.delta, delta_rows,
+                                   static_cast<uint32_t>(view.base->size()),
+                                   q, deadline, result);
+      },
+      out);
 }
 
 bool IngestManager::TopK(const std::string& target,
                          const ScalarProductQuery& q, size_t k,
                          const Deadline& deadline,
                          Result<TopKResult>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  const size_t delta_rows = view->delta->size();
-  // The base call also validates q and k; an error passes through
-  // untouched, exactly as on the unmanaged path.
-  Result<TopKResult> base = view->base->TopK(q, k, deadline);
-  if (!base.ok()) {
-    *out = base.status();
-    return true;
-  }
-  TopKResult result = std::move(base).value();
-  if (delta_rows > 0) {
-    // Re-seeding a buffer with the base's k nearest and offering every
-    // delta row reproduces the k nearest of the union: any point in the
-    // merged top-k is either a delta row or already among the base's
-    // top-k. TakeSorted's id tie-break keeps the order deterministic.
-    TopKBuffer buffer(k);
-    for (const Neighbor& neighbor : result.neighbors) {
-      buffer.Insert(neighbor.id, neighbor.distance);
-    }
-    Status scanned = ScanRowsTopK(view->delta->data(), view->delta->dim(),
+  return Overlay(
+      target,
+      [&](const PlanarIndexSet& base) { return base.TopK(q, k, deadline); },
+      [&](const View& view, size_t delta_rows, TopKResult* result) {
+        // Re-seeding the merge with the base's k nearest and offering
+        // every delta row reproduces the k nearest of the union: any
+        // point in the merged top-k is either a delta row or already
+        // among the base's top-k.
+        Result<std::vector<Neighbor>> merged = MergeTopK(
+            k, result->neighbors.size() + delta_rows, [&](TopKBuffer* buffer) {
+              for (const Neighbor& n : result->neighbors) {
+                buffer->Insert(n.id, n.distance);
+              }
+              return ScanRowsTopK(view.delta->data(), view.delta->dim(),
                                   delta_rows,
-                                  static_cast<uint32_t>(view->base->size()), q,
-                                  deadline, &buffer);
-    if (!scanned.ok()) {
-      *out = scanned;
-      return true;
-    }
-    result.neighbors = buffer.TakeSorted();
-    result.stats.num_points += delta_rows;
-    result.stats.verified_intermediate += delta_rows;
-  }
-  *out = std::move(result);
-  return true;
+                                  static_cast<uint32_t>(view.base->size()), q,
+                                  deadline, buffer);
+            });
+        PLANAR_RETURN_IF_ERROR(merged.status());
+        result->neighbors = std::move(merged).value();
+        result->stats.num_points += delta_rows;
+        result->stats.verified_intermediate += delta_rows;
+        return Status::OK();
+      },
+      out);
 }
 
 bool IngestManager::BatchInequality(
@@ -227,22 +228,16 @@ bool IngestManager::BatchInequality(
   const std::shared_ptr<const View> view = PinView(target);
   if (view == nullptr) return false;
   const size_t delta_rows = view->delta->size();
-  const uint32_t id_offset = static_cast<uint32_t>(view->base->size());
   *out = view->base->BatchInequality(queries, deadlines, exec_stats);
+  if (delta_rows == 0) return true;
   for (size_t i = 0; i < out->size(); ++i) {
     Result<InequalityResult>& result = (*out)[i];
     if (!result.ok()) continue;
-    const Deadline deadline = deadlines.empty() ? Deadline() : deadlines[i];
-    Result<size_t> appended = ScanDeltaInequality(
-        *view->delta, delta_rows, id_offset, queries[i], deadline,
-        &result.value().ids);
-    if (!appended.ok()) {
-      result = appended.status();
-      continue;
-    }
-    result.value().stats.num_points += delta_rows;
-    result.value().stats.verified += delta_rows;
-    result.value().stats.result_size = result.value().ids.size();
+    const Status folded = FoldDeltaInequality(
+        *view->delta, delta_rows, static_cast<uint32_t>(view->base->size()),
+        queries[i], deadlines.empty() ? Deadline() : deadlines[i],
+        &result.value());
+    if (!folded.ok()) result = folded;
   }
   return true;
 }
@@ -252,36 +247,29 @@ bool IngestManager::Count(const std::string& target,
                           const CountTolerance& tolerance,
                           const Deadline& deadline,
                           Result<CountResult>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  const size_t delta_rows = view->delta->size();
-  Result<CountResult> base =
-      view->base->CountInequality(q, tolerance, deadline);
-  if (!base.ok()) {
-    *out = base.status();
-    return true;
-  }
-  CountResult result = std::move(base).value();
-  if (delta_rows > 0) {
-    // The unmerged rows are counted exactly (they are few by the merge
-    // threshold), so the overlay widens nothing: the bounds shift by
-    // the exact delta match count, and a tolerance-0 answer stays
-    // bit-equal to a quiesced merge.
-    Result<size_t> matched = ScanRowsCountInequality(
-        view->delta->data(), view->delta->dim(), delta_rows, q, deadline);
-    if (!matched.ok()) {
-      *out = matched.status();
-      return true;
-    }
-    result.lower += matched.value();
-    result.upper += matched.value();
-    result.estimate += matched.value();
-    result.stats.num_points += delta_rows;
-    result.stats.verified += delta_rows;
-    result.stats.result_size = result.estimate;
-  }
-  *out = std::move(result);
-  return true;
+  return Overlay(
+      target,
+      [&](const PlanarIndexSet& base) {
+        return base.CountInequality(q, tolerance, deadline);
+      },
+      [&](const View& view, size_t delta_rows, CountResult* result) {
+        // The unmerged rows are counted exactly (they are few by the
+        // merge threshold), so the overlay widens nothing: the bounds
+        // shift by the exact delta match count, and a tolerance-0 answer
+        // stays bit-equal to a quiesced merge.
+        Result<size_t> matched = ScanRowsCountInequality(
+            view.delta->data(), view.delta->dim(), delta_rows, q, deadline);
+        PLANAR_RETURN_IF_ERROR(matched.status());
+        CountResult delta;
+        delta.lower = delta.upper = delta.estimate = matched.value();
+        delta.exact = true;
+        FoldCount(delta, result);
+        result->stats.num_points += delta_rows;
+        result->stats.verified += delta_rows;
+        result->stats.result_size = result->estimate;
+        return Status::OK();
+      },
+      out);
 }
 
 bool IngestManager::Aggregate(const std::string& target,
@@ -289,43 +277,28 @@ bool IngestManager::Aggregate(const std::string& target,
                               const CountTolerance& tolerance,
                               const Deadline& deadline,
                               Result<AggregateResult>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  const size_t delta_rows = view->delta->size();
-  // The base call also validates the payload configuration; an error
-  // passes through untouched, exactly as on the unmanaged path.
-  Result<AggregateResult> base =
-      view->base->AggregateInequality(q, tolerance, deadline);
-  if (!base.ok()) {
-    *out = base.status();
-    return true;
-  }
-  AggregateResult result = std::move(base).value();
-  if (delta_rows > 0) {
-    const int payload_column =
-        view->base->options().index_options.payload_column;
-    size_t matched = 0;
-    double delta_sum = 0.0;
-    const Status scanned = ScanRowsAggregateInequality(
-        view->delta->data(), view->delta->dim(), delta_rows, payload_column,
-        q, deadline, &matched, &delta_sum);
-    if (!scanned.ok()) {
-      *out = scanned;
-      return true;
-    }
-    // Exact shift of every bound by the delta's exact contribution.
-    result.sum_lower += delta_sum;
-    result.sum_upper += delta_sum;
-    result.sum += delta_sum;
-    result.count.lower += matched;
-    result.count.upper += matched;
-    result.count.estimate += matched;
-    result.count.stats.num_points += delta_rows;
-    result.count.stats.verified += delta_rows;
-    result.count.stats.result_size = result.count.estimate;
-  }
-  *out = std::move(result);
-  return true;
+  return Overlay(
+      target,
+      [&](const PlanarIndexSet& base) {
+        return base.AggregateInequality(q, tolerance, deadline);
+      },
+      [&](const View& view, size_t delta_rows, AggregateResult* result) {
+        // Exact shift of every bound by the delta's exact contribution.
+        AggregateResult delta;
+        PLANAR_RETURN_IF_ERROR(ScanRowsAggregateInequality(
+            view.delta->data(), view.delta->dim(), delta_rows,
+            view.base->options().index_options.payload_column, q, deadline,
+            &delta.count.estimate, &delta.sum));
+        delta.sum_lower = delta.sum_upper = delta.sum;
+        delta.count.lower = delta.count.upper = delta.count.estimate;
+        delta.exact = delta.count.exact = true;
+        FoldAggregate(delta, result);
+        result->count.stats.num_points += delta_rows;
+        result->count.stats.verified += delta_rows;
+        result->count.stats.result_size = result->count.estimate;
+        return Status::OK();
+      },
+      out);
 }
 
 void IngestManager::BindMetrics(EngineMetrics* metrics) {

@@ -168,6 +168,14 @@ class IngestManager final : public IngestBackend {
   std::shared_ptr<const View> PinView(const std::string& target) const
       PLANAR_EXCLUDES(mu_);
 
+  /// The delta overlay every single-query read shares: pins the
+  /// target's epoch, answers `base(set)` on its base snapshot, and lets
+  /// `fold(view, delta_rows, &answer)` scan the unmerged rows into the
+  /// answer. Returns false when `target` is unmanaged (see ingest.cc).
+  template <typename T, typename Base, typename Fold>
+  bool Overlay(const std::string& target, const Base& base, const Fold& fold,
+               Result<T>* out) const PLANAR_EXCLUDES(mu_);
+
   void MergerLoop(Shard* shard);
 
   Catalog* const catalog_;

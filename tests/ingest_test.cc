@@ -138,9 +138,11 @@ TEST(IngestOverlayTest, TopKMatchesQuiescedRebuild) {
   for (size_t i = 0; i < 120; ++i) all.AppendRow(rows.data() + i * 3);
   const PlanarIndexSet reference = FreshBuild(all);
 
-  for (int trial = 0; trial < 15; ++trial) {
+  // The last trial's k exceeds the row count: every match comes back,
+  // and the overlay merge reserves only what it holds.
+  for (int trial = 0; trial < 16; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const size_t k = 1 + rng.UniformInt(20);
+    const size_t k = trial == 15 ? size_t{1} << 62 : 1 + rng.UniformInt(20);
     Result<TopKResult> got = Status::Internal("unset");
     ASSERT_TRUE(manager.TopK(kTarget, q, k, Deadline::Infinite(), &got));
     ASSERT_TRUE(got.ok());

@@ -10,7 +10,7 @@
 // `cmake --preset tsan`, which machine-checks the "concurrent queries are
 // safe" claim instead of trusting the comment.
 
-#include "core/parallel.h"
+#include "core/index_set.h"
 
 #include <atomic>
 #include <memory>
@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -73,7 +74,10 @@ TEST_F(ParallelRaceTest, OverlappingInequalityBatchesAreRaceFree) {
   for (size_t t = 0; t < kHammerThreads; ++t) {
     hammers.emplace_back([&] {
       for (size_t round = 0; round < kRounds; ++round) {
-        const auto results = ParallelInequality(*set_, queries_, 3);
+        std::vector<InequalityResult> results(queries_.size());
+        ThreadPool::Shared().ParallelFor(
+            queries_.size(),
+            [&](size_t i) { results[i] = set_->Inequality(queries_[i]); }, 3);
         for (size_t i = 0; i < queries_.size(); ++i) {
           if (Sorted(results[i].ids) != expected_ids_[i]) {
             mismatches.fetch_add(1);
@@ -102,7 +106,11 @@ TEST_F(ParallelRaceTest, OverlappingTopKBatchesAreRaceFree) {
   for (size_t t = 0; t < kHammerThreads; ++t) {
     hammers.emplace_back([&] {
       for (size_t round = 0; round < kRounds; ++round) {
-        const auto results = ParallelTopK(*set_, queries_, kTopK, 3);
+        std::vector<Result<TopKResult>> results(
+            queries_.size(), Status::Internal("not executed"));
+        ThreadPool::Shared().ParallelFor(
+            queries_.size(),
+            [&](size_t i) { results[i] = set_->TopK(queries_[i], kTopK); }, 3);
         for (size_t i = 0; i < queries_.size(); ++i) {
           if (!results[i].ok()) {
             mismatches.fetch_add(1);
@@ -166,10 +174,13 @@ TEST_F(ParallelRaceTest, NestedParallelForOverSharedSet) {
   std::vector<std::thread> outer;
   for (size_t t = 0; t < kHammerThreads; ++t) {
     outer.emplace_back([&] {
-      ParallelFor(queries_.size(), [&](size_t i) {
-        const InequalityResult r = set_->Inequality(queries_[i]);
-        if (Sorted(r.ids) != expected_ids_[i]) mismatches.fetch_add(1);
-      }, 2);
+      ThreadPool::Shared().ParallelFor(
+          queries_.size(),
+          [&](size_t i) {
+            const InequalityResult r = set_->Inequality(queries_[i]);
+            if (Sorted(r.ids) != expected_ids_[i]) mismatches.fetch_add(1);
+          },
+          2);
     });
   }
   for (std::thread& th : outer) th.join();

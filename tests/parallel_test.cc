@@ -1,37 +1,39 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
+//
+// The exactly-once contract of ThreadPool::ParallelFor on the shared pool
+// every library fan-out runs on.
 
-#include "core/parallel.h"
+#include "common/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
-
-#include "common/random.h"
-#include "tests/test_util.h"
 
 namespace planar {
 namespace {
 
 TEST(ParallelForTest, VisitsEveryIndexOnce) {
   std::vector<std::atomic<int>> counts(1000);
-  ParallelFor(1000, [&](size_t i) { counts[i].fetch_add(1); }, 4);
+  ThreadPool::Shared().ParallelFor(
+      1000, [&](size_t i) { counts[i].fetch_add(1); }, 4);
   for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
 }
 
 TEST(ParallelForTest, ZeroItemsIsNoop) {
-  ParallelFor(0, [&](size_t) { FAIL(); }, 4);
+  ThreadPool::Shared().ParallelFor(0, [&](size_t) { FAIL(); }, 4);
 }
 
 TEST(ParallelForTest, SingleThreadPath) {
   std::vector<int> order;
-  ParallelFor(5, [&](size_t i) { order.push_back(static_cast<int>(i)); }, 1);
+  ThreadPool::Shared().ParallelFor(
+      5, [&](size_t i) { order.push_back(static_cast<int>(i)); }, 1);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(ParallelForTest, MoreThreadsThanItems) {
   std::atomic<int> total{0};
-  ParallelFor(3, [&](size_t) { total.fetch_add(1); }, 16);
+  ThreadPool::Shared().ParallelFor(3, [&](size_t) { total.fetch_add(1); }, 16);
   EXPECT_EQ(total.load(), 3);
 }
 
@@ -44,7 +46,8 @@ TEST(ParallelForTest, ExactlyOnceAccountingAcrossDegenerateShapes) {
   for (size_t n : sizes) {
     for (size_t threads : thread_counts) {
       std::vector<std::atomic<int>> counts(n);
-      ParallelFor(n, [&](size_t i) { counts[i].fetch_add(1); }, threads);
+      ThreadPool::Shared().ParallelFor(
+          n, [&](size_t i) { counts[i].fetch_add(1); }, threads);
       for (size_t i = 0; i < n; ++i) {
         ASSERT_EQ(counts[i].load(), 1)
             << "n=" << n << " threads=" << threads << " i=" << i;
@@ -55,76 +58,9 @@ TEST(ParallelForTest, ExactlyOnceAccountingAcrossDegenerateShapes) {
 
 TEST(ParallelForTest, ZeroItemsNeverInvokesWithAnyThreadCount) {
   for (size_t threads : {size_t{0}, size_t{1}, size_t{8}}) {
-    ParallelFor(0, [&](size_t) { FAIL() << "fn invoked for n == 0"; },
-                threads);
+    ThreadPool::Shared().ParallelFor(
+        0, [&](size_t) { FAIL() << "fn invoked for n == 0"; }, threads);
   }
-}
-
-class ParallelQueryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    PhiMatrix phi = RandomPhi(2000, 3, 1.0, 100.0, 91);
-    reference_ = std::make_unique<PhiMatrix>(3);
-    for (size_t i = 0; i < phi.size(); ++i) reference_->AppendRow(phi.row(i));
-    IndexSetOptions options;
-    options.budget = 6;
-    auto set = PlanarIndexSet::Build(
-        std::move(phi), std::vector<ParameterDomain>(3, {1.0, 5.0}),
-        options);
-    PLANAR_CHECK(set.ok());
-    set_ = std::make_unique<PlanarIndexSet>(std::move(set).value());
-
-    Rng rng(92);
-    for (int i = 0; i < 64; ++i) {
-      queries_.push_back({{rng.Uniform(1, 5), rng.Uniform(1, 5),
-                           rng.Uniform(1, 5)},
-                          rng.Uniform(100, 900), Comparison::kLessEqual});
-    }
-  }
-
-  std::unique_ptr<PhiMatrix> reference_;
-  std::unique_ptr<PlanarIndexSet> set_;
-  std::vector<ScalarProductQuery> queries_;
-};
-
-TEST_F(ParallelQueryTest, InequalityBatchMatchesSequential) {
-  const auto parallel = ParallelInequality(*set_, queries_, 4);
-  ASSERT_EQ(parallel.size(), queries_.size());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    EXPECT_EQ(Sorted(parallel[i].ids),
-              BruteForceMatches(*reference_, queries_[i]))
-        << i;
-  }
-}
-
-TEST_F(ParallelQueryTest, TopKBatchMatchesSequential) {
-  const auto parallel = ParallelTopK(*set_, queries_, 10, 4);
-  ASSERT_EQ(parallel.size(), queries_.size());
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    ASSERT_TRUE(parallel[i].ok());
-    auto sequential = set_->TopK(queries_[i], 10);
-    ASSERT_TRUE(sequential.ok());
-    ASSERT_EQ(parallel[i]->neighbors.size(), sequential->neighbors.size());
-    for (size_t j = 0; j < sequential->neighbors.size(); ++j) {
-      EXPECT_EQ(parallel[i]->neighbors[j].id, sequential->neighbors[j].id);
-    }
-  }
-}
-
-TEST_F(ParallelQueryTest, DegenerateQueryFailureIsPerSlot) {
-  std::vector<ScalarProductQuery> mixed = {
-      queries_[0],
-      {{0.0, 0.0, 0.0}, 1.0, Comparison::kLessEqual},  // degenerate
-      queries_[1]};
-  const auto results = ParallelTopK(*set_, mixed, 5, 2);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST_F(ParallelQueryTest, EmptyBatch) {
-  EXPECT_TRUE(ParallelInequality(*set_, {}, 4).empty());
-  EXPECT_TRUE(ParallelTopK(*set_, {}, 3, 4).empty());
 }
 
 }  // namespace

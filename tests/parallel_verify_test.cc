@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/macros.h"
-#include "core/parallel.h"
+#include "common/thread_pool.h"
 #include "core/planar_index.h"
 #include "tests/test_util.h"
 
@@ -126,7 +126,7 @@ TEST(ParallelVerifyTest, ConcurrentShardedQueriesAreRaceFree) {
   ASSERT_TRUE(expected.ok());
 
   std::atomic<int> mismatches(0);
-  ParallelFor(
+  ThreadPool::Shared().ParallelFor(
       8,
       [&](size_t i) {
         ScalarProductQuery q = c.query;

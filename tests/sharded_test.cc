@@ -48,13 +48,14 @@ ScalarProductQuery MakeQuery(Rng* rng) {
   return q;
 }
 
-ShardedIndexSet BuildSharded(const PhiMatrix& phi, size_t shards,
-                             size_t query_threads = 0) {
+ShardedIndexSet BuildSharded(
+    const PhiMatrix& phi, size_t shards, size_t query_threads = 0,
+    const IndexSetOptions& set_options = SetOptions()) {
   ShardedIndexSetOptions options;
   options.shards = shards;
   options.min_rows_per_shard = 1;
   options.query_threads = query_threads;
-  options.set_options = SetOptions();
+  options.set_options = set_options;
   PhiMatrix copy(phi.dim());
   copy.Reserve(phi.size());
   for (size_t i = 0; i < phi.size(); ++i) copy.AppendRow(phi.row(i));
@@ -123,7 +124,10 @@ TEST_F(ShardedIndexSetTest, TopKBitwiseEqualToMonolithic) {
     const ShardedIndexSet sharded = BuildSharded(phi_, shards);
     for (int i = 0; i < 12; ++i) {
       const ScalarProductQuery q = MakeQuery(&rng);
-      for (const size_t k : {1u, 5u, 17u}) {
+      // The last k exceeds the row count: every match comes back, as on
+      // the monolithic set, and the merge reserves only what it holds.
+      for (const size_t k :
+           {size_t{1}, size_t{5}, size_t{17}, size_t{1} << 62}) {
         const auto mono = mono_->TopK(q, k);
         const auto result = sharded.TopK(q, k);
         ASSERT_EQ(mono.ok(), result.ok());
@@ -251,14 +255,35 @@ TEST_F(ShardedIndexSetTest, BatchMatchesPerQueryAndMonolithic) {
 TEST_F(ShardedIndexSetTest, DeadlineExpiryFansIn) {
   Rng rng(203);
   const ScalarProductQuery q = MakeQuery(&rng);
+  // Aggregates need a payload column; any phi column serves.
+  IndexSetOptions set_options = SetOptions();
+  set_options.index_options.payload_column = 0;
   for (const size_t shards : {1u, 7u}) {
-    const ShardedIndexSet sharded = BuildSharded(phi_, shards);
+    const ShardedIndexSet sharded = BuildSharded(phi_, shards, 0, set_options);
+    // Every kind expires with its one canonical message, on the inline
+    // 1-shard path as on the fan-out.
     const auto ineq = sharded.Inequality(q, Deadline::After(0.0));
     ASSERT_FALSE(ineq.ok());
     EXPECT_EQ(ineq.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(ineq.status().message(),
+              "sharded inequality query exceeded its deadline");
     const auto topk = sharded.TopK(q, 5, Deadline::After(0.0));
     ASSERT_FALSE(topk.ok());
     EXPECT_EQ(topk.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(topk.status().message(),
+              "sharded top-k query exceeded its deadline");
+    const auto count =
+        sharded.CountInequality(q, CountTolerance(), Deadline::After(0.0));
+    ASSERT_FALSE(count.ok());
+    EXPECT_EQ(count.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(count.status().message(),
+              "sharded count query exceeded its deadline");
+    const auto agg = sharded.AggregateInequality(q, CountTolerance(),
+                                                 Deadline::After(0.0));
+    ASSERT_FALSE(agg.ok());
+    EXPECT_EQ(agg.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(agg.status().message(),
+              "sharded aggregate query exceeded its deadline");
     // A generous deadline behaves exactly like the infinite default.
     const auto ok = sharded.Inequality(q, Deadline::After(60000.0));
     ASSERT_TRUE(ok.ok());
