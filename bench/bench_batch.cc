@@ -52,7 +52,7 @@ double MinMillis(Fn&& fn, int runs) {
 
 constexpr size_t kDim = 8;
 
-PlanarIndexSet BuildSet(size_t n, bool mixed) {
+PlanarIndexSet BuildSet(size_t n) {
   PhiMatrix phi = RandomPhi(n, kDim, 1.0, 100.0, 31);
   IndexSetOptions options;
   options.budget = 6;
@@ -60,7 +60,6 @@ PlanarIndexSet BuildSet(size_t n, bool mixed) {
   // reroute wide-interval queries to a scan and muddy the comparison
   // (both paths batch scans the same way anyway).
   options.scan_fallback_fraction = 1.0;
-  options.index_options.mixed_precision = mixed;
   auto set = PlanarIndexSet::Build(
       std::move(phi), std::vector<ParameterDomain>(kDim, {1.0, 4.0}),
       options);
@@ -133,78 +132,68 @@ int main(int argc, char** argv) {
       "bench_batch",
       "BatchInequality vs serial Inequality, n=" + std::to_string(n) +
           " d'=" + std::to_string(kDim) + " queries=" +
-          std::to_string(num_queries) +
-          " (bit-identity cross-checked, mixed on/off sweep)");
+          std::to_string(num_queries) + " (bit-identity cross-checked)");
 
-  // Same data and normals either way (same seed); the mixed set carries
-  // the f32 mirror, the plain set does not. The plain serial path is the
-  // single reference both sweeps must reproduce bit-identically.
-  const PlanarIndexSet set_plain = BuildSet(n, /*mixed=*/false);
-  const PlanarIndexSet set_mixed = BuildSet(n, /*mixed=*/true);
+  const PlanarIndexSet set = BuildSet(n);
   const std::vector<size_t> batch_sizes =
       smoke ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 16, 64};
 
-  TablePrinter table({"workload", "mixed", "batch", "serial q/s",
-                      "batch q/s", "speedup", "sharing", "rows/s"});
+  TablePrinter table({"workload", "batch", "serial q/s", "batch q/s",
+                      "speedup", "sharing", "rows/s"});
   bool ok = true;
   for (const bool overlap : {true, false}) {
     const char* workload = overlap ? "overlap" : "spread";
     const std::vector<ScalarProductQuery> queries =
         MakeWorkload(overlap, num_queries, overlap ? 77 : 78);
 
-    // Serial reference: pure f64 answers + best-of-runs time.
+    // Serial reference: answers + best-of-runs time.
     std::vector<Result<InequalityResult>> serial;
     const double serial_ms = MinMillis(
         [&] {
           serial.clear();
           for (const ScalarProductQuery& q : queries) {
-            serial.push_back(set_plain.Inequality(q, Deadline::Infinite()));
+            serial.push_back(set.Inequality(q, Deadline::Infinite()));
           }
         },
         runs);
     const double serial_qps =
         static_cast<double>(queries.size()) / (serial_ms / 1000.0);
 
-    for (const bool mixed : {false, true}) {
-      const PlanarIndexSet& set = mixed ? set_mixed : set_plain;
-      for (const size_t batch_size : batch_sizes) {
-        std::vector<Result<InequalityResult>> batched;
-        BatchExecStats stats;
-        const double batch_ms = MinMillis(
-            [&] { RunBatched(set, queries, batch_size, &batched, &stats); },
-            runs);
-        // Bit-identity gate: a fast wrong answer is not a result. The
-        // mixed sweep checks against the same pure f64 serial reference.
-        for (size_t i = 0; i < queries.size(); ++i) {
-          if (!batched[i].ok() || !serial[i].ok() ||
-              batched[i]->ids != serial[i]->ids) {
-            std::fprintf(stderr,
-                         "FAIL: batched answer diverges from serial "
-                         "(workload=%s mixed=%d batch=%zu query=%zu)\n",
-                         workload, mixed ? 1 : 0, batch_size, i);
-            ok = false;
-          }
+    for (const size_t batch_size : batch_sizes) {
+      std::vector<Result<InequalityResult>> batched;
+      BatchExecStats stats;
+      const double batch_ms = MinMillis(
+          [&] { RunBatched(set, queries, batch_size, &batched, &stats); },
+          runs);
+      // Bit-identity gate: a fast wrong answer is not a result.
+      for (size_t i = 0; i < queries.size(); ++i) {
+        if (!batched[i].ok() || !serial[i].ok() ||
+            batched[i]->ids != serial[i]->ids) {
+          std::fprintf(stderr,
+                       "FAIL: batched answer diverges from serial "
+                       "(workload=%s batch=%zu query=%zu)\n",
+                       workload, batch_size, i);
+          ok = false;
         }
-        const double batch_qps =
-            static_cast<double>(queries.size()) / (batch_ms / 1000.0);
-        const double speedup = serial_ms > 0.0 ? serial_ms / batch_ms : 0.0;
-        const double rows_per_sec =
-            static_cast<double>(stats.rows_demanded) / (batch_ms / 1000.0);
-        table.AddRow({workload, mixed ? "on" : "off",
-                      std::to_string(batch_size), FormatDouble(serial_qps, 1),
-                      FormatDouble(batch_qps, 1), FormatDouble(speedup, 2),
-                      FormatDouble(stats.SharingFactor(), 2),
-                      FormatDouble(rows_per_sec / 1e6, 1)});
-        std::printf(
-            "{\"bench\":\"batch\",\"workload\":\"%s\",\"mixed\":%s,"
-            "\"n\":%zu,\"queries\":%zu,\"batch_size\":%zu,"
-            "\"serial_qps\":%.1f,\"batch_qps\":%.1f,\"speedup\":%.2f,"
-            "\"sharing_factor\":%.2f,\"rows_per_sec\":%.0f%s}\n",
-            workload, mixed ? "true" : "false", n, queries.size(),
-            batch_size, serial_qps, batch_qps, speedup,
-            stats.SharingFactor(), rows_per_sec,
-            bench::JsonStamp(1, set.ResidentBytes()).c_str());
       }
+      const double batch_qps =
+          static_cast<double>(queries.size()) / (batch_ms / 1000.0);
+      const double speedup = serial_ms > 0.0 ? serial_ms / batch_ms : 0.0;
+      const double rows_per_sec =
+          static_cast<double>(stats.rows_demanded) / (batch_ms / 1000.0);
+      table.AddRow({workload, std::to_string(batch_size),
+                    FormatDouble(serial_qps, 1), FormatDouble(batch_qps, 1),
+                    FormatDouble(speedup, 2),
+                    FormatDouble(stats.SharingFactor(), 2),
+                    FormatDouble(rows_per_sec / 1e6, 1)});
+      std::printf(
+          "{\"bench\":\"batch\",\"workload\":\"%s\","
+          "\"n\":%zu,\"queries\":%zu,\"batch_size\":%zu,"
+          "\"serial_qps\":%.1f,\"batch_qps\":%.1f,\"speedup\":%.2f,"
+          "\"sharing_factor\":%.2f,\"rows_per_sec\":%.0f%s}\n",
+          workload, n, queries.size(), batch_size, serial_qps, batch_qps,
+          speedup, stats.SharingFactor(), rows_per_sec,
+          bench::JsonStamp(1, set.ResidentBytes()).c_str());
     }
   }
   std::printf("\n");

@@ -32,7 +32,6 @@
 #include "common/random.h"
 #include "common/table_printer.h"
 #include "core/kernels/kernels.h"
-#include "core/mixed.h"
 #include "core/row_matrix.h"
 #include "geometry/vec.h"
 #include "tests/test_util.h"
@@ -149,75 +148,6 @@ Measurement BenchBatchVerify(const PhiMatrix& phi,
   return m;
 }
 
-// Mixed-precision verification shape (core/mixed.h): f32 residuals over
-// the mirror classify every row against the widened accept band; only the
-// in-band rows are re-verified with the exact f64 gather. Baseline is the
-// pure f64 gather + compress path (batch_verify's kernel side) — the
-// speedup column is therefore mixed-vs-f64, the claim the mode exists
-// for. The accepted id streams are asserted identical every run.
-Measurement BenchBatchVerifyMixed(const PhiMatrix& phi,
-                                  const std::vector<double>& a, double b,
-                                  const std::vector<uint32_t>& ids,
-                                  int runs) {
-  const size_t n = ids.size();
-  const size_t dim = phi.dim();
-  const kernels::DotOps& ops = kernels::Ops();
-  std::vector<uint32_t> accepted;
-  std::vector<uint32_t> accepted_mixed;
-  Measurement m;
-  double residuals[kernels::kBlockRows];
-  const double base_ms = MinMillis(
-      [&] {
-        accepted.clear();
-        accepted.reserve(n);
-        for (size_t off = 0; off < n; off += kernels::kBlockRows) {
-          const size_t blk = std::min(kernels::kBlockRows, n - off);
-          ops.dot_gather(a.data(), dim, phi.data(), dim, ids.data() + off,
-                         blk, -b, residuals);
-          const size_t old_size = accepted.size();
-          accepted.resize(old_size + blk);
-          const size_t kept =
-              kernels::CompressAccept(residuals, ids.data() + off, blk, true,
-                                      accepted.data() + old_size);
-          accepted.resize(old_size + kept);
-        }
-        g_sink = static_cast<double>(accepted.size());
-      },
-      runs);
-  const MixedQueryPlan plan = MakeMixedPlan(a.data(), dim, b, true, phi);
-  PLANAR_CHECK(plan.usable);  // the bench data is well inside float range
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  // f32-ok (bench): the mirror-side residual buffer of the classify pass.
-  float res32[kernels::kBlockRows];
-  double decision[kernels::kBlockRows];
-  const double kern_ms = MinMillis(
-      [&] {
-        accepted_mixed.clear();
-        accepted_mixed.reserve(n);
-        for (size_t off = 0; off < n; off += kernels::kBlockRows) {
-          const size_t blk = std::min(kernels::kBlockRows, n - off);
-          ops32.dot_gather(plan.a32.data(), dim, phi.f32_data(), dim,
-                           ids.data() + off, blk, plan.bias32, res32);
-          MixedResolveBlock(plan, a.data(), dim, b, phi.data(), dim,
-                            ids.data() + off, res32, blk, decision);
-          const size_t old_size = accepted_mixed.size();
-          accepted_mixed.resize(old_size + blk);
-          const size_t kept = kernels::CompressAccept(
-              decision, ids.data() + off, blk, true,
-              accepted_mixed.data() + old_size);
-          accepted_mixed.resize(old_size + kept);
-        }
-        g_sink = static_cast<double>(accepted_mixed.size());
-      },
-      runs);
-  // Bit-identity gate: the mixed path must accept exactly the f64 ids in
-  // exactly the f64 order, or the measurement is meaningless.
-  PLANAR_CHECK(accepted == accepted_mixed);
-  m.baseline_rows_per_sec = RowsPerSec(n, base_ms);
-  m.kernel_rows_per_sec = RowsPerSec(n, kern_ms);
-  return m;
-}
-
 // Key construction: the Rebuild hot loop (key_i = <c, phi_i> + shift).
 Measurement BenchBuildKeys(const PhiMatrix& phi,
                            const std::vector<double>& normal, double shift,
@@ -267,7 +197,6 @@ int main(int argc, char** argv) {
                       "speedup"});
   for (const size_t dim : dims) {
     PhiMatrix phi = RandomPhi(n, dim, 0.0, 100.0, 97 + dim);
-    phi.EnableF32Mirror();  // for the batch_verify_mixed workload
     Rng rng(13 + dim);
     std::vector<double> a(dim);
     for (size_t j = 0; j < dim; ++j) a[j] = rng.Uniform(0.5, 4.0);
@@ -282,15 +211,10 @@ int main(int argc, char** argv) {
     struct Row {
       const char* workload;
       Measurement m;
-      // Hot-path streamed bytes of the measured configuration; 0 when
-      // the workload has no footprint story to tell.
-      size_t resident = 0;
     };
     const Row rows[] = {
         {"batch_dot", BenchBatchDot(phi, a, b, runs)},
         {"batch_verify", BenchBatchVerify(phi, a, b, ids, runs)},
-        {"batch_verify_mixed", BenchBatchVerifyMixed(phi, a, b, ids, runs),
-         n * dim * sizeof(float)},
         {"build_keys", BenchBuildKeys(phi, a, 0.25, runs)},
     };
     for (const Row& row : rows) {
@@ -304,7 +228,7 @@ int main(int argc, char** argv) {
           "\"kernel_rows_per_sec\":%.0f,\"speedup\":%.2f%s}\n",
           row.workload, dim, n, kernels::BackendName(),
           row.m.baseline_rows_per_sec, row.m.kernel_rows_per_sec,
-          row.m.speedup(), bench::JsonStamp(1, row.resident).c_str());
+          row.m.speedup(), bench::JsonStamp(1).c_str());
     }
   }
   std::printf("\n");

@@ -2,8 +2,7 @@
 //
 // A reusable worker pool with optional per-core pinning — the execution
 // substrate for every fan-out path in the tree (parallel index builds
-// and sorts, intra-query II verification, ShardedIndexSet
-// scatter-gather, engine workers). Before this existed, a parallel-for
+// and sorts, ShardedIndexSet scatter-gather, engine workers). Before this existed, a parallel-for
 // constructed and joined fresh std::threads on every call,
 // paying spawn latency even for tiny batches; the pool amortizes that
 // cost across the process lifetime and is the one place allowed to
@@ -13,8 +12,7 @@
 // exactly once for every i, indices are partitioned into contiguous
 // chunks, and the call blocks until all of them returned. Which pool
 // thread runs which chunk is unspecified — callers that need ordered
-// output merge per-chunk buffers in chunk order (see
-// PlanarIndex::VerifyCandidatesParallel, SortEntries).
+// output merge per-chunk buffers in chunk order (see SortEntries).
 //
 // The submitting thread participates in its own ParallelFor (it claims
 // chunk tickets alongside the pool workers), so a fan-out always makes

@@ -46,7 +46,6 @@
 #include "core/batch.h"
 #include "core/index_set.h"
 #include "core/kernels/kernels.h"
-#include "core/mixed.h"
 
 namespace planar {
 
@@ -83,14 +82,6 @@ struct BlockArgs {
   std::vector<uint32_t*> outs;
   std::unique_ptr<bool[]> less_equal;
   std::vector<double> residuals;
-  // Mixed-precision routing scratch: the per-block active-set partition
-  // and the f32 classify-pass arguments.
-  std::vector<size_t> plain_active;
-  std::vector<size_t> mixed_active;
-  // f32-ok: query mirrors and residual matrix for the band classification.
-  std::vector<const float*> q32_ptrs;
-  std::vector<float> biases32;
-  std::vector<float> res32;
 
   explicit BlockArgs(size_t max_queries)
       : q_ptrs(max_queries),
@@ -101,12 +92,7 @@ struct BlockArgs {
         kept(max_queries),
         outs(max_queries),
         less_equal(new bool[max_queries]),
-        residuals(max_queries * kBlockRows),
-        plain_active(max_queries),
-        mixed_active(max_queries),
-        q32_ptrs(max_queries),
-        biases32(max_queries),
-        res32(max_queries * kBlockRows) {}
+        residuals(max_queries * kBlockRows) {}
 };
 
 // The serial path's degenerate-query answer (RunInequality's constant
@@ -169,6 +155,11 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
   for (size_t qi = 0; qi < m; ++qi) {
     norms.push_back(NormalizedQuery::From(queries[qi]));
     const NormalizedQuery& norm = norms.back();
+    const Status dim_ok = CheckQueryDim(queries[qi]);
+    if (!dim_ok.ok()) {
+      results[qi] = dim_ok;
+      continue;
+    }
     const int best = SelectBestIndex(norm);
     if (best < 0) {
       scan_slots.push_back(qi);
@@ -189,32 +180,6 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     }
     groups[static_cast<size_t>(best)].push_back(
         {qi, iv->smaller_end, iv->larger_begin});
-  }
-
-  // ---- Mixed-precision plans, one per slot the shared block walks below
-  // will verify (multi-query index groups and the batched scan). A
-  // single-query group or single-scan slot takes the serial path, which
-  // plans for itself. Group slots plan against the normalized query and
-  // scan slots against the caller's original query — matching exactly what
-  // each walk hands the kernels, so the residuals (and the accept band)
-  // line up with the serial execution of the same slot.
-  std::vector<MixedQueryPlan> plans(m);
-  if (phi_->f32_data() != nullptr) {
-    for (const std::vector<IntervalQuery>& group : groups) {
-      if (group.size() < 2) continue;
-      for (const IntervalQuery& iq : group) {
-        const NormalizedQuery& nq = norms[iq.slot];
-        plans[iq.slot] = MakeMixedPlan(
-            nq.a.data(), dim, nq.b, nq.cmp == Comparison::kLessEqual, *phi_);
-      }
-    }
-    if (scan_slots.size() > 1) {
-      for (const size_t slot : scan_slots) {
-        const ScalarProductQuery& q = queries[slot];
-        plans[slot] = MakeMixedPlan(q.a.data(), dim, q.b,
-                                    q.cmp == Comparison::kLessEqual, *phi_);
-      }
-    }
   }
 
   // ---- Index groups.
@@ -311,13 +276,9 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
           active.push_back(next++);
         }
         // Retire finished intervals and poll deadlines — one poll per
-        // (query, block), the serial VerifyBlocks cadence. Memory-order
-        // audit: unlike the sharded verifier (planar_index.cc), the
-        // batch walk is single-threaded, so the poll is a plain call on
-        // an immutable Deadline — no atomic flag, and nothing to order.
-        // If this loop is ever sharded, cancellation must adopt the
-        // relaxed-atomic advisory-flag + authoritative-post-join-load
-        // pattern documented in VerifyCandidatesParallel.
+        // (query, block), the serial VerifyBlocks cadence. The batch
+        // walk is single-threaded, so the poll is a plain call on an
+        // immutable Deadline — no atomic flag, and nothing to order.
         size_t na = 0;
         for (const size_t idx : active) {
           const IntervalQuery& iq = intervals[idx];
@@ -335,21 +296,8 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
 
         const size_t blk = r1 - r0;
         const uint32_t* block_ids = ids_base + (r0 - range.begin);
-        // Partition the survivors: slots with a usable mixed plan take
-        // the f32 classify + f64 band re-verify route, the rest the plain
-        // f64 kernel. Each slot only ever appends to its own result, so
-        // the partition cannot perturb any per-query id order.
-        size_t na_plain = 0;
-        size_t na_mixed = 0;
-        for (const size_t idx : active) {
-          if (plans[intervals[idx].slot].usable) {
-            args.mixed_active[na_mixed++] = idx;
-          } else {
-            args.plain_active[na_plain++] = idx;
-          }
-        }
-        for (size_t ai = 0; ai < na_plain; ++ai) {
-          const IntervalQuery& iq = intervals[args.plain_active[ai]];
+        for (size_t ai = 0; ai < na; ++ai) {
+          const IntervalQuery& iq = intervals[active[ai]];
           const NormalizedQuery& nq = norms[iq.slot];
           args.q_ptrs[ai] = nq.a.data();
           args.biases[ai] = -nq.b;
@@ -362,54 +310,16 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
                          (args.slice_end[ai] - args.slice_begin[ai]));
           args.outs[ai] = out_ids.data() + args.old_size[ai];
         }
-        if (na_plain != 0) {
-          ops.dot_block_many(args.q_ptrs.data(), args.biases.data(), na_plain,
-                             dim, phi_->data(), dim, block_ids, blk,
-                             args.residuals.data(), kBlockRows);
-          kernels::CompressAcceptMany(args.residuals.data(), kBlockRows,
-                                      na_plain, block_ids,
-                                      args.slice_begin.data(),
-                                      args.slice_end.data(),
-                                      args.less_equal.get(), args.outs.data(),
-                                      args.kept.data());
-          for (size_t ai = 0; ai < na_plain; ++ai) {
-            const IntervalQuery& iq = intervals[args.plain_active[ai]];
-            results[iq.slot]->ids.resize(args.old_size[ai] + args.kept[ai]);
-          }
-        }
-        if (na_mixed != 0) {
-          for (size_t mi = 0; mi < na_mixed; ++mi) {
-            const MixedQueryPlan& plan =
-                plans[intervals[args.mixed_active[mi]].slot];
-            args.q32_ptrs[mi] = plan.a32.data();
-            args.biases32[mi] = plan.bias32;
-          }
-          // One f32 pass over the whole block for every mixed query (the
-          // per-(query, row) value is identical to the serial dot_gather
-          // over the query's own slice), then the per-query band resolve
-          // and compress-store on just its slice.
-          kernels::OpsF32().dot_block_many(
-              args.q32_ptrs.data(), args.biases32.data(), na_mixed, dim,
-              phi_->f32_data(), dim, block_ids, blk, args.res32.data(),
-              kBlockRows);
-          for (size_t mi = 0; mi < na_mixed; ++mi) {
-            const IntervalQuery& iq = intervals[args.mixed_active[mi]];
-            const NormalizedQuery& nq = norms[iq.slot];
-            const size_t sb = std::max(iq.begin, r0) - r0;
-            const size_t se = std::min(iq.end, r1) - r0;
-            std::vector<uint32_t>& out_ids = results[iq.slot]->ids;
-            const size_t old = out_ids.size();
-            out_ids.resize(old + (se - sb));
-            double decision[kBlockRows];
-            MixedResolveBlock(plans[iq.slot], nq.a.data(), dim, nq.b,
-                              phi_->data(), dim, block_ids + sb,
-                              args.res32.data() + mi * kBlockRows + sb,
-                              se - sb, decision);
-            const size_t kept = kernels::CompressAccept(
-                decision, block_ids + sb, se - sb,
-                plans[iq.slot].less_equal, out_ids.data() + old);
-            out_ids.resize(old + kept);
-          }
+        ops.dot_block_many(args.q_ptrs.data(), args.biases.data(), na, dim,
+                           phi_->data(), dim, block_ids, blk,
+                           args.residuals.data(), kBlockRows);
+        kernels::CompressAcceptMany(
+            args.residuals.data(), kBlockRows, na, block_ids,
+            args.slice_begin.data(), args.slice_end.data(),
+            args.less_equal.get(), args.outs.data(), args.kept.data());
+        for (size_t ai = 0; ai < na; ++ai) {
+          const IntervalQuery& iq = intervals[active[ai]];
+          results[iq.slot]->ids.resize(args.old_size[ai] + args.kept[ai]);
         }
       }
     }
@@ -463,21 +373,11 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
       for (size_t i = 0; i < blk; ++i) {
         block_ids[i] = static_cast<uint32_t>(row + i);
       }
-      // Same mixed/plain partition as the index groups above; the scan
-      // path verifies against the caller's original query, as
+      // The scan path verifies against the caller's original query, as
       // ScanInequality does (bit-identical residuals either way — the
       // normalization negates both sides).
-      size_t na_plain = 0;
-      size_t na_mixed = 0;
-      for (const size_t slot : active) {
-        if (plans[slot].usable) {
-          args.mixed_active[na_mixed++] = slot;
-        } else {
-          args.plain_active[na_plain++] = slot;
-        }
-      }
-      for (size_t ai = 0; ai < na_plain; ++ai) {
-        const size_t slot = args.plain_active[ai];
+      for (size_t ai = 0; ai < na; ++ai) {
+        const size_t slot = active[ai];
         const ScalarProductQuery& q = queries[slot];
         args.q_ptrs[ai] = q.a.data();
         args.biases[ai] = -q.b;
@@ -489,47 +389,15 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
         out_ids.resize(args.old_size[ai] + blk);
         args.outs[ai] = out_ids.data() + args.old_size[ai];
       }
-      if (na_plain != 0) {
-        ops.dot_block_many(args.q_ptrs.data(), args.biases.data(), na_plain,
-                           dim, phi_->data(), dim, block_ids, blk,
-                           args.residuals.data(), kBlockRows);
-        kernels::CompressAcceptMany(args.residuals.data(), kBlockRows,
-                                    na_plain, block_ids,
-                                    args.slice_begin.data(),
-                                    args.slice_end.data(),
-                                    args.less_equal.get(), args.outs.data(),
-                                    args.kept.data());
-        for (size_t ai = 0; ai < na_plain; ++ai) {
-          const size_t slot = args.plain_active[ai];
-          results[slot]->ids.resize(args.old_size[ai] + args.kept[ai]);
-        }
-      }
-      if (na_mixed != 0) {
-        for (size_t mi = 0; mi < na_mixed; ++mi) {
-          const MixedQueryPlan& plan = plans[args.mixed_active[mi]];
-          args.q32_ptrs[mi] = plan.a32.data();
-          args.biases32[mi] = plan.bias32;
-        }
-        kernels::OpsF32().dot_block_many(
-            args.q32_ptrs.data(), args.biases32.data(), na_mixed, dim,
-            phi_->f32_data(), dim, block_ids, blk, args.res32.data(),
-            kBlockRows);
-        for (size_t mi = 0; mi < na_mixed; ++mi) {
-          const size_t slot = args.mixed_active[mi];
-          const ScalarProductQuery& q = queries[slot];
-          std::vector<uint32_t>& out_ids = results[slot]->ids;
-          const size_t old = out_ids.size();
-          out_ids.resize(old + blk);
-          double decision[kBlockRows];
-          MixedResolveBlock(plans[slot], q.a.data(), dim, q.b, phi_->data(),
-                            dim, block_ids,
-                            args.res32.data() + mi * kBlockRows, blk,
-                            decision);
-          const size_t kept = kernels::CompressAccept(
-              decision, block_ids, blk, plans[slot].less_equal,
-              out_ids.data() + old);
-          out_ids.resize(old + kept);
-        }
+      ops.dot_block_many(args.q_ptrs.data(), args.biases.data(), na, dim,
+                         phi_->data(), dim, block_ids, blk,
+                         args.residuals.data(), kBlockRows);
+      kernels::CompressAcceptMany(
+          args.residuals.data(), kBlockRows, na, block_ids,
+          args.slice_begin.data(), args.slice_end.data(),
+          args.less_equal.get(), args.outs.data(), args.kept.data());
+      for (size_t ai = 0; ai < na; ++ai) {
+        results[active[ai]]->ids.resize(args.old_size[ai] + args.kept[ai]);
       }
     }
     for (const size_t slot : scan_slots) {

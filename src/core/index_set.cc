@@ -6,13 +6,13 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/fold.h"
-#include "core/mixed.h"
 #include "geometry/vec.h"
 
 namespace planar {
@@ -248,10 +248,19 @@ InequalityResult PlanarIndexSet::Inequality(const ScalarProductQuery& q) const {
   return std::move(result).value();
 }
 
+Status PlanarIndexSet::CheckQueryDim(const ScalarProductQuery& q) const {
+  if (q.a.size() == phi_->dim()) return Status::OK();
+  return Status::InvalidArgument(
+      "query has " + std::to_string(q.a.size()) +
+      " parameters; the indexed function has " +
+      std::to_string(phi_->dim()));
+}
+
 template <typename T, typename Scan, typename Serve>
 Result<T> PlanarIndexSet::Route(const ScalarProductQuery& q,
                                 double refine_floor, const Scan& scan,
                                 const Serve& serve) const {
+  PLANAR_RETURN_IF_ERROR(CheckQueryDim(q));
   const NormalizedQuery norm = NormalizedQuery::From(q);
   const int best = SelectBestIndex(norm);
   if (best < 0) return scan();
@@ -316,6 +325,7 @@ Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q,
 
 Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q, size_t k,
                                         const Deadline& deadline) const {
+  PLANAR_RETURN_IF_ERROR(CheckQueryDim(q));
   const NormalizedQuery norm = NormalizedQuery::From(q);
   if (!norm.IsFinite()) {
     return Status::InvalidArgument("query parameters must be finite");
@@ -419,28 +429,12 @@ size_t PlanarIndexSet::MemoryUsage() const {
   return total;
 }
 
-void PlanarIndexSet::MaybeEnableMixedPrecision() {
-  if (MixedPrecisionForcedOn()) {
-    options_.index_options.mixed_precision = true;
-  }
-  if (options_.index_options.mixed_precision &&
-      MixedPrecisionRuntimeEnabled()) {
-    phi_->EnableF32Mirror();
-  }
-}
-
 size_t PlanarIndexSet::ResidentBytes() const {
   const size_t n = phi_->size();
-  // f32-ok: the mirror halves the bytes the verification kernels stream.
-  const bool mirror = phi_->f32_data() != nullptr;
-  const size_t row_bytes = phi_->dim() * (mirror ? sizeof(float)
-                                                 : sizeof(double));
-  size_t total = n * row_bytes;
-  // Per index: the phase-1/2 walk touches one sorted key (f32 when the
-  // mixed bracket walk is live, f64 otherwise) and one row id per rank.
-  const size_t key_bytes = mirror ? sizeof(float) : sizeof(double);
-  total += indices_.size() * n * (key_bytes + sizeof(uint32_t));
-  return total;
+  // The matrix rows, plus per index one sorted key and one row id per
+  // rank (the phase-1/2 walk).
+  return n * phi_->dim() * sizeof(double) +
+         indices_.size() * n * (sizeof(double) + sizeof(uint32_t));
 }
 
 }  // namespace planar

@@ -255,25 +255,19 @@ class PlanarIndexSet {
   size_t MemoryUsage() const;
 
   /// Bytes actually streamed by the hot verification paths: the matrix
-  /// rows read by II verification / scan (f32 mirror when mixed precision
-  /// is live, f64 otherwise) plus each index's search-layout keys and row
-  /// ids. This is the bandwidth-bound footprint the mixed-precision mode
-  /// shrinks; MemoryUsage() is total RAM and *grows* with the mirror.
+  /// rows read by II verification / scan plus each index's sorted keys
+  /// and row ids. MemoryUsage() is total RAM, sidecars included.
   size_t ResidentBytes() const;
 
  private:
   explicit PlanarIndexSet(PhiMatrix phi, IndexSetOptions options)
       : phi_(std::make_unique<PhiMatrix>(std::move(phi))),
-        options_(options) {
-    MaybeEnableMixedPrecision();
-  }
+        options_(options) {}
 
-  // Applies the PLANAR_FORCE_F32 override to options_ and materializes the
-  // matrix's f32 mirror when mixed precision is on (option set and not
-  // disabled via PLANAR_DISABLE_F32). Called from the constructor so every
-  // route into a live set — Build, BuildWithNormals, Clone, snapshot load —
-  // regenerates the mirror; it is never serialized.
-  void MaybeEnableMixedPrecision();
+  // InvalidArgument when `q` has a parameter count other than the phi
+  // matrix dimensionality: no index can serve such a query, and the scan
+  // fallback would abort on it.
+  Status CheckQueryDim(const ScalarProductQuery& q) const;
 
   // Builds every definition (sharded across options_.build_threads on
   // the shared ThreadPool) and appends the indices in definition order;

@@ -79,46 +79,6 @@ struct DotOps {
   const char* name;
 };
 
-/// The single-precision kernel set, operating on the optional f32 mirror
-/// of the phi matrix (RowMatrix::f32_data). Same shapes as DotOps with
-/// float storage, query, bias, and outputs.
-///
-/// Determinism contract (f32): every implementation computes the dot
-/// product with the SAME fixed summation order — eight independent partial
-/// sums over lanes j % 8, reduced as t_l = s_l + s_{l+4} for l in 0..3 and
-/// then ((t0 + t2) + (t1 + t3)), plus a sequential tail for dim % 8
-/// trailing entries — with no FMA contraction (same -ffp-contract=off TUs
-/// as the f64 kernels). Eight lanes because one __m256 holds eight floats;
-/// the scalar reference mirrors that reduction tree exactly, so scalar and
-/// AVX2 f32 residuals are bit-identical and the mixed-precision band
-/// classification (core/mixed.h) never depends on the dispatched backend.
-struct DotOpsF32 {
-  /// dot(a, row) over `dim` entries in the canonical f32 blocked order.
-  float (*dot_one)(const float* a, const float* row, size_t dim);
-
-  /// out[i] = dot(a, rows + ids[i] * stride) + bias for i in [0, count).
-  void (*dot_gather)(const float* a, size_t dim, const float* rows,
-                     size_t stride, const uint32_t* ids, size_t count,
-                     float bias, float* out);
-
-  /// out[i] = dot(a, rows + (first_row + i) * stride) + bias.
-  void (*dot_range)(const float* a, size_t dim, const float* rows,
-                    size_t stride, size_t first_row, size_t count, float bias,
-                    float* out);
-
-  /// Multi-query form, shape-identical to DotOps::dot_block_many: one
-  /// gathered row block dotted against num_q query vectors, each
-  /// (query, row) pair in the canonical f32 blocked order. Requires
-  /// count <= out_stride.
-  void (*dot_block_many)(const float* const* qs, const float* biases,
-                         size_t num_q, size_t dim, const float* rows,
-                         size_t stride, const uint32_t* ids, size_t count,
-                         float* out, size_t out_stride);
-
-  /// Human-readable backend name ("scalar-f32", "avx2-f32").
-  const char* name;
-};
-
 /// The active kernel set. Dispatch is decided exactly once (first call),
 /// honoring the PLANAR_DISABLE_SIMD environment variable.
 const DotOps& Ops();
@@ -131,21 +91,6 @@ const DotOps& ScalarOps();
 /// without it. Exposed so equivalence tests can compare both paths in one
 /// process regardless of which one dispatch selected.
 const DotOps* Avx2Ops();
-
-/// The active f32 kernel set. Follows the same one-time dispatch decision
-/// as Ops(): PLANAR_DISABLE_SIMD (or a CPU without avx2+fma) selects the
-/// scalar f32 reference. PLANAR_DISABLE_F32 is handled one layer up, in
-/// core/mixed.h — it gates whether the mixed-precision path runs at all,
-/// not which f32 backend it uses.
-const DotOpsF32& OpsF32();
-
-/// The portable scalar f32 implementation (always available; the reference
-/// the f32 SIMD path must match bit-for-bit).
-const DotOpsF32& ScalarOpsF32();
-
-/// The AVX2/FMA f32 implementation, or nullptr when the binary was built
-/// without it.
-const DotOpsF32* Avx2OpsF32();
 
 /// True iff Ops() is a SIMD implementation.
 bool SimdEnabled();

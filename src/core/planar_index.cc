@@ -3,7 +3,6 @@
 #include "core/planar_index.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -21,16 +20,6 @@ namespace planar {
 
 namespace {
 
-// Bracket half-width around an f32 mirror key guaranteed to contain the
-// exact f64 key: float conversion error is at most u32 = 2^-24 relative
-// (so <= u32 |k32| / (1 - u32) in terms of the mirror value) plus 2^-150
-// absolute in the f32 subnormal range. 4 u32 |k32| + 2^-126 covers both
-// with margin to spare for the double-arithmetic rounding of the bracket
-// itself. Only valid for finite mirror keys; overflow-clamped infinities
-// fall back to the exact key.
-constexpr double kKeyBracketRel = 0x1p-22;
-constexpr double kKeyBracketAbs = 0x1p-126;
-
 // Exact signed residual <a, phi_row> - b, computed with the kernel dot so
 // per-row evaluations (top-k walk) agree bit-for-bit with the batched
 // verification blocks.
@@ -38,16 +27,13 @@ double ResidualNormalized(const NormalizedQuery& q, const double* phi_row) {
   return kernels::Ops().dot_one(q.a.data(), phi_row, q.a.size()) - q.b;
 }
 
-// The batched verification inner loop shared by the serial path and every
-// parallel shard: per block of kernels::kBlockRows candidates, one
-// cancellation check, one batched residual computation, and one
-// branch-light compress-store append into *out (which must have capacity
-// for `count` more entries — resize within reserved capacity never
-// reallocates, so shards cannot invalidate each other's storage).
-// Returns false iff cancelled before completing.
-template <typename CancelFn>
+// The batched verification inner loop: per block of kernels::kBlockRows
+// candidates, one deadline poll, one batched residual computation, and
+// one branch-light compress-store append into *out (which must have
+// capacity for `count` more entries, so resize never reallocates).
+// Returns false iff the deadline expired before completing.
 bool VerifyBlocks(const NormalizedQuery& q, const double* rows, size_t stride,
-                  const uint32_t* ids, size_t count, CancelFn&& cancelled,
+                  const uint32_t* ids, size_t count, const Deadline& deadline,
                   std::vector<uint32_t>* out) {
   const kernels::DotOps& ops = kernels::Ops();
   const bool le = q.cmp == Comparison::kLessEqual;
@@ -55,48 +41,12 @@ bool VerifyBlocks(const NormalizedQuery& q, const double* rows, size_t stride,
   const size_t dim = q.a.size();
   double residuals[kernels::kBlockRows];
   for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (cancelled()) return false;
+    if (deadline.Expired()) return false;
     const size_t blk = std::min(kernels::kBlockRows, count - off);
     ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
     const size_t old_size = out->size();
     out->resize(old_size + blk);
     const size_t kept = kernels::CompressAccept(residuals, ids + off, blk, le,
-                                                out->data() + old_size);
-    out->resize(old_size + kept);
-  }
-  return true;
-}
-
-// VerifyBlocks through the mixed-precision path (DESIGN.md section 5j):
-// per block, one f32 gather over the mirror classifies every candidate
-// against the widened band, MixedResolveBlock re-verifies only band rows
-// in f64 and leaves a decision-residual array whose CompressAccept output
-// is bit-identical to the pure-f64 path — same ids, same order, same
-// block/cancellation cadence.
-// f32-ok: `rows32` is the read-only mirror; exactness comes from the
-// band + f64 re-verify above.
-template <typename CancelFn>
-bool VerifyBlocksMixed(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                       const double* rows, const float* rows32, size_t stride,
-                       const uint32_t* ids, size_t count, CancelFn&& cancelled,
-                       std::vector<uint32_t>* out) {
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  // f32-ok: mirror residual block for band classification.
-  float res32[kernels::kBlockRows];
-  double decision[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (cancelled()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids + off, blk,
-                     mixed.bias32, res32);
-    MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids + off, res32, blk,
-                      decision);
-    const size_t old_size = out->size();
-    out->resize(old_size + blk);
-    const size_t kept = kernels::CompressAccept(decision, ids + off, blk, le,
                                                 out->data() + old_size);
     out->resize(old_size + kept);
   }
@@ -222,18 +172,6 @@ void PlanarIndex::Rebuild() {
 void PlanarIndex::RefreshSearchLayout() {
   if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
     eytz_.Build(keys_.data(), keys_.size());
-    if (options_.mixed_precision && MixedPrecisionRuntimeEnabled()) {
-      // Refresh the f32 key mirror alongside the Eytzinger sidecar so
-      // every maintenance path (Rebuild, Update, UpdateBatch, append
-      // merges) keeps it consistent by construction.
-      keys_f32_.resize(keys_.size());
-      for (size_t r = 0; r < keys_.size(); ++r) {
-        keys_f32_[r] = FloatMirrorValue(keys_[r]);
-      }
-    } else {
-      keys_f32_.clear();
-      keys_f32_.shrink_to_fit();
-    }
     if (options_.learned_cdf) {
       // The learned CDF rides the same refresh cadence as the Eytzinger
       // sidecar: any mutation of keys_ rebuilds it, so predictions are
@@ -261,8 +199,6 @@ void PlanarIndex::RefreshSearchLayout() {
     }
   } else {
     eytz_.Clear();
-    keys_f32_.clear();
-    keys_f32_.shrink_to_fit();
     cdf_.Clear();
     payload_prefix_.Clear();
   }
@@ -532,9 +468,6 @@ Result<InequalityResult> PlanarIndex::RunInequality(
   const size_t larger_begin = RankLessEqual(p.high_cut);
   PLANAR_DCHECK(smaller_end <= larger_begin);
 
-  // One mixed-precision plan per query, shared read-only by every
-  // verification shard; unusable means the blocks run pure f64.
-  const MixedQueryPlan mixed = MixedPlanFor(q);
   const bool le = q.cmp == Comparison::kLessEqual;
   // Which rank range is accepted outright.
   const size_t accept_begin = le ? 0 : larger_begin;
@@ -555,8 +488,8 @@ Result<InequalityResult> PlanarIndex::RunInequality(
     result.ids.insert(result.ids.end(),
                       ids_.begin() + static_cast<ptrdiff_t>(accept_begin),
                       ids_.begin() + static_cast<ptrdiff_t>(accept_end));
-    if (!VerifyCandidates(q, mixed, ids_.data() + smaller_end, ii_count,
-                          deadline, &result.ids)) {
+    if (!VerifyCandidates(q, ids_.data() + smaller_end, ii_count, deadline,
+                          &result.ids)) {
       return Status::DeadlineExceeded(
           "inequality query exceeded its deadline during II verification");
     }
@@ -570,7 +503,7 @@ Result<InequalityResult> PlanarIndex::RunInequality(
     // with the same batched kernels as the sorted-array backend.
     std::vector<uint32_t> candidates;
     CollectRange(smaller_end, larger_begin, &candidates);
-    if (!VerifyCandidates(q, mixed, candidates.data(), ii_count, deadline,
+    if (!VerifyCandidates(q, candidates.data(), ii_count, deadline,
                           &result.ids)) {
       return Status::DeadlineExceeded(
           "inequality query exceeded its deadline during II verification");
@@ -585,103 +518,11 @@ Result<InequalityResult> PlanarIndex::RunInequality(
   return result;
 }
 
-MixedQueryPlan PlanarIndex::MixedPlanFor(const NormalizedQuery& q) const {
-  if (!options_.mixed_precision) return MixedQueryPlan();
-  return MakeMixedPlan(q.a.data(), q.a.size(), q.b,
-                       q.cmp == Comparison::kLessEqual, *phi_);
-}
-
 bool PlanarIndex::VerifyCandidates(const NormalizedQuery& q,
-                                   const MixedQueryPlan& mixed,
                                    const uint32_t* ids, size_t count,
                                    const Deadline& deadline,
                                    std::vector<uint32_t>* out) const {
-  if (count == 0) return true;
-  const size_t threads = options_.parallel_verify_threads;
-  if (threads != 1 && count >= kParallelVerifyMinRows) {
-    return VerifyCandidatesParallel(q, mixed, ids, count, threads, deadline,
-                                    out);
-  }
-  return VerifyCandidatesSerial(q, mixed, ids, count, deadline, out);
-}
-
-bool PlanarIndex::VerifyCandidatesSerial(const NormalizedQuery& q,
-                                         const MixedQueryPlan& mixed,
-                                         const uint32_t* ids, size_t count,
-                                         const Deadline& deadline,
-                                         std::vector<uint32_t>* out) const {
-  if (mixed.usable) {
-    return VerifyBlocksMixed(q, mixed, phi_->data(), phi_->f32_data(),
-                             phi_->dim(), ids, count,
-                             [&deadline] { return deadline.Expired(); }, out);
-  }
-  return VerifyBlocks(q, phi_->data(), phi_->dim(), ids, count,
-                      [&deadline] { return deadline.Expired(); }, out);
-}
-
-bool PlanarIndex::VerifyCandidatesParallel(const NormalizedQuery& q,
-                                           const MixedQueryPlan& mixed,
-                                           const uint32_t* ids, size_t count,
-                                           size_t threads,
-                                           const Deadline& deadline,
-                                           std::vector<uint32_t>* out) const {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  const size_t shards = std::min(threads, count);
-  const size_t chunk = (count + shards - 1) / shards;
-  std::vector<std::vector<uint32_t>> shard_out(shards);
-  // Cooperative cancellation across shards: the first shard to observe an
-  // expired deadline raises the flag; every other shard sees it at its
-  // next block boundary and stops. Relaxed ordering suffices — the flag
-  // only accelerates shutdown (a shard that misses a racing store merely
-  // verifies one more block), and the authoritative answer is the
-  // post-join load below, which ParallelFor's join synchronizes with.
-  // Strengthening to acquire/release would buy nothing; weakening is
-  // impossible (relaxed is the floor). Do not replace the flag with a
-  // plain bool: concurrent shards store and load it without any lock.
-  std::atomic<bool> expired(false);
-  ThreadPool::Shared().ParallelFor(
-      shards,
-      [&](size_t s) {
-        const size_t begin = s * chunk;
-        const size_t end = std::min(count, begin + chunk);
-        if (begin >= end) return;
-        std::vector<uint32_t>& local = shard_out[s];
-        local.reserve(end - begin);
-        auto cancelled = [&] {
-          // relaxed-ok: advisory fast-exit flag; the post-join load
-          // is the authoritative answer (see the comment at the
-          // declaration above).
-          if (expired.load(std::memory_order_relaxed)) return true;
-          if (!deadline.Expired()) return false;
-          expired.store(true, std::memory_order_relaxed);
-          return true;
-        };
-        // The mixed plan is read-only; every shard classifies its own
-        // candidate range with it, so shard-order concatenation still
-        // reproduces the serial (mixed or pure-f64) output exactly.
-        const bool done =
-            mixed.usable
-                ? VerifyBlocksMixed(q, mixed, phi_->data(), phi_->f32_data(),
-                                    phi_->dim(), ids + begin, end - begin,
-                                    cancelled, &local)
-                : VerifyBlocks(q, phi_->data(), phi_->dim(), ids + begin,
-                               end - begin, cancelled, &local);
-        (void)done;
-      },
-      shards);
-  // relaxed-ok: ParallelFor's join happens-before this load, so every
-  // shard's store (any order) is already visible; no flag-based
-  // synchronization is being relied on.
-  if (expired.load(std::memory_order_relaxed)) return false;
-  // Merge in shard order: shard s holds accepted ids of candidate range
-  // [s*chunk, (s+1)*chunk) in candidate order, so concatenation
-  // reproduces the serial output exactly.
-  for (const std::vector<uint32_t>& local : shard_out) {
-    out->insert(out->end(), local.begin(), local.end());
-  }
-  return true;
+  return VerifyBlocks(q, phi_->data(), phi_->dim(), ids, count, deadline, out);
 }
 
 Result<CountResult> PlanarIndex::CountInequality(
@@ -725,48 +566,32 @@ Result<AggregateResult> PlanarIndex::AggregateInequality(
 }
 
 bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
-                                  const MixedQueryPlan& mixed,
                                   const uint32_t* ids, size_t count,
                                   const double* payload, size_t payload_stride,
                                   const Deadline& deadline,
                                   const std::function<bool(size_t)>& stop,
                                   size_t* accepted, size_t* resolved,
                                   double* accepted_sum) const {
-  // The counting twin of VerifyBlocks / VerifyBlocksMixed: same block
-  // size, same deadline cadence, same accept predicate (through the same
-  // CompressAccept kernel), but accepts land in a scratch block instead
-  // of a result vector. Refinement always runs serially: the early-stop
-  // predicate is a running prefix over rank order, which sharding would
-  // reorder.
+  // The counting twin of VerifyBlocks: same block size, same deadline
+  // cadence, same accept predicate (through the same CompressAccept
+  // kernel), but accepts land in a scratch block instead of a result
+  // vector.
   const kernels::DotOps& ops = kernels::Ops();
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
   const bool le = q.cmp == Comparison::kLessEqual;
   const double* a = q.a.data();
   const size_t dim = q.a.size();
   const double* rows = phi_->data();
-  // f32-ok: read-only mirror for the mixed counting blocks.
-  const float* rows32 = phi_->f32_data();
   const size_t stride = phi_->dim();
   double residuals[kernels::kBlockRows];
-  // f32-ok: mirror residual block for band classification.
-  float res32[kernels::kBlockRows];
   uint32_t kept_ids[kernels::kBlockRows];
   double vals[kernels::kBlockRows];
   for (size_t off = 0; off < count; off += kernels::kBlockRows) {
     if (stop && stop(*resolved)) return true;
     if (deadline.Expired()) return false;
     const size_t blk = std::min(kernels::kBlockRows, count - off);
-    size_t kept;
-    if (mixed.usable) {
-      ops32.dot_gather(mixed.a32.data(), dim, rows32, stride, ids + off, blk,
-                       mixed.bias32, res32);
-      MixedResolveBlock(mixed, a, dim, q.b, rows, stride, ids + off, res32,
-                        blk, residuals);
-      kept = kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
-    } else {
-      ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
-      kept = kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
-    }
+    ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
+    const size_t kept =
+        kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
     *accepted += kept;
     *resolved += blk;
     if (payload != nullptr && kept != 0) {
@@ -847,7 +672,6 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
 
   // Refine: stream the II through the counting blocks, stopping as soon
   // as the unresolved remainder fits the tolerance (never, at 0).
-  const MixedQueryPlan mixed = MixedPlanFor(q);
   size_t accepted = 0;
   size_t resolved = 0;
   double unused_sum = 0.0;
@@ -857,13 +681,13 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
   bool completed;
   if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
     completed =
-        CountCandidates(q, mixed, ids_.data() + smaller_end, ii_count, nullptr,
-                        0, deadline, stop, &accepted, &resolved, &unused_sum);
+        CountCandidates(q, ids_.data() + smaller_end, ii_count, nullptr, 0,
+                        deadline, stop, &accepted, &resolved, &unused_sum);
   } else {
     std::vector<uint32_t> candidates;
     CollectRange(smaller_end, larger_begin, &candidates);
-    completed = CountCandidates(q, mixed, candidates.data(), ii_count, nullptr,
-                                0, deadline, stop, &accepted, &resolved,
+    completed = CountCandidates(q, candidates.data(), ii_count, nullptr, 0,
+                                deadline, stop, &accepted, &resolved,
                                 &unused_sum);
   }
   if (!completed) {
@@ -950,7 +774,6 @@ Result<AggregateResult> PlanarIndex::RunAggregate(
   // in canonical blocked summation, stopping once the envelope of the
   // unresolved rank suffix fits the tolerance. The suffix envelope is a
   // prefix-array difference, so the stop predicate is O(1) per poll.
-  const MixedQueryPlan mixed = MixedPlanFor(q);
   const double* payload =
       phi_->data() + static_cast<size_t>(options_.payload_column);
   size_t accepted = 0;
@@ -963,7 +786,7 @@ Result<AggregateResult> PlanarIndex::RunAggregate(
     return rem_gap <= allowed;
   };
   const bool completed = CountCandidates(
-      q, mixed, ids_.data() + smaller_end, ii_count, payload, phi_->dim(),
+      q, ids_.data() + smaller_end, ii_count, payload, phi_->dim(),
       deadline, stop, &accepted, &resolved, &accepted_sum);
   if (!completed) {
     return Status::DeadlineExceeded(
@@ -1041,39 +864,21 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
   // Phase 1: verify the intermediate interval (Algorithm 2, lines 3-7)
   // with the batched kernels — per block: one deadline poll, one batched
   // residual computation, then the (branchy, heap-bound) insert loop over
-  // the few matches. With a usable mixed plan the f32 mirror prunes the
-  // sure rejects first and the exact residuals are gathered only for the
-  // remaining rows; a sure reject's residual fails the match predicate by
-  // definition of the band, so the inserted (id, distance) sequence — and
-  // therefore the heap state and final neighbors — is identical.
+  // the few matches.
   const kernels::DotOps& ops = kernels::Ops();
-  const MixedQueryPlan mixed = MixedPlanFor(q);
   const double* rows = phi_->data();
-  // f32-ok: mirror base pointer for the mixed top-k filter.
-  const float* rows32 = phi_->f32_data();
   const size_t stride = phi_->dim();
   const size_t dim = q.a.size();
   const size_t ii_count = larger_begin - smaller_end;
   double residuals[kernels::kBlockRows];
-  // f32-ok: mirror residual block for the mixed top-k filter.
-  float res32[kernels::kBlockRows];
-  uint32_t possible[kernels::kBlockRows];
 
   auto consider_block = [&](const uint32_t* block_ids, size_t blk) {
-    const uint32_t* eval_ids = block_ids;
-    size_t eval_count = blk;
-    if (mixed.usable) {
-      kernels::OpsF32().dot_gather(mixed.a32.data(), dim, rows32, stride,
-                                   block_ids, blk, mixed.bias32, res32);
-      eval_count = MixedFilterPossible(mixed, res32, block_ids, blk, possible);
-      eval_ids = possible;
-    }
-    ops.dot_gather(q.a.data(), dim, rows, stride, eval_ids, eval_count, -q.b,
+    ops.dot_gather(q.a.data(), dim, rows, stride, block_ids, blk, -q.b,
                    residuals);
-    for (size_t i = 0; i < eval_count; ++i) {
+    for (size_t i = 0; i < blk; ++i) {
       const double residual = residuals[i];
       const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) buffer.Insert(eval_ids[i], std::fabs(residual) / norm_a);
+      if (match) buffer.Insert(block_ids[i], std::fabs(residual) / norm_a);
     }
     result.stats.verified_intermediate += blk;
   };
@@ -1098,34 +903,11 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
   const Status deadline_status = Status::DeadlineExceeded(
       "top-k query exceeded its deadline during candidate evaluation");
 
-  // Accept-region termination check. With the f32 key mirror available,
-  // the exact key is bracketed by [k32 - d, k32 + d] (see kKeyBracketRel):
-  // the computed lower_bound_distance is weakly monotone in the key
-  // (decreasing for <=, increasing for >=, every IEEE op order-preserving
-  // with positive rmax/rmin and norm_a), so evaluating it at the bracket
-  // ends decides most rows without touching the f64 keys_ line; only an
-  // inconclusive bracket (or a non-finite mirror key, where the bracket
-  // guarantee lapses) reads the exact key. The decision — and therefore
-  // early_terminated, scanned_accept_region, and the heap contents — is
-  // identical to the pure-f64 walk by the monotonicity argument.
-  const bool keys32 =
-      mixed.usable && !keys_.empty() && keys_f32_.size() == keys_.size();
+  // Accept-region termination check (lines 10-11): the heap is full and
+  // even the lower-bound distance of rank r exceeds its worst entry.
   auto terminate_at = [&](size_t r) {
-    if (!buffer.full()) return false;
-    const double worst = buffer.WorstDistance();
-    if (keys32) {
-      const double k32 = static_cast<double>(keys_f32_[r]);
-      if (std::isfinite(k32)) {
-        const double d = kKeyBracketRel * std::fabs(k32) + kKeyBracketAbs;
-        const double lb_term =
-            lower_bound_distance(le ? k32 + d : k32 - d);
-        if (lb_term > worst) return true;
-        const double lb_cont =
-            lower_bound_distance(le ? k32 - d : k32 + d);
-        if (lb_cont <= worst) return false;
-      }
-    }
-    return lower_bound_distance(keys_[r]) > worst;
+    return buffer.full() &&
+           lower_bound_distance(keys_[r]) > buffer.WorstDistance();
   };
 
   if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
@@ -1488,7 +1270,6 @@ Result<PlanarIndex> PlanarIndex::CloneFor(const PhiMatrix* phi) const {
   copy.keys_ = keys_;
   copy.ids_ = ids_;
   copy.eytz_ = eytz_;
-  copy.keys_f32_ = keys_f32_;
   copy.cdf_ = cdf_;
   // agg-ok: wholesale copy of prefix arrays built by the canonical
   // helper; no values are recomputed.
@@ -1501,8 +1282,6 @@ size_t PlanarIndex::MemoryUsage() const {
   size_t total = sizeof(*this);
   total += keys_.capacity() * sizeof(double);
   total += ids_.capacity() * sizeof(uint32_t);
-  // f32-ok: key-mirror footprint accounting.
-  total += keys_f32_.capacity() * sizeof(float);
   total += eytz_.MemoryUsage();
   total += cdf_.MemoryUsage();
   total += payload_prefix_.MemoryUsage();

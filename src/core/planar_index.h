@@ -31,7 +31,6 @@
 #include "common/status.h"
 #include "core/aggregate.h"
 #include "core/eytzinger.h"
-#include "core/mixed.h"
 #include "core/query.h"
 #include "core/row_matrix.h"
 #include "core/topk.h"
@@ -169,29 +168,6 @@ struct PlanarIndexOptions {
   /// intervals verbatim.
   bool enable_axis_exclusion = true;
 
-  /// Intra-query parallel verification: intermediate intervals of at
-  /// least kParallelVerifyMinRows candidates are sharded across this many
-  /// threads (1 = always serial, 0 = hardware concurrency, n = n
-  /// threads). Shard outputs are concatenated in shard order, so the
-  /// result id order is identical to the serial path. Default serial: a
-  /// serving layer (src/engine) already parallelizes across requests, and
-  /// nesting thread pools there would oversubscribe; turn this on for
-  /// large single-query workloads.
-  size_t parallel_verify_threads = 1;
-
-  /// Mixed-precision verification (DESIGN.md section 5j): when true and
-  /// the phi matrix carries an f32 mirror (RowMatrix::EnableF32Mirror —
-  /// PlanarIndexSet::Build does this automatically), II verification,
-  /// top-k candidate evaluation, and the batch streaming path classify
-  /// candidates with f32 kernels against a conservatively widened accept
-  /// band and re-verify only band rows in f64. Emitted ids, order, and
-  /// stats are bit-identical to the f64 reference; the win is ~2x fewer
-  /// bytes streamed per candidate row. The index also keeps an f32 copy
-  /// of its sorted keys for the top-k lower-bound walk. Ignored at
-  /// runtime when the PLANAR_DISABLE_F32 environment variable is set.
-  /// Not serialized: load paths rebuild mirrors from the stored doubles.
-  bool mixed_precision = false;
-
   /// Learned key->rank CDF sidecar (DESIGN.md section 5k): built at
   /// every RefreshSearchLayout over the sorted keys and used for
   /// predict-then-probe boundary search (probe a +/-(max_error + 2)
@@ -221,10 +197,6 @@ struct PlanarIndexOptions {
   /// (IndexSetOptions::build_threads) — nesting the two oversubscribes.
   size_t build_threads = 1;
 };
-
-/// Smallest intermediate interval worth sharding across threads; below
-/// this, thread spawn/join costs more than the verification itself.
-inline constexpr size_t kParallelVerifyMinRows = 8192;
 
 /// Smallest matrix worth building with threads; below this, spawn/join
 /// costs more than the key computation and sort combined.
@@ -289,10 +261,10 @@ class PlanarIndex {
   /// ids. The [lower, upper] bounds come from the two SI/LI boundary
   /// searches alone — O(log n), no phi access. When the gap exceeds
   /// `tolerance` (max of its absolute and relative-to-n readings), the
-  /// intermediate interval is streamed through the same f64 /
-  /// mixed-precision verify kernels as Inequality — counting accepts
-  /// instead of storing ids, deadline-polled per block, stopping early
-  /// once the unresolved remainder fits the tolerance. At tolerance 0
+  /// intermediate interval is streamed through the same f64 verify
+  /// kernels as Inequality — counting accepts instead of storing ids,
+  /// deadline-polled per block, stopping early once the unresolved
+  /// remainder fits the tolerance. At tolerance 0
   /// the count is exact and bit-equal to Inequality(...).ids.size().
   Result<CountResult> CountInequality(
       const ScalarProductQuery& q,
@@ -495,46 +467,27 @@ class PlanarIndex {
                                        const CountTolerance& tolerance,
                                        const Deadline& deadline) const;
   // Streams `count` candidate ids through the counting verify blocks
-  // (f64 or mixed, one deadline poll per block) without materializing
-  // accepted ids. `accepted`/`resolved` accumulate; when `payload` is
-  // non-null, `accepted_sum` accumulates the accepted rows' payload in
-  // canonical blocked summation. `stop` is polled at block boundaries
-  // with the resolved-so-far count and may end the stream early (bounds
-  // already within tolerance). Returns false iff the deadline expired.
-  bool CountCandidates(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                       const uint32_t* ids, size_t count,
-                       const double* payload, size_t payload_stride,
-                       const Deadline& deadline,
+  // (one deadline poll per block) without materializing accepted ids.
+  // `accepted`/`resolved` accumulate; when `payload` is non-null,
+  // `accepted_sum` accumulates the accepted rows' payload in canonical
+  // blocked summation. `stop` is polled at block boundaries with the
+  // resolved-so-far count and may end the stream early (bounds already
+  // within tolerance). Returns false iff the deadline expired.
+  bool CountCandidates(const NormalizedQuery& q, const uint32_t* ids,
+                       size_t count, const double* payload,
+                       size_t payload_stride, const Deadline& deadline,
                        const std::function<bool(size_t)>& stop,
                        size_t* accepted, size_t* resolved,
                        double* accepted_sum) const;
   Result<TopKResult> RunTopK(const NormalizedQuery& q, size_t k,
                              const Deadline& deadline) const;
   // Verifies the candidate ids (block-batched kernels, one deadline poll
-  // per block) and appends accepted ids to *out in candidate order.
-  // `mixed` is the per-query mixed-precision plan (unusable = pure f64).
+  // per block) and appends accepted ids to *out in candidate order. For
+  // the B+-tree backend the caller materializes candidate ids first.
   // Returns false iff the deadline expired mid-verification.
-  bool VerifyCandidatesSerial(const NormalizedQuery& q,
-                              const MixedQueryPlan& mixed, const uint32_t* ids,
-                              size_t count, const Deadline& deadline,
-                              std::vector<uint32_t>* out) const;
-  // Same contract, sharded across the shared ThreadPool with per-shard
-  // buffers merged in shard order (deterministic: identical output to
-  // serial).
-  bool VerifyCandidatesParallel(const NormalizedQuery& q,
-                                const MixedQueryPlan& mixed,
-                                const uint32_t* ids, size_t count,
-                                size_t threads, const Deadline& deadline,
-                                std::vector<uint32_t>* out) const;
-  // Dispatches between the two based on options_ and count; for the
-  // B+-tree backend the caller materializes candidate ids first.
-  bool VerifyCandidates(const NormalizedQuery& q, const MixedQueryPlan& mixed,
-                        const uint32_t* ids, size_t count,
-                        const Deadline& deadline,
+  bool VerifyCandidates(const NormalizedQuery& q, const uint32_t* ids,
+                        size_t count, const Deadline& deadline,
                         std::vector<uint32_t>* out) const;
-  // The mixed-precision plan for `q`, or an unusable plan when
-  // options_.mixed_precision is off or MakeMixedPlan declines.
-  MixedQueryPlan MixedPlanFor(const NormalizedQuery& q) const;
 
   const PhiMatrix* phi_ = nullptr;
   PlanarIndexOptions options_;
@@ -549,12 +502,6 @@ class PlanarIndex {
   std::vector<double> keys_;    // ascending
   std::vector<uint32_t> ids_;   // ids_[r] = row with rank r
   EytzingerKeys eytz_;          // branchless SI/LI boundary search
-  // f32-ok: mixed-precision key mirror (keys_f32_[r] = FloatMirrorValue
-  // of keys_[r]), refreshed with the search layout; empty unless
-  // options_.mixed_precision is on. The top-k accept-region walk brackets
-  // each exact key with it and touches keys_ only when the bracket is
-  // inconclusive.
-  std::vector<float> keys_f32_;
   // Learned key->rank CDF sidecar (see PlanarIndexOptions::learned_cdf):
   // predict-then-probe boundary search + model-based count estimates.
   // Rebuilt with the search layout, never serialized, carries no

@@ -33,9 +33,6 @@ RowMatrix RowMatrix::FromRowMajor(size_t dim, std::vector<double> values) {
 void RowMatrix::AppendRow(const double* values) {
   data_.insert(data_.end(), values, values + dim_);
   ++rows_;
-  if (f32_mirror_) {
-    for (size_t j = 0; j < dim_; ++j) f32_.push_back(FloatMirrorValue(values[j]));
-  }
   for (size_t j = 0; j < dim_; ++j) {
     col_min_[j] = std::min(col_min_[j], values[j]);
     col_max_[j] = std::max(col_max_[j], values[j]);
@@ -50,33 +47,11 @@ void RowMatrix::AppendRow(const std::vector<double>& values) {
 void RowMatrix::SetRow(size_t i, const double* values) {
   PLANAR_CHECK_LT(i, rows_);
   double* dst = data_.data() + i * dim_;
-  // f32-ok: keep the mirror row in sync with the overwrite.
-  float* mirror = f32_mirror_ ? f32_.data() + i * dim_ : nullptr;
   for (size_t j = 0; j < dim_; ++j) {
     dst[j] = values[j];
-    if (mirror != nullptr) mirror[j] = FloatMirrorValue(values[j]);
     col_min_[j] = std::min(col_min_[j], values[j]);
     col_max_[j] = std::max(col_max_[j], values[j]);
   }
-}
-
-void RowMatrix::EnableF32Mirror() {
-  f32_mirror_ = true;
-  f32_.resize(data_.size());
-  for (size_t i = 0; i < data_.size(); ++i) {
-    f32_[i] = FloatMirrorValue(data_[i]);
-  }
-}
-
-// f32-ok: the sanctioned double->float conversion for mirror storage.
-float FloatMirrorValue(double v) {
-  if (v > static_cast<double>(std::numeric_limits<float>::max())) {
-    return std::numeric_limits<float>::infinity();
-  }
-  if (v < -static_cast<double>(std::numeric_limits<float>::max())) {
-    return -std::numeric_limits<float>::infinity();
-  }
-  return static_cast<float>(v);
 }
 
 double RowMatrix::ColumnMin(size_t j) const {

@@ -64,57 +64,22 @@ class RowMatrix {
   double ColumnMin(size_t j) const;
   double ColumnMax(size_t j) const;
 
-  /// Materializes (or refreshes) the f32 mirror: a single-precision copy
-  /// of the row storage kept in sync by AppendRow/SetRow from then on.
-  /// The mixed-precision verify path (core/mixed.h) streams the mirror
-  /// instead of the doubles — half the bytes per candidate row — and
-  /// re-verifies only band rows against the f64 storage. The mirror is
-  /// side storage: never serialized, rebuilt on load, and carried along
-  /// by the copy constructor (Clone / ingest-merge paths).
-  void EnableF32Mirror();
-
-  /// Base pointer of the f32 mirror in row-major layout (stride dim()),
-  /// or nullptr when the mirror was never enabled.
-  // f32-ok: the mirror is the one sanctioned float surface in core.
-  const float* f32_data() const {
-    return f32_mirror_ ? f32_.data() : nullptr;
-  }
-
-  /// True iff EnableF32Mirror() was called.
-  bool has_f32_mirror() const { return f32_mirror_; }
-
   /// Reserves storage for `n` rows.
-  void Reserve(size_t n) {
-    data_.reserve(n * dim_);
-    if (f32_mirror_) f32_.reserve(n * dim_);
-  }
+  void Reserve(size_t n) { data_.reserve(n * dim_); }
 
   /// Heap footprint in bytes.
   size_t MemoryUsage() const {
-    // f32-ok: mirror footprint accounting.
-    return data_.capacity() * sizeof(double) + f32_.capacity() * sizeof(float) +
-           (col_min_.capacity() + col_max_.capacity()) * sizeof(double);
+    return (data_.capacity() + col_min_.capacity() + col_max_.capacity()) *
+           sizeof(double);
   }
 
  private:
   size_t dim_;
   size_t rows_ = 0;
   std::vector<double> data_;
-  // f32-ok: optional single-precision mirror of data_ (see EnableF32Mirror).
-  bool f32_mirror_ = false;
-  std::vector<float> f32_;
   std::vector<double> col_min_;
   std::vector<double> col_max_;
 };
-
-/// Converts a double to the f32 mirror representation: round-to-nearest
-/// for in-range values, clamped to +/-infinity beyond the float range
-/// (the raw cast would be undefined behavior there). Monotone, so mirror
-/// values never cross: x <= y implies FloatMirrorValue(x) <=
-/// FloatMirrorValue(y); NaN stays NaN. The mixed-precision band math
-/// (core/mixed.cc) accounts for the conversion error this introduces.
-// f32-ok: the sanctioned double->float conversion for mirror storage.
-float FloatMirrorValue(double v);
 
 /// The raw dataset: n points in R^d.
 using Dataset = RowMatrix;

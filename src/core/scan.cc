@@ -8,61 +8,10 @@
 #include "common/macros.h"
 #include "core/aggregate.h"
 #include "core/kernels/kernels.h"
-#include "core/mixed.h"
 #include "core/topk.h"
 #include "geometry/vec.h"
 
 namespace planar {
-
-namespace {
-
-// Mixed-precision body of ScanTopK: rows the f32 residual proves strictly
-// outside the band on the reject side can never match, so only the
-// remaining "possible" rows get the exact f64 residual. Every offered
-// (id, distance) pair is computed in f64, so the buffer contents are
-// bit-identical to the pure f64 scan.
-Status ScanRowsTopKMixed(const PhiMatrix& phi, const ScalarProductQuery& q,
-                         const MixedQueryPlan& plan, const Deadline& deadline,
-                         TopKBuffer* buffer) {
-  const size_t n = phi.size();
-  const size_t dim = phi.dim();
-  const double norm_a = Norm(q.a);
-  PLANAR_CHECK(norm_a > 0.0);  // caller validated the query normal
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  // f32-ok: mirror rows and residuals for the band classification.
-  const float* rows32 = phi.f32_data();
-  float res32[kernels::kBlockRows];
-  uint32_t ids[kernels::kBlockRows];
-  uint32_t possible[kernels::kBlockRows];
-  double residuals[kernels::kBlockRows];
-  for (size_t row = 0; row < n; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded(
-          "sequential top-k scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, n - row);
-    ops32.dot_range(plan.a32.data(), dim, rows32, dim, row, blk, plan.bias32,
-                    res32);
-    for (size_t i = 0; i < blk; ++i) {
-      ids[i] = static_cast<uint32_t>(row + i);
-    }
-    const size_t count = MixedFilterPossible(plan, res32, ids, blk, possible);
-    ops.dot_gather(q.a.data(), dim, phi.data(), dim, possible, count, -q.b,
-                   residuals);
-    for (size_t i = 0; i < count; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) {
-        buffer->Insert(possible[i], std::fabs(residual) / norm_a);
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
                                   uint32_t id_offset,
@@ -84,46 +33,6 @@ Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
     ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
     const size_t kept = kernels::CompressAcceptRange(
         residuals, id_offset + static_cast<uint32_t>(row), blk, le, accepted);
-    out->insert(out->end(), accepted, accepted + kept);
-  }
-  return out->size() - before;
-}
-
-// f32-ok: the f32 rows are a screening mirror only — every row the f32
-// pass cannot place outside the widened band is re-verified against the
-// exact f64 rows below, so answers stay bit-equal to the f64-only scan.
-Result<size_t> ScanRowsInequalityMixed(const double* rows64,
-                                       const float* rows32, size_t dim,
-                                       size_t count, uint32_t id_offset,
-                                       const ScalarProductQuery& q,
-                                       const MixedQueryPlan& plan,
-                                       const Deadline& deadline,
-                                       std::vector<uint32_t>* out) {
-  PLANAR_CHECK_EQ(dim, q.a.size());
-  PLANAR_CHECK(out != nullptr && plan.usable);
-  // The f32 mirror classifies each block against the widened band, the
-  // band rows are re-verified in f64 by MixedResolveBlockRange, and the
-  // compress-store consumes the resulting sentinel/residual array — so
-  // the accepted ids (and their order) are bit-identical to the pure f64
-  // ScanRowsInequality.
-  const size_t before = out->size();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOpsF32& ops32 = kernels::OpsF32();
-  // f32-ok: mirror residuals for the band classification.
-  float res32[kernels::kBlockRows];
-  double decision[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops32.dot_range(plan.a32.data(), dim, rows32, dim, row, blk, plan.bias32,
-                    res32);
-    MixedResolveBlockRange(plan, q.a.data(), dim, q.b, rows64, dim, row,
-                           res32, blk, decision);
-    const size_t kept = kernels::CompressAcceptRange(
-        decision, id_offset + static_cast<uint32_t>(row), blk, le, accepted);
     out->insert(out->end(), accepted, accepted + kept);
   }
   return out->size() - before;
@@ -243,20 +152,10 @@ Result<InequalityResult> ScanInequality(const PhiMatrix& phi,
   // Batched over contiguous rows: per block, one deadline poll, one
   // kernel call for the residuals, one branch-light compress-store of the
   // matching row ids (shared with the ingest delta overlay via the raw
-  // helper above). With a live f32 mirror the block residuals come from
-  // the mixed band classification instead (same ids, same order).
-  const MixedQueryPlan plan =
-      phi.f32_data() != nullptr
-          ? MakeMixedPlan(q.a.data(), phi.dim(), q.b,
-                          q.cmp == Comparison::kLessEqual, phi)
-          : MixedQueryPlan();
+  // helper above).
   Result<size_t> appended =
-      plan.usable
-          ? ScanRowsInequalityMixed(phi.data(), phi.f32_data(), phi.dim(), n,
-                                    /*id_offset=*/0, q, plan, deadline,
-                                    &result.ids)
-          : ScanRowsInequality(phi.data(), phi.dim(), n, /*id_offset=*/0, q,
-                               deadline, &result.ids);
+      ScanRowsInequality(phi.data(), phi.dim(), n, /*id_offset=*/0, q,
+                         deadline, &result.ids);
   if (!appended.ok()) return appended.status();
   result.stats.result_size = result.ids.size();
   return result;
@@ -335,15 +234,8 @@ Result<TopKResult> ScanTopK(const PhiMatrix& phi, const ScalarProductQuery& q,
   // Clamp the reservation by n: a huge k must not allocate past the
   // candidate count (see TopKBuffer).
   TopKBuffer buffer(k, n);
-  const MixedQueryPlan plan =
-      phi.f32_data() != nullptr
-          ? MakeMixedPlan(q.a.data(), phi.dim(), q.b,
-                          q.cmp == Comparison::kLessEqual, phi)
-          : MixedQueryPlan();
-  Status scan = plan.usable
-                    ? ScanRowsTopKMixed(phi, q, plan, deadline, &buffer)
-                    : ScanRowsTopK(phi.data(), phi.dim(), n, /*id_offset=*/0,
-                                   q, deadline, &buffer);
+  Status scan = ScanRowsTopK(phi.data(), phi.dim(), n, /*id_offset=*/0, q,
+                             deadline, &buffer);
   if (!scan.ok()) return scan;
   result.neighbors = buffer.TakeSorted();
   return result;

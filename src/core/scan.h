@@ -35,23 +35,6 @@ Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
                                   const Deadline& deadline,
                                   std::vector<uint32_t>* out);
 
-/// Mixed-precision body of ScanRowsInequality for row stores that carry
-/// an f32 mirror (`rows32`, same row-major layout as `rows64`): the
-/// mirror classifies each block against `plan`'s widened band, band rows
-/// re-verify in f64, and the accepted ids (and their order) are
-/// bit-identical to the pure f64 scan. `plan` must have been built with
-/// an envelope covering every row (MakeMixedPlanWithEnvelope); callers
-/// check plan.usable and fall back to ScanRowsInequality otherwise.
-/// Exposed raw for the ingest delta overlay's mirror.
-// f32-ok: mirror rows input to the band classifier.
-Result<size_t> ScanRowsInequalityMixed(const double* rows64,
-                                       const float* rows32, size_t dim,
-                                       size_t count, uint32_t id_offset,
-                                       const ScalarProductQuery& q,
-                                       const MixedQueryPlan& plan,
-                                       const Deadline& deadline,
-                                       std::vector<uint32_t>* out);
-
 /// Counting twin of ScanRowsInequality: returns how many of the `count`
 /// rows satisfy `q` without materializing ids — same block cadence, same
 /// accept predicate (through the same CompressAccept kernel), so the

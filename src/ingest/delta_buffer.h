@@ -15,14 +15,11 @@
 #define PLANAR_INGEST_DELTA_BUFFER_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/macros.h"
-#include "core/row_matrix.h"
 
 namespace planar {
 
@@ -38,27 +35,6 @@ class DeltaBuffer {
   DeltaBuffer(const DeltaBuffer&) = delete;
   DeltaBuffer& operator=(const DeltaBuffer&) = delete;
 
-  /// Materializes an f32 mirror of every future row plus grow-only
-  /// per-column |value| envelopes, so delta scans can run the same
-  /// band-disciplined mixed-precision verification as the base set
-  /// (core/scan.h ScanRowsInequalityMixed with a plan from
-  /// MakeMixedPlanWithEnvelope). Writer side; must be called before the
-  /// first Append. The ingest manager enables it iff the base set's phi
-  /// matrix carries a mirror, so the whole overlay follows one
-  /// precision discipline.
-  void EnableF32Mirror() {
-    // relaxed-ok: writer-side setup before any row is published; no
-    // reader can hold a row yet (size_ is still 0).
-    PLANAR_CHECK(size_.load(std::memory_order_relaxed) == 0);
-    rows32_.resize(dim_ * capacity_);
-    column_abs_max_ = std::make_unique<std::atomic<double>[]>(dim_);
-    for (size_t i = 0; i < dim_; ++i) {
-      // relaxed-ok: see above — published to readers by the first
-      // Append's release store.
-      column_abs_max_[i].store(0.0, std::memory_order_relaxed);
-    }
-  }
-
   /// Copies `count` rows and publishes them. Returns false (appending
   /// nothing) when the rows do not all fit. Writer side: callers must
   /// serialize Append externally (the ingest shard holds its Mutex).
@@ -71,27 +47,6 @@ class DeltaBuffer {
     if (count == 0) return true;
     std::memcpy(rows_.data() + current * dim_, rows,
                 count * dim_ * sizeof(double));
-    if (!rows32_.empty()) {
-      // Mirror and envelopes are written before the release store of
-      // size_, so a reader that acquire-loads size() sees both for every
-      // published row. The envelopes only grow, and a reader racing a
-      // later append can only observe a *larger* bound — which merely
-      // widens the mixed-precision band, never unsounds it.
-      // f32-ok: sanctioned delta mirror, verified through the band
-      // discipline of core/mixed.h.
-      float* mirror = rows32_.data() + current * dim_;
-      for (size_t i = 0; i < count * dim_; ++i) {
-        mirror[i] = FloatMirrorValue(rows[i]);
-        const double mag = std::fabs(rows[i]);
-        // relaxed-ok: single serialized writer; publication to readers
-        // rides the release store of size_ below (see the comment
-        // above), so no ordering on the envelope store itself is
-        // needed.
-        if (mag > column_abs_max_[i % dim_].load(std::memory_order_relaxed)) {
-          column_abs_max_[i % dim_].store(mag, std::memory_order_relaxed);
-        }
-      }
-    }
     size_.store(current + count, std::memory_order_release);
     return true;
   }
@@ -106,37 +61,10 @@ class DeltaBuffer {
   size_t dim() const { return dim_; }
   size_t capacity() const { return capacity_; }
 
-  /// True when EnableF32Mirror was called.
-  bool has_f32_mirror() const { return !rows32_.empty(); }
-
-  /// Row-major f32 mirror; like data(), valid for rows [0, size())
-  /// after a size() read. Null row pointer semantics match RowMatrix:
-  /// callers must check has_f32_mirror().
-  // f32-ok: sanctioned delta mirror (see EnableF32Mirror).
-  const float* f32_data() const {
-    return rows32_.empty() ? nullptr : rows32_.data();
-  }
-
-  /// Grow-only |value| envelope of column i over the published rows.
-  /// Reader side: call after a size() read; may observe a larger bound
-  /// from a concurrent append, which is safe (the mixed band only
-  /// widens). Only valid with the mirror enabled.
-  double column_abs_max(size_t i) const {
-    // relaxed-ok: the acquire in size() already ordered the envelope
-    // stores for the rows being scanned; a racing later store only
-    // grows the bound (see Append).
-    return column_abs_max_[i].load(std::memory_order_relaxed);
-  }
-
  private:
   const size_t dim_;
   const size_t capacity_;
   std::vector<double> rows_;  // capacity_ * dim_ doubles, never reallocated
-  // f32-ok: sanctioned delta mirror (see EnableF32Mirror).
-  std::vector<float> rows32_;  // empty, or capacity_ * dim_ floats
-  /// Per-column |value| envelopes (see column_abs_max); allocated by
-  /// EnableF32Mirror.
-  std::unique_ptr<std::atomic<double>[]> column_abs_max_;
   std::atomic<size_t> size_{0};
 };
 

@@ -7,7 +7,6 @@
 #include "common/macros.h"
 #include "common/timer.h"
 #include "core/fold.h"
-#include "core/mixed.h"
 #include "core/scan.h"
 #include "engine/metrics.h"
 
@@ -16,29 +15,13 @@ namespace planar {
 namespace {
 
 // Scan-verifies `delta_rows` published delta rows and appends the matches
-// (ids from `id_offset` on), routing through the mixed-precision band
-// discipline when the delta carries an f32 mirror (the plan's envelope
-// comes from the delta's grow-only column bounds, so every scanned row is
-// covered). The appended ids are bit-identical either way — the band
-// contract of core/mixed.h.
+// (ids from `id_offset` on).
 Status FoldDeltaInequality(const DeltaBuffer& delta, size_t delta_rows,
                            uint32_t id_offset, const ScalarProductQuery& q,
                            const Deadline& deadline, InequalityResult* result) {
-  const size_t dim = delta.dim();
-  MixedQueryPlan plan;
-  if (delta.has_f32_mirror() && dim == q.a.size()) {
-    std::vector<double> envelope(dim);
-    for (size_t i = 0; i < dim; ++i) envelope[i] = delta.column_abs_max(i);
-    plan = MakeMixedPlanWithEnvelope(q.a.data(), dim, q.b,
-                                     q.cmp == Comparison::kLessEqual,
-                                     envelope.data());
-  }
   const Result<size_t> appended =
-      plan.usable ? ScanRowsInequalityMixed(delta.data(), delta.f32_data(),
-                                            dim, delta_rows, id_offset, q,
-                                            plan, deadline, &result->ids)
-                  : ScanRowsInequality(delta.data(), dim, delta_rows,
-                                       id_offset, q, deadline, &result->ids);
+      ScanRowsInequality(delta.data(), delta.dim(), delta_rows, id_offset, q,
+                         deadline, &result->ids);
   PLANAR_RETURN_IF_ERROR(appended.status());
   result->stats.num_points += delta_rows;
   result->stats.verified += delta_rows;
@@ -86,10 +69,6 @@ Status IngestManager::Manage(const std::string& target) {
       MutexLock shard_lock(&raw->mu);
       raw->delta =
           std::make_shared<DeltaBuffer>(raw->dim, options_.delta_capacity);
-      // One precision discipline for the whole overlay: the delta
-      // mirrors iff the base set's matrix does, so delta scans share
-      // the base's mixed-precision band path.
-      if (base->phi().f32_data() != nullptr) raw->delta->EnableF32Mirror();
       raw->view = std::make_shared<const View>(View{base, raw->delta});
     }
     // threads-ok: dedicated merger thread (see Shard::merger in
@@ -416,9 +395,6 @@ void IngestManager::MergerLoop(Shard* shard) {
       // by exactly the number of rows removed in front of them.
       auto fresh =
           std::make_shared<DeltaBuffer>(shard->dim, options_.delta_capacity);
-      // The clone regenerated the base mirror iff mixed precision is
-      // live; the fresh delta follows it (see Manage).
-      if (installed->phi().f32_data() != nullptr) fresh->EnableF32Mirror();
       const size_t now = shard->delta->size();
       if (now > drain) {
         PLANAR_CHECK(fresh->Append(shard->delta->data() + drain * shard->dim,

@@ -13,6 +13,7 @@
 #include "core/sharded.h"
 #include "engine/bounded_queue.h"
 #include "engine/catalog.h"
+#include "ingest/ingest.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -676,6 +677,76 @@ TEST_F(EngineTest, BatchLingerCoalescesAcrossSubmissionGaps) {
   }
   engine.Drain();
   EXPECT_EQ(engine.Snapshot().counters.completed_ok, 8u);
+}
+
+TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
+  // A query with fewer parameters than the indexed function has no index
+  // that can serve it, so it falls to the scan fallback — which must
+  // answer InvalidArgument, not abort the serving process. Checked for
+  // every read kind and a grouped inequality, on a monolithic, a sharded
+  // and an ingest-managed target.
+  EngineOptions options;
+  options.num_workers = 0;  // RunPending drives each batch
+  Engine engine(&catalog_, options);
+  ShardedIndexSetOptions sharded_options;
+  sharded_options.shards = 2;
+  sharded_options.min_rows_per_shard = 1;
+  ASSERT_TRUE(engine
+                  .BuildAndInstallSharded(
+                      "sharded", RandomPhi(400, 3, -20.0, 80.0, 36),
+                      {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}},
+                      sharded_options)
+                  .ok());
+  catalog_.Install("live", MakeSet(37));
+  IngestOptions ingest_options;
+  ingest_options.merge_threshold = 1 << 20;  // keep the row in the delta
+  ingest_options.delta_capacity = 1 << 20;
+  IngestManager manager(&catalog_, ingest_options);
+  ASSERT_TRUE(manager.Manage("live").ok());
+  ASSERT_TRUE(manager.Append("live", {1.0, -2.0, 3.0}).ok());
+  engine.AttachIngest(&manager);
+
+  ScalarProductQuery short_query;
+  short_query.a = {1.0, 1.0};
+  short_query.b = 10.0;
+  short_query.cmp = Comparison::kLessEqual;
+  for (const std::string target : {"main", "sharded", "live"}) {
+    std::vector<std::future<EngineResponse>> singles;
+    for (const QueryKind kind : {QueryKind::kInequality, QueryKind::kTopK,
+                                 QueryKind::kCount, QueryKind::kAggregate}) {
+      EngineRequest request;
+      request.target = target;
+      request.kind = kind;
+      request.query = short_query;
+      request.k = 3;
+      auto f = engine.Submit(std::move(request));
+      ASSERT_TRUE(f.ok());
+      singles.push_back(std::move(*f));
+    }
+    EXPECT_EQ(engine.RunPending(), 4u);
+    for (size_t i = 0; i < singles.size(); ++i) {
+      EXPECT_EQ(singles[i].get().status.code(), StatusCode::kInvalidArgument)
+          << target << " kind " << i;
+    }
+
+    // Grouped: the bad slot fails alone, its well-formed neighbor is
+    // answered.
+    std::vector<std::future<EngineResponse>> grouped;
+    for (const ScalarProductQuery& q : {short_query, MakeQuery()}) {
+      EngineRequest request;
+      request.target = target;
+      request.query = q;
+      auto f = engine.Submit(std::move(request));
+      ASSERT_TRUE(f.ok());
+      grouped.push_back(std::move(*f));
+    }
+    EXPECT_EQ(engine.RunPending(), 2u);
+    EXPECT_EQ(grouped[0].get().status.code(), StatusCode::kInvalidArgument)
+        << target;
+    EXPECT_TRUE(grouped[1].get().status.ok()) << target;
+  }
+  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 3u);
+  manager.Stop();
 }
 
 TEST_F(EngineTest, WorkerPoolServesConcurrentLoad) {

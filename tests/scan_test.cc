@@ -73,5 +73,18 @@ TEST(ScanTopKTest, NormalizedDistance) {
   EXPECT_DOUBLE_EQ(r->neighbors[0].distance, 2.0);
 }
 
+TEST(ScanTopKTest, HugeKDoesNotOverReserve) {
+  // k far beyond the row count: the TopKBuffer reservation is clamped to
+  // the candidate count, so this completes instead of bad_alloc-ing.
+  PhiMatrix phi = RandomPhi(1000, 3, 1.0, 100.0, 2);
+  ScalarProductQuery q;
+  q.a = {1.0, 1.0, 1.0};
+  q.b = 1e9;  // everything matches
+  q.cmp = Comparison::kLessEqual;
+  const auto result = ScanTopK(phi, q, size_t{1} << 50);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->neighbors.size(), 1000u);
+}
+
 }  // namespace
 }  // namespace planar

@@ -90,18 +90,11 @@ Rules (library code under src/ unless stated otherwise):
                     AggregateResult::sum) never fire — only indexed or
                     container-method writes do.
   no-naked-float-in-core
-                    the `float` type is forbidden in src/core outside the
-                    mixed-precision module (core/mixed.{h,cc}) and the
-                    kernel TUs (src/core/kernels/): every query answer
-                    must come from the exact f64 pipeline, and a float
-                    that leaks into index math silently destroys the
-                    bit-identity guarantee the mixed mode is built
-                    around. A deliberate reduced-precision site (mirror
-                    storage, band compares) carries an `f32-ok:` comment
-                    (same line or within the 8 lines above; consecutive
-                    uses chain) stating why the precision loss is safe —
-                    i.e. how the site is covered by the widened band +
-                    exact re-verify contract.
+                    the `float` type is forbidden everywhere in src/core
+                    (kernels included), with no annotation escape: every
+                    query answer comes from the one exact f64 pipeline,
+                    and a float that leaks into index math silently
+                    breaks the bit-identity contract with the f64 scan.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
@@ -152,13 +145,9 @@ RE_CORE_SORT = re.compile(
     r"std::(?:stable_)?sort\s*\(\s*([A-Za-z_][A-Za-z0-9_.\->]*)")
 RE_KEYLIKE = re.compile(r"entr|key", re.IGNORECASE)
 # The `float` type token (no-naked-float-in-core). Word boundaries keep
-# identifiers like FloatMirrorValue or f32_data from firing; comments and
-# strings are stripped before matching.
+# identifiers containing "float" from firing; comments and strings are
+# stripped before matching.
 RE_NAKED_FLOAT = re.compile(r"(?<![A-Za-z0-9_])float(?![A-Za-z0-9_])")
-# Same annotate-the-exemption discipline (and window) as relaxed-ok:.
-F32_COMMENT_WINDOW = 8
-# The mixed-precision module and the kernel TUs are float's home.
-F32_EXEMPT_FILES = {"mixed.h", "mixed.cc"}
 # Prefix-aggregate mutations (agg-prefix-construction): element writes
 # or container-method calls on a `.sum` / `.pos` / `.neg` member. Reads
 # (`pre.sum[r]` on the right-hand side) and scalar assignments
@@ -225,20 +214,15 @@ def findings_for_file(root: Path, path: Path):
         raw_lines = text.splitlines()
         last_relaxed_ok = -10**9  # line of the newest relaxed-ok comment
         last_threads_ok = -10**9  # line of the newest threads-ok comment
-        last_f32_ok = -10**9      # line of the newest f32-ok comment
         last_agg_ok = -10**9      # line of the newest agg-ok comment
         in_common = len(rel.parts) > 1 and rel.parts[1] == "common"
-        float_guarded = (len(rel.parts) > 1 and rel.parts[1] == "core"
-                         and "kernels" not in rel.parts
-                         and rel.name not in F32_EXEMPT_FILES)
+        in_core = len(rel.parts) > 1 and rel.parts[1] == "core"
         for lineno, line in enumerate(lines, start=1):
             raw = raw_lines[lineno - 1] if lineno <= len(raw_lines) else ""
             if "relaxed-ok:" in raw:
                 last_relaxed_ok = lineno
             if "threads-ok:" in raw:
                 last_threads_ok = lineno
-            if "f32-ok:" in raw:
-                last_f32_ok = lineno
             if "agg-ok:" in raw:
                 last_agg_ok = lineno
             if RE_EXCEPTION.search(line):
@@ -283,17 +267,10 @@ def findings_for_file(root: Path, path: Path):
                            "shared ThreadPool (common/thread_pool.h), or "
                            "carry a nearby 'threads-ok:' comment "
                            "justifying a dedicated thread")
-            if float_guarded and RE_NAKED_FLOAT.search(line):
-                if lineno - last_f32_ok <= F32_COMMENT_WINDOW:
-                    last_f32_ok = lineno  # consecutive uses chain
-                else:
-                    yield (rel, lineno, "no-naked-float-in-core",
-                           "the float type in src/core is reserved for "
-                           "the mixed-precision mirror (core/mixed, "
-                           "core/kernels); move it there, or carry a "
-                           "nearby 'f32-ok:' comment stating how this "
-                           "site is covered by the widened-band + exact "
-                           "f64 re-verify contract")
+            if in_core and RE_NAKED_FLOAT.search(line):
+                yield (rel, lineno, "no-naked-float-in-core",
+                       "the float type is forbidden in src/core: every "
+                       "answer comes from the exact f64 pipeline")
             if rel not in AGG_EXEMPT_FILES and RE_AGG_MUTATION.search(line):
                 if lineno - last_agg_ok <= AGG_COMMENT_WINDOW:
                     last_agg_ok = lineno  # consecutive uses chain
@@ -500,28 +477,17 @@ def self_test() -> int:
         # no-naked-float-in-core: a bare float in src/core fires,
         ("src/core/fixture.cc",
          "float band = 0.0f;\n", "no-naked-float-in-core", 1),
-        # a same-line or preceding f32-ok: comment covers it,
+        # no comment exempts it,
         ("src/core/fixture.cc",
-         "// f32-ok: mirror storage; band + f64 re-verify keep answers "
-         "exact.\nstd::vector<float> mirror;\n",
-         "no-naked-float-in-core", 0),
-        # consecutive uses chain through one comment,
-        ("src/core/fixture.cc",
-         "// f32-ok: mirror keys, same contract as the row mirror.\n"
-         + "float k = 0.0f;\n" * 12, "no-naked-float-in-core", 0),
-        # a comment too far above does not cover the use,
-        ("src/core/fixture.cc",
-         "// f32-ok: stale justification.\n" + "\n" * 10
-         + "float band = 0.0f;\n", "no-naked-float-in-core", 1),
+         "// f32-ok: a justification.\nstd::vector<float> mirror;\n",
+         "no-naked-float-in-core", 1),
+        # the kernel TUs are policed too,
+        ("src/core/kernels/fixture.cc", "float acc[8];\n",
+         "no-naked-float-in-core", 1),
         # identifiers containing 'float' and comments never fire,
         ("src/core/fixture.cc",
          "// a float in a comment is fine\n"
-         "double FloatMirrorValue(double v);\n",
-         "no-naked-float-in-core", 0),
-        # the mixed-precision module and kernel TUs are exempt,
-        ("src/core/mixed.cc", "float band = 0.0f;\n",
-         "no-naked-float-in-core", 0),
-        ("src/core/kernels/fixture.cc", "float acc[8];\n",
+         "double FloatToDouble(double v);\n",
          "no-naked-float-in-core", 0),
         # and the rule only polices src/core.
         ("src/engine/fixture.cc", "float x = 0.0f;\n",
