@@ -31,6 +31,7 @@
 #include "common/random.h"
 #include "common/table_printer.h"
 #include "core/sharded.h"
+#include "core/sort_util.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -114,9 +115,15 @@ struct ModeTimes {
 
 /// The monolithic baseline delivers the same answer the sharded set
 /// contracts to: the canonical ascending-id order. Monolithic ids come
-/// back in index-rank order, so the baseline pays the same sort a
-/// client needing deterministic ids pays — without it the comparison
-/// would charge canonicalization to the sharded side only.
+/// back in index-rank order, so the baseline pays the same linear
+/// SortIds a client needing deterministic ids pays — without it the
+/// comparison would charge canonicalization to the sharded side only,
+/// and with a comparison sort it would charge the baseline for a
+/// slower algorithm rather than for the lack of sharding.
+void Canonicalize(const PlanarIndexSet& set, InequalityResult* result) {
+  SortIds(&result->ids, static_cast<uint32_t>(set.size()));
+}
+
 ModeTimes TimeMonolithic(const PlanarIndexSet& set,
                          const std::vector<ScalarProductQuery>& queries,
                          int runs) {
@@ -125,7 +132,7 @@ ModeTimes TimeMonolithic(const PlanarIndexSet& set,
       [&] {
         for (const ScalarProductQuery& q : queries) {
           InequalityResult r = set.Inequality(q);
-          std::sort(r.ids.begin(), r.ids.end());
+          Canonicalize(set, &r);
         }
       },
       runs);
@@ -137,9 +144,7 @@ ModeTimes TimeMonolithic(const PlanarIndexSet& set,
   t.batch_ms = BestMillis(
       [&] {
         auto results = set.BatchInequality(queries);
-        for (auto& r : results) {
-          std::sort(r.value().ids.begin(), r.value().ids.end());
-        }
+        for (auto& r : results) Canonicalize(set, &r.value());
       },
       runs);
   return t;
@@ -170,7 +175,7 @@ PairTimes TimePaired(const PlanarIndexSet& mono, const ShardedIndexSet& set,
     keep_min(&t.mono.inequality_ms, once([&] {
                for (const ScalarProductQuery& q : queries) {
                  InequalityResult r = mono.Inequality(q);
-                 std::sort(r.ids.begin(), r.ids.end());
+                 Canonicalize(mono, &r);
                }
              }));
     keep_min(&t.sharded.inequality_ms, once([&] {
@@ -190,9 +195,7 @@ PairTimes TimePaired(const PlanarIndexSet& mono, const ShardedIndexSet& set,
              }));
     keep_min(&t.mono.batch_ms, once([&] {
                auto results = mono.BatchInequality(queries);
-               for (auto& r : results) {
-                 std::sort(r.value().ids.begin(), r.value().ids.end());
-               }
+               for (auto& r : results) Canonicalize(mono, &r.value());
              }));
     keep_min(&t.sharded.batch_ms,
              once([&] { (void)set.BatchInequality(queries); }));

@@ -9,6 +9,7 @@
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/fold.h"
+#include "core/sort_util.h"
 
 namespace planar {
 
@@ -50,19 +51,21 @@ void RunShards(size_t shards, size_t width, const Task& task) {
 /// no pass). Inequality ids also take the canonical ascending order (see
 /// header): the monolithic rank order is index-dependent and shards
 /// select independently, so ascending-id is the one merge order every
-/// shard count agrees on. Count and aggregate answers carry no ids.
-void ToGlobal(uint32_t offset, InequalityResult* result) {
+/// shard count agrees on. A shard's local ids lie below its row count,
+/// so the order costs one linear radix sort, not a comparison sort.
+/// Count and aggregate answers carry no ids.
+void ToGlobal(uint32_t offset, uint32_t rows, InequalityResult* result) {
+  SortIds(&result->ids, rows);
   if (offset != 0) {
     for (uint32_t& id : result->ids) id += offset;
   }
-  std::sort(result->ids.begin(), result->ids.end());
 }
-void ToGlobal(uint32_t offset, TopKResult* result) {
+void ToGlobal(uint32_t offset, uint32_t, TopKResult* result) {
   if (offset == 0) return;
   for (Neighbor& neighbor : result->neighbors) neighbor.id += offset;
 }
-void ToGlobal(uint32_t, CountResult*) {}
-void ToGlobal(uint32_t, AggregateResult*) {}
+void ToGlobal(uint32_t, uint32_t, CountResult*) {}
+void ToGlobal(uint32_t, uint32_t, AggregateResult*) {}
 
 void AddStats(const QueryStats& part, QueryStats* merged) {
   merged->num_points += part.num_points;
@@ -267,7 +270,7 @@ Result<T> ShardedIndexSet::FanOut(const char* deadline_msg, const Run& run,
       // orders on it.
       rows_verified_[s].fetch_add(RowsVerified(result.value()),
                                   std::memory_order_relaxed);
-      ToGlobal(offsets_[s], &result.value());
+      ToGlobal(offsets_[s], offsets_[s + 1] - offsets_[s], &result.value());
     } else if (result.status().code() == StatusCode::kDeadlineExceeded) {
       // relaxed-ok: see the flag's declaration above.
       expired.store(true, std::memory_order_relaxed);
@@ -342,7 +345,7 @@ std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
     for (Result<InequalityResult>& result : partial[s]) {
       if (!result.ok()) continue;
       verified += RowsVerified(result.value());
-      ToGlobal(offsets_[s], &result.value());
+      ToGlobal(offsets_[s], offsets_[s + 1] - offsets_[s], &result.value());
     }
     // relaxed-ok: monotone monitoring counter (see header); nothing
     // orders on it.

@@ -11,13 +11,15 @@
 // Result contract (machine-checked by tests/sharded_test.cc and the
 // bench_shard --smoke CI gate):
 //  * Inequality ids are the exact match set of the monolithic set, in
-//    canonical ascending-id order. (Each shard's rebased ids are sorted
-//    and shards cover disjoint ascending row ranges, so shard-order
-//    concatenation is globally sorted. The monolithic path emits ids in
-//    serving-index rank order, which depends on which index served —
-//    per-shard selection is independent, so rank order is not
-//    preservable across shard counts; ascending-id is the one order
-//    every shard count agrees on.)
+//    canonical ascending-id order. (Each shard sorts its local ids with
+//    SortIds — a linear radix sort bounded by the shard's row count,
+//    bit-identical to std::sort — then rebases them; shards cover
+//    disjoint ascending row ranges, so shard-order concatenation is
+//    globally sorted. The monolithic path emits ids in serving-index
+//    rank order, which depends on which index served — per-shard
+//    selection is independent, so rank order is not preservable across
+//    shard counts; ascending-id is the one order every shard count
+//    agrees on.)
 //  * TopK is bit-identical to the monolithic set — same neighbors, same
 //    distances, same order. Distances are computed from raw phi rows
 //    (independent of the serving index), and the merge folds every

@@ -1,13 +1,17 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
-// Deterministic parallel sorting of (key, id) index entries — the single
-// chokepoint every core build path sorts through (enforced by
-// tools/planar_lint.py, rule core-sort-via-sort-util).
+// The tree's one sorting chokepoint for core containers (enforced by
+// tools/planar_lint.py, rule core-sort-via-sort-util): index builds sort
+// their (key, id) entries through SortEntries, and the sharded gather
+// puts each shard's row ids into canonical ascending order through
+// SortIds. Both produce exactly the std::sort result, so swapping the
+// algorithm underneath can never change an answer.
 //
-// The algorithm is shard-sort + multiway merge on top of the shared
-// ThreadPool (ThreadPool::Shared().ParallelFor): the entry array is cut into contiguous shards, each
-// shard is std::sort-ed on its own thread, and sorted runs are merged
-// pairwise (also in parallel) until one run remains. Because entries are
+// SortEntries is shard-sort + multiway merge on top of the shared
+// ThreadPool (ThreadPool::Shared().ParallelFor): the entry array is cut
+// into contiguous shards, each shard is std::sort-ed on its own thread,
+// and sorted runs are merged pairwise (also in parallel) until one run
+// remains. Because entries are
 // ordered by the total (key, id) lexicographic order and ids are unique
 // in every index build, the sorted sequence is unique — the output is
 // bit-identical for ANY thread count, including 1, and identical to a
@@ -21,11 +25,19 @@
 // not bit-identical (-0.0 vs +0.0 under the same id) the order among the
 // equivalent duplicates is unspecified, exactly as with std::sort. Index
 // builds never produce such pairs (one entry per row id).
+//
+// SortIds is an LSD radix (counting) sort whose digit count follows the
+// id bound rather than the full 32 bits: a shard of R rows needs
+// ceil(log2(R) / 11) passes — two for any shard up to 4M rows — so
+// ordering a shard's answer costs O(ids + buckets), not
+// O(ids log ids). Equal uint32 values are indistinguishable, so the
+// result equals std::sort's bit for bit, duplicates included.
 
 #ifndef PLANAR_CORE_SORT_UTIL_H_
 #define PLANAR_CORE_SORT_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "btree/btree.h"
@@ -42,6 +54,11 @@ inline constexpr size_t kParallelSortMinEntries = 1u << 14;
 /// std::sort for every thread count.
 void SortEntries(std::vector<OrderStatisticBTree::Entry>* entries,
                  size_t threads = 1);
+
+/// Sorts `ids` ascending in time linear in ids->size() (plus at most
+/// 3 * 2048 buckets). Every id must be below `bound` (checked); the
+/// result equals std::sort's for every such input, duplicates included.
+void SortIds(std::vector<uint32_t>* ids, uint32_t bound);
 
 }  // namespace planar
 

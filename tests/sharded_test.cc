@@ -252,6 +252,37 @@ TEST_F(ShardedIndexSetTest, BatchMatchesPerQueryAndMonolithic) {
   EXPECT_EQ(empty_stats.queries, 0u);
 }
 
+TEST_F(ShardedIndexSetTest, AcceptAllAndAcceptNoneGatherExactly) {
+  // <a, phi> lies in [4, 3200] for every row, so b = 1e6 accepts every
+  // row and b = -1 accepts none, on every path.
+  ScalarProductQuery all;
+  all.a = {2.0, 3.0, 5.0, 7.0};
+  all.b = 1e6;
+  ScalarProductQuery none = all;
+  none.b = -1.0;
+  std::vector<uint32_t> every_row(kRows);
+  for (uint32_t i = 0; i < kRows; ++i) every_row[i] = i;
+  const std::vector<ScalarProductQuery> queries = {all, none};
+
+  for (const size_t shards : {1u, 3u, 8u}) {
+    const ShardedIndexSet sharded = BuildSharded(phi_, shards);
+    ASSERT_EQ(sharded.num_shards(), shards);
+    const auto accepted = sharded.Inequality(all);
+    ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+    EXPECT_EQ(accepted.value().ids, every_row) << "shards=" << shards;
+    const auto rejected = sharded.Inequality(none);
+    ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
+    EXPECT_TRUE(rejected.value().ids.empty()) << "shards=" << shards;
+
+    const auto batched = sharded.BatchInequality(queries);
+    ASSERT_EQ(batched.size(), 2u);
+    ASSERT_TRUE(batched[0].ok()) << batched[0].status().ToString();
+    ASSERT_TRUE(batched[1].ok()) << batched[1].status().ToString();
+    EXPECT_EQ(batched[0].value().ids, every_row) << "shards=" << shards;
+    EXPECT_TRUE(batched[1].value().ids.empty()) << "shards=" << shards;
+  }
+}
+
 TEST_F(ShardedIndexSetTest, DeadlineExpiryFansIn) {
   Rng rng(203);
   const ScalarProductQuery q = MakeQuery(&rng);

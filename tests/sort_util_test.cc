@@ -4,11 +4,15 @@
 // (key, id) — for every thread count, every size around the serial
 // cutoff, and heavy key duplication. This determinism is what the
 // parallel build paths (and the serialized-blob CRC guarantee) stand on.
+// SortIds must equal std::sort bitwise for every id bound, tiny and
+// large sizes, and all-equal, duplicate-heavy, sorted and reversed
+// input: the sharded gather's canonical order rests on it.
 
 #include "core/sort_util.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +112,87 @@ TEST(SortUtilTest, AlreadySortedAndReversed) {
     ExpectSortedIdentically(asc, threads);
     ExpectSortedIdentically(desc, threads);
   }
+}
+
+std::vector<uint32_t> RandomIds(size_t n, uint64_t distinct, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint32_t> ids(n);
+  for (uint32_t& id : ids) {
+    id = static_cast<uint32_t>(rng.UniformInt(distinct));
+  }
+  return ids;
+}
+
+void ExpectIdsSortedIdentically(std::vector<uint32_t> input, uint32_t bound) {
+  std::vector<uint32_t> expected = input;
+  std::sort(expected.begin(), expected.end());
+  SortIds(&input, bound);
+  ASSERT_EQ(input, expected) << "n=" << input.size() << " bound=" << bound;
+}
+
+constexpr uint32_t kFullRange = std::numeric_limits<uint32_t>::max();
+
+TEST(SortIdsTest, SizesAndBounds) {
+  for (const uint32_t bound : {1u, 1u << 11, 1u << 17, kFullRange}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                           size_t{255}, size_t{256}, size_t{100'000}}) {
+      ExpectIdsSortedIdentically(RandomIds(n, bound, 3 + n + bound), bound);
+    }
+  }
+}
+
+TEST(SortIdsTest, HeavyDuplicates) {
+  for (const uint32_t bound : {2u, 1u << 11, 1u << 17, kFullRange}) {
+    // Five distinct values spread over the bound's whole range, so every
+    // radix digit sees long runs of equal values.
+    Rng rng(bound);
+    std::vector<uint32_t> values;
+    for (int i = 0; i < 5; ++i) {
+      values.push_back(static_cast<uint32_t>(rng.UniformInt(bound)));
+    }
+    values.push_back(bound - 1);
+    std::vector<uint32_t> ids = RandomIds(100'000, values.size(), 19);
+    for (uint32_t& id : ids) id = values[id];
+    ExpectIdsSortedIdentically(ids, bound);
+  }
+}
+
+TEST(SortIdsTest, AllEqual) {
+  // Every digit is constant, so every pass is skipped and the ids are
+  // returned untouched.
+  for (const uint32_t bound : {1u, 1u << 11, 1u << 17, kFullRange}) {
+    for (const size_t n : {size_t{1}, size_t{2}, size_t{5000}}) {
+      ExpectIdsSortedIdentically(std::vector<uint32_t>(n, bound - 1), bound);
+      ExpectIdsSortedIdentically(std::vector<uint32_t>(n, 0), bound);
+    }
+  }
+}
+
+TEST(SortIdsTest, NarrowRangeUnderWideBound) {
+  // Every id shares its high digit, so that radix pass is skipped and
+  // the answer comes back from the scratch buffer after one pass.
+  std::vector<uint32_t> ids = RandomIds(5000, 300, 29);
+  for (uint32_t& id : ids) id += 1u << 16;
+  ExpectIdsSortedIdentically(ids, 1u << 17);
+}
+
+TEST(SortIdsTest, AlreadySortedAndReversed) {
+  for (const uint32_t bound : {1u << 11, 1u << 17, kFullRange}) {
+    // Nondecreasing ids spanning [0, bound); repeats when bound < n.
+    std::vector<uint32_t> asc(100'000);
+    for (size_t i = 0; i < asc.size(); ++i) {
+      asc[i] = static_cast<uint32_t>(uint64_t{i} * bound / asc.size());
+    }
+    const std::vector<uint32_t> desc(asc.rbegin(), asc.rend());
+    ExpectIdsSortedIdentically(asc, bound);
+    ExpectIdsSortedIdentically(desc, bound);
+  }
+}
+
+TEST(SortIdsDeathTest, IdAtOrAboveBoundAborts) {
+  std::vector<uint32_t> ids = RandomIds(1000, 1u << 11, 23);
+  ids[500] = 1u << 11;
+  EXPECT_DEATH(SortIds(&ids, 1u << 11), "PLANAR_CHECK");
 }
 
 }  // namespace

@@ -59,13 +59,15 @@ Rules (library code under src/ unless stated otherwise):
                     goes through runtime dispatch (src/core/kernels) with
                     per-source -mavx2/-mfma on the dispatched TU only.
   core-sort-via-sort-util
-                    `std::sort` / `std::stable_sort` of key or entry
-                    containers is forbidden in src/core outside
+                    `std::sort` / `std::stable_sort` of key, entry or
+                    id containers is forbidden in src/core outside
                     sort_util.*: core index sorts must go through
                     SortEntries so the deterministic-parallel-sort
                     guarantee (identical output for any thread count)
-                    holds everywhere. Sorting other containers (axes,
-                    positions, heaps) is fine.
+                    holds everywhere, and row-id sorts through SortIds,
+                    the linear radix sort bounded by the row count.
+                    Sorting other containers (axes, positions, heaps)
+                    is fine.
   kernel-ffp-contract
                     every kernel TU (src/core/kernels/*.cc) must appear in
                     a set_source_files_properties(...) block of
@@ -144,6 +146,8 @@ THREADS_COMMENT_WINDOW = 8
 RE_CORE_SORT = re.compile(
     r"std::(?:stable_)?sort\s*\(\s*([A-Za-z_][A-Za-z0-9_.\->]*)")
 RE_KEYLIKE = re.compile(r"entr|key", re.IGNORECASE)
+# A row-id container: `ids`, `row_ids`, `result->ids`, `merged.ids`.
+RE_IDSLIKE = re.compile(r"(?:^|[.>_])ids(?![A-Za-z0-9])")
 # The `float` type token (no-naked-float-in-core). Word boundaries keep
 # identifiers containing "float" from firing; comments and strings are
 # stripped before matching.
@@ -287,12 +291,17 @@ def findings_for_file(root: Path, path: Path):
             and not rel.name.startswith("sort_util")):
         # Whole-text scan: the first argument may sit on the next line.
         for match in RE_CORE_SORT.finditer(code):
+            lineno = code.count("\n", 0, match.start()) + 1
             if RE_KEYLIKE.search(match.group(1)):
-                lineno = code.count("\n", 0, match.start()) + 1
                 yield (rel, lineno, "core-sort-via-sort-util",
                        "sorting key/entry containers in src/core must go "
                        "through SortEntries (core/sort_util.h) to keep "
                        "builds deterministic at any thread count")
+            elif RE_IDSLIKE.search(match.group(1)):
+                yield (rel, lineno, "core-sort-via-sort-util",
+                       "sorting row ids in src/core must go through "
+                       "SortIds (core/sort_util.h): a linear radix sort "
+                       "bounded by the row count, identical to std::sort")
 
     if path.suffix == ".h" and str(rel.parts[0]) in HEADER_GUARD_DIRS:
         # src/ headers are included as "core/foo.h" (relative to src/),
@@ -526,6 +535,18 @@ def self_test() -> int:
         ("src/core/aggregate.cc",
          "void Build(PrefixAggregates* out) { out->sum.assign(9, 0.0); }\n",
          "agg-prefix-construction", 0),
+        # core-sort-via-sort-util: a comparison sort of row ids in
+        # src/core fires and points at SortIds,
+        ("src/core/fixture.cc",
+         "void f(InequalityResult* r) {\n"
+         "  std::sort(r->ids.begin(), r->ids.end());\n"
+         "}\n", "core-sort-via-sort-util", 1),
+        # but ids-like names that are not an id container do not.
+        ("src/core/fixture.cc",
+         "void f(std::vector<size_t>& valids, std::vector<int>& idsx) {\n"
+         "  std::sort(valids.begin(), valids.end());\n"
+         "  std::sort(idsx.begin(), idsx.end());\n"
+         "}\n", "core-sort-via-sort-util", 0),
     ]
     for i, (rel_path, content, rule, want) in enumerate(file_cases):
         root = write_source(rel_path, content)
