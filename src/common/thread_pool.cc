@@ -91,6 +91,17 @@ bool PinCurrentThreadToCore(size_t core) {
 #endif
 }
 
+size_t UsableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(const ThreadPoolOptions& options)
     : pin_threads_(options.pin_threads) {
   const size_t count =

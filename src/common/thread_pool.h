@@ -57,6 +57,11 @@ bool ThreadAffinitySupported();
 /// callers treat pinning as best-effort.
 bool PinCurrentThreadToCore(size_t core);
 
+/// CPUs the calling thread may run on: the size of its affinity mask on
+/// Linux (so taskset and cpuset limits count), the hardware thread count
+/// elsewhere. At least 1.
+size_t UsableCpus();
+
 /// Fixed-size pool of worker threads fed from one FIFO task queue.
 /// Tasks are arbitrary closures: short-lived ParallelFor chunk claims
 /// and long-lived engine worker loops share the same pool mechanics.

@@ -2,6 +2,7 @@
 
 #include "engine/engine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <span>
 #include <string>
@@ -14,9 +15,21 @@
 
 namespace planar {
 
+namespace {
+
+// A max_batch of 0 would pop nothing from an open queue, which WorkerLoop
+// and Drain read as closed-and-drained: workers would exit on their first
+// request and Drain would leave admitted promises unanswered.
+EngineOptions ClampOptions(EngineOptions options) {
+  options.max_batch = std::max<size_t>(options.max_batch, 1);
+  return options;
+}
+
+}  // namespace
+
 Engine::Engine(Catalog* catalog, const EngineOptions& options)
     : catalog_(catalog),
-      options_(options),
+      options_(ClampOptions(options)),
       queue_(options.queue_capacity) {
   if (options_.num_workers > 0) {
     ThreadPoolOptions pool_options;

@@ -36,6 +36,12 @@ namespace planar {
 /// Engine sizing and scheduling knobs.
 struct EngineOptions {
   /// Worker threads. 0 means no threads: the owner calls RunPending().
+  /// An idle worker spins for at most kPopSpinBudget (50 µs, see
+  /// engine/bounded_queue.h) after each batch before it sleeps, so a
+  /// request that arrives within that window starts without a thread
+  /// wake-up; a fully idle engine costs that much CPU per worker and
+  /// then none. Workers never spin when the engine is constructed on a
+  /// thread that may run on only one CPU.
   size_t num_workers = 4;
   /// Admission-control bound: Submit() sheds once this many requests are
   /// queued.
@@ -45,6 +51,8 @@ struct EngineOptions {
   /// against the same catalog entry with the same comparison direction,
   /// feeds the coalesced PlanarIndexSet::BatchInequality path, which
   /// streams overlapping candidate intervals once for the whole group.
+  /// Values below 1 are clamped to 1 when the Engine is constructed
+  /// (options() reports the clamped value).
   size_t max_batch = 16;
   /// How long (milliseconds) a worker lingers after claiming its first
   /// request, waiting for more to coalesce into the same batch. 0 (the

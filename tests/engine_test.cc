@@ -2,6 +2,7 @@
 
 #include "engine/engine.h"
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -545,6 +546,43 @@ TEST_F(EngineTest, SnapshotAccountsForEveryAdmittedRequest) {
   const std::string rendered = snapshot.ToString();
   EXPECT_NE(rendered.find("admitted"), std::string::npos);
   EXPECT_NE(rendered.find("latency_p99_ms"), std::string::npos);
+}
+
+TEST_F(EngineTest, ZeroMaxBatchIsClampedAndAnswersEveryRequest) {
+  // Unclamped, a max_batch of 0 pops nothing from an open queue, which
+  // the workers and Drain read as closed-and-drained: workers would exit
+  // on their first request and Drain would leave futures unanswered.
+  for (size_t workers : {size_t{2}, size_t{0}}) {
+    EngineOptions options;
+    options.num_workers = workers;
+    options.max_batch = 0;
+    options.queue_capacity = 64;
+    Engine engine(&catalog_, options);
+    EXPECT_EQ(engine.options().max_batch, 1u);
+
+    constexpr int kRequests = 24;
+    std::vector<std::future<EngineResponse>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      EngineRequest request;
+      request.target = "main";
+      request.query = MakeQuery(40.0 + i);
+      auto f = engine.Submit(std::move(request));
+      ASSERT_TRUE(f.ok()) << "workers=" << workers;
+      futures.push_back(std::move(*f));
+    }
+    engine.Drain();
+    for (auto& f : futures) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
+                std::future_status::ready)
+          << "workers=" << workers;
+      EXPECT_TRUE(f.get().status.ok()) << "workers=" << workers;
+    }
+    const EngineCounters c = engine.Snapshot().counters;
+    EXPECT_EQ(c.submitted,
+              c.admitted + c.rejected_queue_full + c.rejected_draining);
+    EXPECT_EQ(c.admitted, c.completed_ok + c.deadline_exceeded + c.failed);
+    EXPECT_EQ(c.completed_ok, static_cast<uint64_t>(kRequests));
+  }
 }
 
 TEST_F(EngineTest, MicroBatchGroupsCompatibleInequalities) {

@@ -6,6 +6,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +62,23 @@ TEST(ParallelForTest, ZeroItemsNeverInvokesWithAnyThreadCount) {
     ThreadPool::Shared().ParallelFor(
         0, [&](size_t) { FAIL() << "fn invoked for n == 0"; }, threads);
   }
+}
+
+TEST(UsableCpusTest, CountsTheCallersAffinityMask) {
+  EXPECT_GE(UsableCpus(), 1u);
+  if (!ThreadAffinitySupported()) GTEST_SKIP() << "no thread affinity here";
+  // A thread pinned to one core may run on exactly one CPU; this is what
+  // makes BoundedQueue skip its spin phase under taskset or a one-CPU
+  // cpuset.
+  bool pinned_ok = false;
+  size_t pinned_cpus = 0;
+  std::thread pinned([&pinned_ok, &pinned_cpus] {
+    pinned_ok = PinCurrentThreadToCore(0);
+    pinned_cpus = UsableCpus();
+  });
+  pinned.join();
+  if (!pinned_ok) GTEST_SKIP() << "could not pin a thread to core 0";
+  EXPECT_EQ(pinned_cpus, 1u);
 }
 
 }  // namespace

@@ -8,9 +8,13 @@
 // regex next to engine_stress_test). The functional contract asserted
 // here is exactly-once delivery: every admitted item is popped by
 // precisely one consumer, across lingering poppers, non-lingering
-// poppers, and the drain helper.
+// poppers, and the drain helper. The spin-then-block cases check the
+// wake-up accounting: a consumer that has given up spinning and sleeps
+// (in the first-item wait or the linger wait) is still woken by a push,
+// and Close() ends a spinning pop at once.
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -27,6 +31,35 @@ namespace planar {
 namespace {
 
 using std::chrono::steady_clock;
+
+// Runs `pop` (one blocking pop on `queue`) on a thread that is well past
+// its spin budget when the item arrives: the only way it can see the item
+// is a signal from TryPush. Returns what the pop returned and collected;
+// a lost wake-up shows as an empty batch, because the timeout path
+// releases the consumer with Close() instead of hanging the test.
+template <typename Pop>
+std::vector<int> PushAfterSpinBudget(BoundedQueue<int>* queue, Pop pop) {
+  std::vector<int> batch;
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::thread consumer([&] {
+    started.store(true);
+    pop(&batch);
+    done.store(true);
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  static_assert(kPopSpinBudget < std::chrono::milliseconds(5));
+  EXPECT_TRUE(queue->TryPush(7));
+  const auto give_up = steady_clock::now() + std::chrono::seconds(10);
+  while (!done.load() && steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(done.load()) << "the push did not wake the sleeping consumer";
+  queue->Close();
+  consumer.join();
+  return batch;
+}
 
 TEST(QueueStressTest, PopBatchLingerDeliversEveryAdmittedItemExactlyOnce) {
   constexpr size_t kProducers = 3;
@@ -145,6 +178,74 @@ TEST(QueueStressTest, LingerCoalescesItemsPushedAfterTheFirstPop) {
   queue.Close();
 
   EXPECT_EQ(batch, std::vector<int>({1, 2, 3}));
+}
+
+TEST(QueueStressTest, PushAfterTheSpinBudgetWakesABlockedPopBatch) {
+  BoundedQueue<int> queue(8);
+  EXPECT_EQ(PushAfterSpinBudget(&queue,
+                                [&queue](std::vector<int>* batch) {
+                                  (void)queue.PopBatch(batch, 4);
+                                }),
+            std::vector<int>({7}));
+}
+
+TEST(QueueStressTest, PushAfterTheSpinBudgetWakesABlockedPopBatchLinger) {
+  // No linger: the consumer sleeps in the first-item wait.
+  BoundedQueue<int> queue(8);
+  EXPECT_EQ(PushAfterSpinBudget(&queue,
+                                [&queue](std::vector<int>* batch) {
+                                  (void)queue.PopBatchLinger(
+                                      batch, 4, std::chrono::nanoseconds(0));
+                                }),
+            std::vector<int>({7}));
+}
+
+TEST(QueueStressTest, CloseDuringTheSpinPhaseReturnsPromptly) {
+  // Each round closes the queue as soon as the consumer is about to pop,
+  // so most closes land inside its spin; every pop must see the close
+  // and report closed-and-drained instead of sleeping.
+  for (int round = 0; round < 200; ++round) {
+    BoundedQueue<int> queue(4);
+    std::atomic<bool> started{false};
+    size_t popped = 1;
+    std::thread consumer([&] {
+      std::vector<int> batch;
+      started.store(true);
+      popped = round % 2 == 0
+                   ? queue.PopBatch(&batch, 4)
+                   : queue.PopBatchLinger(&batch, 4, std::chrono::seconds(30));
+    });
+    while (!started.load()) std::this_thread::yield();
+    const auto start = steady_clock::now();
+    queue.Close();
+    consumer.join();
+    EXPECT_EQ(popped, 0u) << "round " << round;
+    EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(5))
+        << "round " << round;
+  }
+}
+
+TEST(QueueStressTest, PushDuringALingerWaitIsCoalesced) {
+  // The consumer claims item 1 and sleeps in the linger wait (which does
+  // not spin). Item 2 arrives there; the push must signal, because the
+  // linger wait counts as a sleeper, so the batch fills long before the
+  // 20 s linger runs out.
+  BoundedQueue<int> queue(8);
+  ASSERT_TRUE(queue.TryPush(1));
+  std::vector<int> batch;
+  std::atomic<bool> started{false};
+  std::thread consumer([&queue, &batch, &started] {
+    started.store(true);
+    (void)queue.PopBatchLinger(&batch, 2, std::chrono::seconds(20));
+  });
+  while (!started.load()) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto pushed = steady_clock::now();
+  EXPECT_TRUE(queue.TryPush(2));
+  consumer.join();
+  EXPECT_LT(steady_clock::now() - pushed, std::chrono::seconds(5));
+  EXPECT_EQ(batch, std::vector<int>({1, 2}));
+  queue.Close();
 }
 
 }  // namespace

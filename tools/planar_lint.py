@@ -50,6 +50,15 @@ Rules (library code under src/ unless stated otherwise):
                     the exemption. `std::thread::hardware_concurrency()`
                     never fires — querying the core count is not spawning
                     a thread.
+  cpu-relax-via-common
+                    spin-wait pause primitives (`_mm_pause`,
+                    `__builtin_ia32_pause`, inline `pause` / `yield`
+                    asm) are forbidden in src/ outside common/: every
+                    busy-wait pauses through CpuRelax()
+                    (common/cpu_relax.h), so the per-architecture
+                    instruction choice lives in one place, the same way
+                    sync-via-common-mutex and threads-via-pool keep
+                    their primitives in common/.
   header-guards     every .h under src/, tests/, and bench/ must open with
                     `#ifndef PLANAR_<PATH>_<FILE>_H_` + matching #define
                     derived from its repo-relative path.
@@ -141,6 +150,16 @@ RELAXED_COMMENT_WINDOW = 8
 RE_RAW_THREAD = re.compile(r"std::(?:jthread|thread)\b(?!\s*::)")
 # Same annotate-the-exemption discipline (and window) as relaxed-ok:.
 THREADS_COMMENT_WINDOW = 8
+# Spin-wait pause primitives (cpu-relax-via-common): the intrinsics are
+# matched in comment-stripped code; inline asm is matched on the raw line
+# (the instruction sits in a string literal, which the stripper blanks)
+# but only where the stripped line still holds the asm keyword.
+RE_PAUSE_INTRINSIC = re.compile(
+    r"(?<![A-Za-z0-9_])(?:_mm_pause|__builtin_ia32_pause)(?![A-Za-z0-9_])")
+RE_ASM_KEYWORD = re.compile(r"(?<![A-Za-z0-9_])(?:__asm__|__asm|asm)\b")
+RE_ASM_PAUSE = re.compile(
+    r"(?<![A-Za-z0-9_])(?:__asm__|__asm|asm)\b[^\"]*\(\s*\"\s*"
+    r"(?:pause|yield)\b")
 # std::sort(<first-arg>, ...) where the sorted container smells like index
 # keys or (key, id) entries.
 RE_CORE_SORT = re.compile(
@@ -271,6 +290,14 @@ def findings_for_file(root: Path, path: Path):
                            "shared ThreadPool (common/thread_pool.h), or "
                            "carry a nearby 'threads-ok:' comment "
                            "justifying a dedicated thread")
+            if not in_common and (
+                    RE_PAUSE_INTRINSIC.search(line)
+                    or (RE_ASM_KEYWORD.search(line)
+                        and RE_ASM_PAUSE.search(raw))):
+                yield (rel, lineno, "cpu-relax-via-common",
+                       "spin-wait pause instructions are forbidden "
+                       "outside src/common/; call CpuRelax() "
+                       "(common/cpu_relax.h)")
             if in_core and RE_NAKED_FLOAT.search(line):
                 yield (rel, lineno, "no-naked-float-in-core",
                        "the float type is forbidden in src/core: every "
@@ -483,6 +510,24 @@ def self_test() -> int:
         ("src/core/fixture.cc",
          "size_t n = std::thread::hardware_concurrency();\n",
          "threads-via-pool", 0),
+        # cpu-relax-via-common: pause intrinsics and inline pause/yield
+        # asm fire outside src/common/,
+        ("src/engine/fixture.h",
+         "while (!ready) _mm_pause();\n"
+         "__builtin_ia32_pause();\n"
+         "asm volatile(\"pause\" ::: \"memory\");\n"
+         "__asm__ __volatile__(\"yield\");\n",
+         "cpu-relax-via-common", 4),
+        # but CpuRelax(), a mention in a comment or string, and the
+        # helper's home in src/common/ do not.
+        ("src/engine/fixture.h",
+         "// spins with _mm_pause via asm(\"pause\")\n"
+         "while (!ready) CpuRelax();\n"
+         "const char* s = \"asm(pause)\";\n",
+         "cpu-relax-via-common", 0),
+        ("src/common/cpu_relax.h",
+         "__builtin_ia32_pause();\n__asm__ __volatile__(\"yield\");\n",
+         "cpu-relax-via-common", 0),
         # no-naked-float-in-core: a bare float in src/core fires,
         ("src/core/fixture.cc",
          "float band = 0.0f;\n", "no-naked-float-in-core", 1),
