@@ -5,8 +5,7 @@
 //   1. best-index selection: volume/stretch vs angle minimization
 //      (the paper reports volume winning; Section 7.1),
 //   2. axis exclusion on/off (this library's extension of the paper's
-//      zero-parameter-axis remark),
-//   3. key-storage backend: sorted array vs order-statistic B+-tree.
+//      zero-parameter-axis remark).
 //
 // Flags: --n (default 200k), --runs.
 
@@ -40,28 +39,20 @@ int main(int argc, char** argv) {
     std::string name;
     IndexSetOptions::Selector selector;
     bool axis_exclusion;
-    PlanarIndexOptions::Backend backend;
   };
   const Config configs[] = {
-      {"interval-count + exclusion + array (default)",
-       IndexSetOptions::Selector::kIntervalCount, true,
-       PlanarIndexOptions::Backend::kSortedArray},
+      {"interval-count + exclusion (default)",
+       IndexSetOptions::Selector::kIntervalCount, true},
       {"stretch/volume selection (paper)",
-       IndexSetOptions::Selector::kStretch, true,
-       PlanarIndexOptions::Backend::kSortedArray},
-      {"angle selection (paper)", IndexSetOptions::Selector::kAngle, true,
-       PlanarIndexOptions::Backend::kSortedArray},
+       IndexSetOptions::Selector::kStretch, true},
+      {"angle selection (paper)", IndexSetOptions::Selector::kAngle, true},
       {"no axis exclusion (paper's intervals)",
-       IndexSetOptions::Selector::kIntervalCount, false,
-       PlanarIndexOptions::Backend::kSortedArray},
-      {"B+-tree backend", IndexSetOptions::Selector::kIntervalCount, true,
-       PlanarIndexOptions::Backend::kBTree},
+       IndexSetOptions::Selector::kIntervalCount, false},
   };
   for (const Config& config : configs) {
     IndexSetOptions options;
     options.selector = config.selector;
     options.index_options.enable_axis_exclusion = config.axis_exclusion;
-    options.index_options.backend = config.backend;
     PlanarIndexSet set = BuildEq18Set(data, rq, budget, options);
     Eq18Workload queries(set.phi(), rq, 0.25, /*seed=*/59);
     RunningStats pruning;

@@ -4,8 +4,7 @@
 //   13(a) index-construction time vs dimensionality, #index 1..100.
 //   13(b) memory consumption (MB) vs #index, per dimensionality.
 //   13(c) per-index update time (ms) when 1..25% of the points change,
-//         dimensions 6 and 10 — plus the B+-tree backend as the
-//         update-vs-query ablation of DESIGN.md §5.
+//         dimensions 6 and 10.
 //
 // Flags: --n (default 300k; --full = 1M), --runs.
 
@@ -25,14 +24,11 @@ namespace planar {
 namespace {
 
 // Measures the wall time of updating `fraction` of the points in a fresh
-// single index with the given backend; returns milliseconds.
-double MeasureUpdates(const Dataset& data, double fraction,
-                      PlanarIndexOptions::Backend backend) {
+// single index; returns milliseconds.
+double MeasureUpdates(const Dataset& data, double fraction) {
   PhiMatrix phi = MaterializePhi(data, IdentityFunction(data.dim()));
-  PlanarIndexOptions options;
-  options.backend = backend;
   std::vector<double> normal(data.dim(), 1.0);
-  auto index = PlanarIndex::BuildFirstOctant(&phi, normal, options);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, normal);
   PLANAR_CHECK(index.ok());
 
   const size_t updates =
@@ -115,34 +111,18 @@ int main(int argc, char** argv) {
 
   PrintHeader("Figure 13(c)",
               "per-index update time (ms) vs percentage of points updated; "
-              "n = " + std::to_string(n) +
-              " (sorted-array backend, as in the paper; the B+-tree "
-              "backend is this library's O(log n)-update ablation)");
+              "n = " + std::to_string(n));
   {
-    TablePrinter table({"% updated", "dim=6 array", "dim=10 array",
-                        "dim=6 btree", "dim=10 btree"});
+    TablePrinter table({"% updated", "dim=6", "dim=10"});
     const Dataset data6 =
         MakeSynthetic(SyntheticDistribution::kIndependent, n, 6);
     const Dataset data10 =
         MakeSynthetic(SyntheticDistribution::kIndependent, n, 10);
     for (double pct : {1.0, 5.0, 10.0, 25.0}) {
       const double fraction = pct / 100.0;
-      table.AddRow(
-          {FormatDouble(pct, 0),
-           FormatDouble(
-               MeasureUpdates(data6, fraction,
-                              PlanarIndexOptions::Backend::kSortedArray),
-               1),
-           FormatDouble(
-               MeasureUpdates(data10, fraction,
-                              PlanarIndexOptions::Backend::kSortedArray),
-               1),
-           FormatDouble(MeasureUpdates(data6, fraction,
-                                       PlanarIndexOptions::Backend::kBTree),
-                        1),
-           FormatDouble(MeasureUpdates(data10, fraction,
-                                       PlanarIndexOptions::Backend::kBTree),
-                        1)});
+      table.AddRow({FormatDouble(pct, 0),
+                    FormatDouble(MeasureUpdates(data6, fraction), 1),
+                    FormatDouble(MeasureUpdates(data10, fraction), 1)});
     }
     table.Print();
   }

@@ -2,7 +2,7 @@
 //
 // google-benchmark microbenchmarks of the core kernels: index build,
 // interval computation, inequality / top-k queries, best-index selection,
-// the sequential-scan baseline, and B+-tree operations.
+// the sequential-scan baseline, and point updates.
 
 #include <algorithm>
 #include <vector>
@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/synthetic_harness.h"
-#include "btree/btree.h"
 #include "common/random.h"
 #include "core/eytzinger.h"
 #include "core/planar_index.h"
@@ -164,34 +163,6 @@ BENCHMARK(BM_BoundarySearchEytzinger)
     ->Arg(1 << 20)
     ->Arg(1 << 22);
 
-void BM_BTreeInsert(benchmark::State& state) {
-  Rng rng(5);
-  for (auto _ : state) {
-    state.PauseTiming();
-    OrderStatisticBTree tree;
-    state.ResumeTiming();
-    for (int i = 0; i < state.range(0); ++i) {
-      tree.Insert(rng.NextDouble(), static_cast<uint32_t>(i));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_BTreeInsert)->Arg(10000)->Arg(100000);
-
-void BM_BTreeRankQuery(benchmark::State& state) {
-  Rng rng(6);
-  OrderStatisticBTree tree;
-  for (int i = 0; i < 1000000; ++i) {
-    tree.Insert(rng.NextDouble(), static_cast<uint32_t>(i));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree.CountLessEqual(rng.NextDouble()));
-  }
-}
-BENCHMARK(BM_BTreeRankQuery);
-
 void BM_PointUpdateArray(benchmark::State& state) {
   PhiMatrix phi = MakePhi(static_cast<size_t>(state.range(0)), 6);
   auto index = PlanarIndex::BuildFirstOctant(&phi,
@@ -207,24 +178,6 @@ void BM_PointUpdateArray(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointUpdateArray)->Arg(100000)->Arg(1000000);
-
-void BM_PointUpdateBTree(benchmark::State& state) {
-  PhiMatrix phi = MakePhi(static_cast<size_t>(state.range(0)), 6);
-  PlanarIndexOptions options;
-  options.backend = PlanarIndexOptions::Backend::kBTree;
-  auto index = PlanarIndex::BuildFirstOctant(
-      &phi, std::vector<double>(6, 1.0), options);
-  Rng rng(8);
-  std::vector<double> row(6);
-  for (auto _ : state) {
-    const uint32_t target =
-        static_cast<uint32_t>(rng.UniformInt(phi.size()));
-    for (double& v : row) v = rng.Uniform(1.0, 100.0);
-    phi.SetRow(target, row.data());
-    benchmark::DoNotOptimize(index->Update(target));
-  }
-}
-BENCHMARK(BM_PointUpdateBTree)->Arg(100000)->Arg(1000000);
 
 }  // namespace
 }  // namespace planar

@@ -255,18 +255,10 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     // begin-sorted interval list.
     BlockArgs args(intervals.size());
     const uint32_t* rank_ids = index.RankIds();
-    std::vector<uint32_t> scratch_ids;  // B+-tree: materialized per range
     std::vector<size_t> active;
     active.reserve(intervals.size());
     for (const MergedRange& range : ranges) {
-      const uint32_t* ids_base;
-      if (rank_ids != nullptr) {
-        ids_base = rank_ids + range.begin;
-      } else {
-        scratch_ids.clear();
-        index.CollectRange(range.begin, range.end, &scratch_ids);
-        ids_base = scratch_ids.data();
-      }
+      const uint32_t* ids_base = rank_ids + range.begin;
       stats.rows_streamed += range.end - range.begin;
       active.clear();
       size_t next = range.first;

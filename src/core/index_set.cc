@@ -404,21 +404,12 @@ Status PlanarIndexSet::AppendRows(const double* rows, size_t count) {
   return Status::OK();
 }
 
-Result<PlanarIndexSet> PlanarIndexSet::Clone() const {
-  for (const PlanarIndex& index : indices_) {
-    if (index.backend() == PlanarIndexOptions::Backend::kBTree) {
-      return Status::FailedPrecondition(
-          "Clone supports the sorted-array backend only; the B+-tree "
-          "node store is not copyable");
-    }
-  }
+PlanarIndexSet PlanarIndexSet::Clone() const {
   PlanarIndexSet copy(PhiMatrix(*phi_), options_);
   copy.rebuild_count_ = rebuild_count_;
   copy.indices_.reserve(indices_.size());
   for (const PlanarIndex& index : indices_) {
-    Result<PlanarIndex> cloned = index.CloneFor(copy.phi_.get());
-    if (!cloned.ok()) return cloned.status();
-    copy.indices_.push_back(std::move(cloned).value());
+    copy.indices_.push_back(index.CloneFor(copy.phi_.get()));
   }
   return copy;
 }

@@ -231,10 +231,8 @@ class PlanarIndexSet {
   /// Deep copy sharing no storage with this set, so the copy can take
   /// maintenance calls (AppendRows, UpdateRow) while the original keeps
   /// serving queries behind a Catalog snapshot — the clone step of the
-  /// ingest merge. Sorted-array backend only: fails with
-  /// kFailedPrecondition when any index uses the B+-tree backend, whose
-  /// node store is not copyable.
-  Result<PlanarIndexSet> Clone() const;
+  /// ingest merge.
+  PlanarIndexSet Clone() const;
 
   /// The owned phi matrix.
   const PhiMatrix& phi() const { return *phi_; }

@@ -78,16 +78,10 @@ Result<PlanarIndex> PlanarIndex::Build(const PhiMatrix* phi,
   if (options.epsilon_band < 0.0) {
     return Status::InvalidArgument("epsilon_band must be non-negative");
   }
-  if (options.payload_column >= 0) {
-    if (static_cast<size_t>(options.payload_column) >= phi->dim()) {
-      return Status::InvalidArgument(
-          "payload_column must name a phi matrix column");
-    }
-    if (options.backend == PlanarIndexOptions::Backend::kBTree) {
-      return Status::InvalidArgument(
-          "payload aggregates require the sorted-array backend (prefix "
-          "aggregates are keyed by the flat rank order)");
-    }
+  if (options.payload_column >= 0 &&
+      static_cast<size_t>(options.payload_column) >= phi->dim()) {
+    return Status::InvalidArgument(
+        "payload_column must name a phi matrix column");
   }
 
   PlanarIndex index;
@@ -145,61 +139,46 @@ void PlanarIndex::Rebuild() {
                              phi_->dim(), 0, n, key_shift_,
                              key_of_row_.data());
   }
-  std::vector<OrderStatisticBTree::Entry> entries(n);
+  std::vector<SortEntry> entries(n);
   for (size_t row = 0; row < n; ++row) {
     entries[row] = {key_of_row_[row], static_cast<uint32_t>(row)};
   }
   SortEntries(&entries, options_.build_threads);
 
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    keys_.resize(n);
-    ids_.resize(n);
-    for (size_t r = 0; r < n; ++r) {
-      keys_[r] = entries[r].key;
-      ids_[r] = entries[r].value;
-    }
-    tree_.Clear();
-  } else {
-    tree_.BuildFromSorted(entries);
-    keys_.clear();
-    keys_.shrink_to_fit();
-    ids_.clear();
-    ids_.shrink_to_fit();
+  keys_.resize(n);
+  ids_.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    keys_[r] = entries[r].key;
+    ids_[r] = entries[r].id;
   }
   RefreshSearchLayout();
 }
 
 void PlanarIndex::RefreshSearchLayout() {
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    eytz_.Build(keys_.data(), keys_.size());
-    if (options_.learned_cdf) {
-      // The learned CDF rides the same refresh cadence as the Eytzinger
-      // sidecar: any mutation of keys_ rebuilds it, so predictions are
-      // never stale. A fit over the error budget is discarded and every
-      // boundary search falls back to the exact descent.
-      LearnedCdf::Options cdf_options;
-      cdf_options.max_error_budget = kLearnedCdfMaxErrorBudget;
-      // Scale segments with n (~1024 ranks each, >= the default 256):
-      // a fixed segment count makes per-segment rank spans — and hence
-      // fit error — grow linearly with n, which busts the error budget
-      // exactly on the large arrays where the model pays off. ~24 bytes
-      // per segment keeps the sidecar under 0.1% of the key array.
-      cdf_options.max_segments =
-          std::max<size_t>(cdf_options.max_segments, keys_.size() / 1024);
-      cdf_.Build(keys_.data(), keys_.size(), cdf_options);
-    } else {
-      cdf_.Clear();
-    }
-    if (options_.payload_column >= 0) {
-      BuildPrefixAggregates(
-          phi_->data() + static_cast<size_t>(options_.payload_column),
-          phi_->dim(), ids_.data(), ids_.size(), &payload_prefix_);
-    } else {
-      payload_prefix_.Clear();
-    }
+  eytz_.Build(keys_.data(), keys_.size());
+  if (options_.learned_cdf) {
+    // The learned CDF rides the same refresh cadence as the Eytzinger
+    // sidecar: any mutation of keys_ rebuilds it, so predictions are
+    // never stale. A fit over the error budget is discarded and every
+    // boundary search falls back to the exact descent.
+    LearnedCdf::Options cdf_options;
+    cdf_options.max_error_budget = kLearnedCdfMaxErrorBudget;
+    // Scale segments with n (~1024 ranks each, >= the default 256):
+    // a fixed segment count makes per-segment rank spans — and hence
+    // fit error — grow linearly with n, which busts the error budget
+    // exactly on the large arrays where the model pays off. ~24 bytes
+    // per segment keeps the sidecar under 0.1% of the key array.
+    cdf_options.max_segments =
+        std::max<size_t>(cdf_options.max_segments, keys_.size() / 1024);
+    cdf_.Build(keys_.data(), keys_.size(), cdf_options);
   } else {
-    eytz_.Clear();
     cdf_.Clear();
+  }
+  if (options_.payload_column >= 0) {
+    BuildPrefixAggregates(
+        phi_->data() + static_cast<size_t>(options_.payload_column),
+        phi_->dim(), ids_.data(), ids_.size(), &payload_prefix_);
+  } else {
     payload_prefix_.Clear();
   }
 }
@@ -213,40 +192,37 @@ double PlanarIndex::RawKey(const double* phi_row) const {
 }
 
 size_t PlanarIndex::RankLessEqual(double key) const {
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    if (!cdf_.empty()) {
-      // Predict-then-probe (DESIGN.md 5k): the model predicts the
-      // upper-bound rank, a windowed std::upper_bound probes
-      // +/- (max_error + 2) ranks around it, and the O(1) validation
-      // below only accepts the globally-correct rank — keys_[r-1] <= key
-      // < keys_[r] with the array-edge cases — so a probe that clamped
-      // at its window edge (true rank outside the window), a NaN probe,
-      // or any model bug falls through to the exact descent. Answers are
-      // therefore identical to std::upper_bound by construction.
-      const double pred = cdf_.PredictRank(key);
-      const double w = static_cast<double>(cdf_.max_error() + 2);
-      const size_t n = keys_.size();
-      const size_t lo = pred > w ? static_cast<size_t>(pred - w) : 0;
-      const double hi_d = pred + w + 1.0;
-      const size_t hi =
-          hi_d >= static_cast<double>(n) ? n : static_cast<size_t>(hi_d);
-      if (lo < hi) {
-        const double* base = keys_.data();
-        const size_t r = static_cast<size_t>(
-            std::upper_bound(base + lo, base + hi, key) - base);
-        if ((r == 0 || base[r - 1] <= key) && (r == n || base[r] > key)) {
-          return r;
-        }
+  if (!cdf_.empty()) {
+    // Predict-then-probe (DESIGN.md 5k): the model predicts the
+    // upper-bound rank, a windowed std::upper_bound probes
+    // +/- (max_error + 2) ranks around it, and the O(1) validation
+    // below only accepts the globally-correct rank — keys_[r-1] <= key
+    // < keys_[r] with the array-edge cases — so a probe that clamped
+    // at its window edge (true rank outside the window), a NaN probe,
+    // or any model bug falls through to the exact descent. Answers are
+    // therefore identical to std::upper_bound by construction.
+    const double pred = cdf_.PredictRank(key);
+    const double w = static_cast<double>(cdf_.max_error() + 2);
+    const size_t n = keys_.size();
+    const size_t lo = pred > w ? static_cast<size_t>(pred - w) : 0;
+    const double hi_d = pred + w + 1.0;
+    const size_t hi =
+        hi_d >= static_cast<double>(n) ? n : static_cast<size_t>(hi_d);
+    if (lo < hi) {
+      const double* base = keys_.data();
+      const size_t r = static_cast<size_t>(
+          std::upper_bound(base + lo, base + hi, key) - base);
+      if ((r == 0 || base[r - 1] <= key) && (r == n || base[r] > key)) {
+        return r;
       }
     }
-    // Branchless Eytzinger descent with prefetch; small arrays (below
-    // kEytzingerMinKeys the sidecar is not materialized) keep the flat
-    // std::upper_bound, which is already cache-resident there.
-    if (!eytz_.empty()) return eytz_.UpperBound(key);
-    return static_cast<size_t>(
-        std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
   }
-  return tree_.CountLessEqual(key);
+  // Branchless Eytzinger descent with prefetch; small arrays (below
+  // kEytzingerMinKeys the sidecar is not materialized) keep the flat
+  // std::upper_bound, which is already cache-resident there.
+  if (!eytz_.empty()) return eytz_.UpperBound(key);
+  return static_cast<size_t>(
+      std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
 }
 
 bool PlanarIndex::CanServe(const NormalizedQuery& q) const {
@@ -408,15 +384,8 @@ Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
 void PlanarIndex::CollectRange(size_t begin, size_t end,
                                std::vector<uint32_t>* out) const {
   PLANAR_CHECK(begin <= end && end <= size());
-  out->reserve(out->size() + (end - begin));
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    for (size_t r = begin; r < end; ++r) out->push_back(ids_[r]);
-  } else {
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(begin);
-    for (size_t r = begin; r < end; ++r, it.Next()) {
-      out->push_back(it.entry().value);
-    }
-  }
+  out->insert(out->end(), ids_.begin() + static_cast<ptrdiff_t>(begin),
+              ids_.begin() + static_cast<ptrdiff_t>(end));
 }
 
 Result<InequalityResult> PlanarIndex::Inequality(
@@ -484,30 +453,13 @@ Result<InequalityResult> PlanarIndex::RunInequality(
   // residual computation, one compress-store append — no per-row branch,
   // no per-row clock read. An already-expired request still verifies
   // nothing (the first block polls before any work).
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    result.ids.insert(result.ids.end(),
-                      ids_.begin() + static_cast<ptrdiff_t>(accept_begin),
-                      ids_.begin() + static_cast<ptrdiff_t>(accept_end));
-    if (!VerifyCandidates(q, ids_.data() + smaller_end, ii_count, deadline,
-                          &result.ids)) {
-      return Status::DeadlineExceeded(
-          "inequality query exceeded its deadline during II verification");
-    }
-  } else {
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(accept_begin);
-    for (size_t r = accept_begin; r < accept_end; ++r, it.Next()) {
-      result.ids.push_back(it.entry().value);
-    }
-    // The B+-tree stores rank order behind node pointers: materialize the
-    // candidate ids once (O(|II|) leaf walk), then verify the flat array
-    // with the same batched kernels as the sorted-array backend.
-    std::vector<uint32_t> candidates;
-    CollectRange(smaller_end, larger_begin, &candidates);
-    if (!VerifyCandidates(q, candidates.data(), ii_count, deadline,
-                          &result.ids)) {
-      return Status::DeadlineExceeded(
-          "inequality query exceeded its deadline during II verification");
-    }
+  result.ids.insert(result.ids.end(),
+                    ids_.begin() + static_cast<ptrdiff_t>(accept_begin),
+                    ids_.begin() + static_cast<ptrdiff_t>(accept_end));
+  if (!VerifyCandidates(q, ids_.data() + smaller_end, ii_count, deadline,
+                        &result.ids)) {
+    return Status::DeadlineExceeded(
+        "inequality query exceeded its deadline during II verification");
   }
 
   result.stats.accepted_directly = accept_end - accept_begin;
@@ -678,18 +630,9 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
   const std::function<bool(size_t)> stop = [&](size_t done) {
     return ii_count - done <= allowed;
   };
-  bool completed;
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    completed =
-        CountCandidates(q, ids_.data() + smaller_end, ii_count, nullptr, 0,
-                        deadline, stop, &accepted, &resolved, &unused_sum);
-  } else {
-    std::vector<uint32_t> candidates;
-    CollectRange(smaller_end, larger_begin, &candidates);
-    completed = CountCandidates(q, candidates.data(), ii_count, nullptr, 0,
-                                deadline, stop, &accepted, &resolved,
-                                &unused_sum);
-  }
+  const bool completed =
+      CountCandidates(q, ids_.data() + smaller_end, ii_count, nullptr, 0,
+                      deadline, stop, &accepted, &resolved, &unused_sum);
   if (!completed) {
     return Status::DeadlineExceeded(
         "count query exceeded its deadline during II refinement");
@@ -910,86 +853,36 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
            lower_bound_distance(keys_[r]) > buffer.WorstDistance();
   };
 
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-      if (deadline.Expired()) return deadline_status;
-      const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
-      consider_block(ids_.data() + smaller_end + off, blk);
-    }
-    // Phase 2: walk the directly-accepted region from the query hyperplane
-    // outward, pruning with the lower-bound distance (lines 8-14).
-    if (le) {
-      for (size_t r = smaller_end; r-- > 0;) {
-        if (past_deadline()) return deadline_status;
-        if (terminate_at(r)) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        const uint32_t id = ids_[r];
-        buffer.Insert(id,
-                      std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-        ++result.stats.scanned_accept_region;
+  for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
+    if (deadline.Expired()) return deadline_status;
+    const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
+    consider_block(ids_.data() + smaller_end + off, blk);
+  }
+  // Phase 2: walk the directly-accepted region from the query hyperplane
+  // outward, pruning with the lower-bound distance (lines 8-14).
+  if (le) {
+    for (size_t r = smaller_end; r-- > 0;) {
+      if (past_deadline()) return deadline_status;
+      if (terminate_at(r)) {
+        result.stats.early_terminated = true;
+        break;
       }
-    } else {
-      for (size_t r = larger_begin; r < n; ++r) {
-        if (past_deadline()) return deadline_status;
-        if (terminate_at(r)) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        const uint32_t id = ids_[r];
-        buffer.Insert(id,
-                      std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-        ++result.stats.scanned_accept_region;
-      }
+      const uint32_t id = ids_[r];
+      buffer.Insert(id,
+                    std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
+      ++result.stats.scanned_accept_region;
     }
   } else {
-    // B+-tree: gather one block of candidate ids through the leaf cursor,
-    // then verify the block with the same batched kernels.
-    OrderStatisticBTree::Iterator it = tree_.IteratorAt(smaller_end);
-    uint32_t block_ids[kernels::kBlockRows];
-    for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-      if (deadline.Expired()) return deadline_status;
-      const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
-      for (size_t i = 0; i < blk; ++i, it.Next()) {
-        block_ids[i] = it.entry().value;
+    for (size_t r = larger_begin; r < n; ++r) {
+      if (past_deadline()) return deadline_status;
+      if (terminate_at(r)) {
+        result.stats.early_terminated = true;
+        break;
       }
-      consider_block(block_ids, blk);
-    }
-    if (le) {
-      if (smaller_end > 0) {
-        it = tree_.IteratorAt(smaller_end - 1);
-        while (it.Valid()) {
-          if (past_deadline()) return deadline_status;
-          const OrderStatisticBTree::Entry e = it.entry();
-          if (buffer.full() &&
-              lower_bound_distance(e.key) > buffer.WorstDistance()) {
-            result.stats.early_terminated = true;
-            break;
-          }
-          buffer.Insert(
-              e.value,
-              std::fabs(ResidualNormalized(q, phi_->row(e.value))) / norm_a);
-          ++result.stats.scanned_accept_region;
-          it.Prev();
-        }
-      }
-    } else {
-      it = tree_.IteratorAt(larger_begin);
-      while (it.Valid()) {
-        if (past_deadline()) return deadline_status;
-        const OrderStatisticBTree::Entry e = it.entry();
-        if (buffer.full() &&
-            lower_bound_distance(e.key) > buffer.WorstDistance()) {
-          result.stats.early_terminated = true;
-          break;
-        }
-        buffer.Insert(
-            e.value,
-            std::fabs(ResidualNormalized(q, phi_->row(e.value))) / norm_a);
-        ++result.stats.scanned_accept_region;
-        it.Next();
-      }
+      const uint32_t id = ids_[r];
+      buffer.Insert(id,
+                    std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
+      ++result.stats.scanned_accept_region;
     }
   }
 
@@ -1073,29 +966,21 @@ double PlanarIndex::CosAngle(const NormalizedQuery& q) const {
 }
 
 void PlanarIndex::EraseKey(double key, uint32_t row) {
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    size_t pos = static_cast<size_t>(
-        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-    while (pos < keys_.size() && keys_[pos] == key && ids_[pos] != row) ++pos;
-    PLANAR_CHECK(pos < keys_.size() && keys_[pos] == key && ids_[pos] == row);
-    keys_.erase(keys_.begin() + static_cast<ptrdiff_t>(pos));
-    ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(pos));
-  } else {
-    PLANAR_CHECK(tree_.Erase(key, row));
-  }
+  size_t pos = static_cast<size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  while (pos < keys_.size() && keys_[pos] == key && ids_[pos] != row) ++pos;
+  PLANAR_CHECK(pos < keys_.size() && keys_[pos] == key && ids_[pos] == row);
+  keys_.erase(keys_.begin() + static_cast<ptrdiff_t>(pos));
+  ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(pos));
 }
 
 void PlanarIndex::InsertKey(double key, uint32_t row) {
-  if (options_.backend == PlanarIndexOptions::Backend::kSortedArray) {
-    size_t pos = static_cast<size_t>(
-        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-    // Keep (key, id) order for determinism across backends.
-    while (pos < keys_.size() && keys_[pos] == key && ids_[pos] < row) ++pos;
-    keys_.insert(keys_.begin() + static_cast<ptrdiff_t>(pos), key);
-    ids_.insert(ids_.begin() + static_cast<ptrdiff_t>(pos), row);
-  } else {
-    tree_.Insert(key, row);
-  }
+  size_t pos = static_cast<size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+  // Keep (key, id) order so the result matches a full Rebuild.
+  while (pos < keys_.size() && keys_[pos] == key && ids_[pos] < row) ++pos;
+  keys_.insert(keys_.begin() + static_cast<ptrdiff_t>(pos), key);
+  ids_.insert(ids_.begin() + static_cast<ptrdiff_t>(pos), row);
 }
 
 bool PlanarIndex::Update(uint32_t row) {
@@ -1119,27 +1004,14 @@ bool PlanarIndex::UpdateBatch(const std::vector<uint32_t>& rows) {
     PLANAR_CHECK_LT(row, key_of_row_.size());
     if (!translator_.Covers(phi_->row(row))) return false;
   }
-  if (options_.backend == PlanarIndexOptions::Backend::kBTree) {
-    for (uint32_t row : rows) {
-      const double new_key = RawKey(phi_->row(row));
-      const double old_key = key_of_row_[row];
-      if (new_key == old_key) continue;
-      PLANAR_CHECK(tree_.Erase(old_key, row));
-      tree_.Insert(new_key, row);
-      key_of_row_[row] = new_key;
-    }
-    return true;
-  }
-  // Sorted array: recompute only the touched keys, then splice them back
-  // with one merge pass instead of re-sorting all n entries — compact the
-  // unchanged entries (O(n), stable, preserves rank order), sort the k
-  // fresh entries, and backward-merge the two sorted runs in place
-  // (O(n + k log k) total). The (key, id) tie order matches the full
-  // re-sort exactly, so the result is identical to a Rebuild
-  // (machine-checked by the UpdateBatchMatchesFullRebuild regression
-  // test).
+  // Recompute only the touched keys, then splice them back with one
+  // merge pass instead of re-sorting all n entries — compact the
+  // unchanged entries (O(n), stable, preserves rank order), then
+  // SpliceSorted (O(n + k log k) total). The result is identical to a
+  // Rebuild (machine-checked by the UpdateBatchMatchesFullRebuild
+  // regression test).
   const size_t n = key_of_row_.size();
-  std::vector<OrderStatisticBTree::Entry> fresh;
+  std::vector<SortEntry> fresh;
   fresh.reserve(rows.size());
   std::vector<unsigned char> changed(n, 0);
   for (uint32_t row : rows) {
@@ -1160,26 +1032,7 @@ bool PlanarIndex::UpdateBatch(const std::vector<uint32_t>& rows) {
     }
   }
   PLANAR_DCHECK(kept + fresh.size() == n);
-  SortEntries(&fresh, options_.build_threads);
-  size_t a = kept;          // end of the compacted unchanged run
-  size_t b = fresh.size();  // end of the fresh run
-  size_t out = n;           // write cursor, one past
-  while (b > 0) {
-    const OrderStatisticBTree::Entry& fb = fresh[b - 1];
-    if (a > 0 && (keys_[a - 1] > fb.key ||
-                  (keys_[a - 1] == fb.key && ids_[a - 1] > fb.value))) {
-      --a;
-      --out;
-      keys_[out] = keys_[a];
-      ids_[out] = ids_[a];
-    } else {
-      --b;
-      --out;
-      keys_[out] = fb.key;
-      ids_[out] = fb.value;
-    }
-  }
-  RefreshSearchLayout();
+  SpliceSorted(kept, &fresh);
   return true;
 }
 
@@ -1210,33 +1063,32 @@ bool PlanarIndex::AppendBatch(uint32_t first_row, size_t count) {
   kernels::Ops().dot_range(signed_normal_.data(), signed_normal_.size(),
                            phi_->data(), phi_->dim(), old_n, count,
                            key_shift_, key_of_row_.data() + old_n);
-  if (options_.backend == PlanarIndexOptions::Backend::kBTree) {
-    for (size_t i = 0; i < count; ++i) {
-      tree_.Insert(key_of_row_[old_n + i],
-                   static_cast<uint32_t>(old_n + i));
-    }
-    return true;
-  }
-  // Sorted array: sort the k fresh entries and backward-merge them into
-  // the existing run in place — the same O(n + k log k) splice UpdateBatch
-  // uses, with the existing run already compact (nothing was displaced).
-  // The (key, id) tie order matches a full re-sort, so the result is
-  // identical to a Rebuild (machine-checked by ingest_test and the
+  // The same O(n + k log k) splice UpdateBatch uses, with the existing
+  // run already compact (nothing was displaced). The result is identical
+  // to a Rebuild (machine-checked by ingest_test and the
   // update_batch_test append-then-update case).
-  std::vector<OrderStatisticBTree::Entry> fresh(count);
+  std::vector<SortEntry> fresh(count);
   for (size_t i = 0; i < count; ++i) {
     fresh[i] = {key_of_row_[old_n + i], static_cast<uint32_t>(old_n + i)};
   }
-  SortEntries(&fresh, options_.build_threads);
   keys_.resize(old_n + count);
   ids_.resize(old_n + count);
-  size_t a = old_n;         // end of the existing sorted run
-  size_t b = fresh.size();  // end of the fresh run
-  size_t out = old_n + count;  // write cursor, one past
+  SpliceSorted(old_n, &fresh);
+  return true;
+}
+
+void PlanarIndex::SpliceSorted(size_t kept, std::vector<SortEntry>* fresh) {
+  PLANAR_DCHECK(kept + fresh->size() == keys_.size());
+  // Sort the fresh entries, then backward-merge the two sorted runs in
+  // place. The (key, id) tie order matches a full re-sort exactly.
+  SortEntries(fresh, options_.build_threads);
+  size_t a = kept;           // end of the kept run
+  size_t b = fresh->size();  // end of the fresh run
+  size_t out = keys_.size();  // write cursor, one past
   while (b > 0) {
-    const OrderStatisticBTree::Entry& fb = fresh[b - 1];
+    const SortEntry& fb = (*fresh)[b - 1];
     if (a > 0 && (keys_[a - 1] > fb.key ||
-                  (keys_[a - 1] == fb.key && ids_[a - 1] > fb.value))) {
+                  (keys_[a - 1] == fb.key && ids_[a - 1] > fb.id))) {
       --a;
       --out;
       keys_[out] = keys_[a];
@@ -1245,19 +1097,13 @@ bool PlanarIndex::AppendBatch(uint32_t first_row, size_t count) {
       --b;
       --out;
       keys_[out] = fb.key;
-      ids_[out] = fb.value;
+      ids_[out] = fb.id;
     }
   }
   RefreshSearchLayout();
-  return true;
 }
 
-Result<PlanarIndex> PlanarIndex::CloneFor(const PhiMatrix* phi) const {
-  if (options_.backend == PlanarIndexOptions::Backend::kBTree) {
-    return Status::FailedPrecondition(
-        "CloneFor supports the sorted-array backend only; the B+-tree "
-        "node store is not copyable");
-  }
+PlanarIndex PlanarIndex::CloneFor(const PhiMatrix* phi) const {
   PLANAR_CHECK(phi != nullptr);
   PLANAR_CHECK_EQ(phi->size(), phi_->size());
   PlanarIndex copy;
@@ -1287,9 +1133,6 @@ size_t PlanarIndex::MemoryUsage() const {
   total += payload_prefix_.MemoryUsage();
   total += key_of_row_.capacity() * sizeof(double);
   total += (normal_.capacity() + signed_normal_.capacity()) * sizeof(double);
-  if (options_.backend == PlanarIndexOptions::Backend::kBTree) {
-    total += tree_.MemoryUsage();
-  }
   return total;
 }
 

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
 #include "common/deadline.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -33,6 +32,7 @@
 #include "core/eytzinger.h"
 #include "core/query.h"
 #include "core/row_matrix.h"
+#include "core/sort_util.h"
 #include "core/topk.h"
 #include "core/translation.h"
 #include "geometry/octant.h"
@@ -142,13 +142,6 @@ struct TopKResult {
 
 /// Construction options for a Planar index.
 struct PlanarIndexOptions {
-  /// Key storage backend.
-  enum class Backend {
-    kSortedArray,  ///< immutable-friendly; O(n) point updates, fastest scans
-    kBTree,        ///< order-statistic B+-tree; O(log n) point updates
-  };
-  Backend backend = Backend::kSortedArray;
-
   /// Translation slack (see Translator::Options).
   Translator::Options translation;
 
@@ -183,8 +176,8 @@ struct PlanarIndexOptions {
   /// matrix columns, or -1 (the default) for no payload. When set, every
   /// RefreshSearchLayout rebuilds rank-ordered prefix-aggregate arrays
   /// (core/aggregate.h) over that column, and AggregateInequality
-  /// answers O(log n) SUM bounds / exact refined sums. Sorted-array
-  /// backend only; not serialized (a loaded set must be reconfigured).
+  /// answers O(log n) SUM bounds / exact refined sums. Not serialized
+  /// (a loaded set must be reconfigured).
   int payload_column = -1;
 
   /// Build/Rebuild parallelism (1 = serial, 0 = hardware concurrency,
@@ -282,8 +275,7 @@ class PlanarIndex {
   /// the total absolute payload. Refinement streams the II exactly like
   /// CountInequality, accumulating accepted payloads in canonical
   /// blocked summation — deterministic for a fixed index state. Fails
-  /// with FailedPrecondition when no payload column is configured or the
-  /// backend is not the sorted array.
+  /// with FailedPrecondition when no payload column is configured.
   Result<AggregateResult> AggregateInequality(
       const ScalarProductQuery& q,
       const CountTolerance& tolerance = CountTolerance()) const;
@@ -292,12 +284,12 @@ class PlanarIndex {
                                               const Deadline& deadline) const;
 
   /// True when a payload column is configured and its prefix aggregates
-  /// are live (sorted-array backend).
+  /// are live.
   bool has_payload() const { return !payload_prefix_.empty(); }
 
   /// The learned-CDF sidecar (empty when options_.learned_cdf is off,
-  /// the backend is the B+-tree, the key array is too small, or the fit
-  /// blew the error budget). Exposed for tests and benches.
+  /// the key array is too small, or the fit blew the error budget).
+  /// Exposed for tests and benches.
   const LearnedCdf& learned_cdf() const { return cdf_; }
 
   /// Problem 2: the k satisfying points nearest to the query hyperplane.
@@ -323,16 +315,10 @@ class PlanarIndex {
                     std::vector<uint32_t>* out) const;
 
   /// Zero-copy view of the rank-ordered row ids (RankIds()[r] = row with
-  /// rank r) on the sorted-array backend, or nullptr on the B+-tree
-  /// backend (whose rank order lives behind node pointers — use
-  /// CollectRange there). The batched execution layer (core/batch.cc)
-  /// streams coalesced candidate ranges straight off this array.
-  /// Invalidated by any maintenance call.
-  const uint32_t* RankIds() const {
-    return options_.backend == PlanarIndexOptions::Backend::kSortedArray
-               ? ids_.data()
-               : nullptr;
-  }
+  /// rank r). The batched execution layer (core/batch.cc) streams
+  /// coalesced candidate ranges straight off this array. Invalidated by
+  /// any maintenance call.
+  const uint32_t* RankIds() const { return ids_.data(); }
 
   /// A human-inspectable account of how this index would process `q`:
   /// thresholds, interval boundaries, exclusion decisions, and the exact
@@ -376,8 +362,7 @@ class PlanarIndex {
   bool Update(uint32_t row);
 
   /// Maintenance: the given rows of the phi matrix were overwritten.
-  /// O(k log n) on the B+-tree backend; on the sorted-array backend the
-  /// k touched entries are recomputed, sorted, and merged back in one
+  /// The k touched entries are recomputed, sorted, and merged back in one
   /// O(n + k log k) pass (identical result to a full Rebuild). Returns
   /// false when any new row escapes the translation bounds — the caller
   /// must Rebuild() before querying again.
@@ -391,9 +376,8 @@ class PlanarIndex {
   /// starting at row `first_row`, which must equal the pre-append size.
   /// The appended analogue of UpdateBatch: the new keys are computed with
   /// one batched kernel call, sorted through SortEntries, and backward-
-  /// merged into the sorted run in place — O(n + k log k) on the
-  /// sorted-array backend (O(k log n) tree inserts on the B+-tree), with
-  /// a result identical to a full Rebuild. This is the merge path of the
+  /// merged into the sorted run in place — O(n + k log k), with a result
+  /// identical to a full Rebuild. This is the merge path of the
   /// ingest subsystem (src/ingest). Returns false when any new row
   /// escapes the translation bounds — the caller must Rebuild() before
   /// querying again.
@@ -407,9 +391,8 @@ class PlanarIndex {
   /// copy shares no storage with the original, so one side can keep
   /// serving queries while the other takes maintenance calls — the MVCC
   /// snapshot-clone step of the ingest merge path (clone the installed
-  /// set, AppendBatch the delta, install the result). Sorted-array
-  /// backend only: the B+-tree's node store is not copyable.
-  Result<PlanarIndex> CloneFor(const PhiMatrix* phi) const;
+  /// set, AppendBatch the delta, install the result).
+  PlanarIndex CloneFor(const PhiMatrix* phi) const;
 
   /// The mirrored-space normal (all entries > 0).
   const std::vector<double>& normal() const { return normal_; }
@@ -421,8 +404,6 @@ class PlanarIndex {
   size_t size() const { return key_of_row_.size(); }
   /// The key <c, psi(x)> of a row.
   double KeyOf(uint32_t row) const { return key_of_row_[row]; }
-  /// The backend in use.
-  PlanarIndexOptions::Backend backend() const { return options_.backend; }
 
   /// Heap footprint of the index structure in bytes (excludes the shared
   /// phi matrix).
@@ -455,8 +436,11 @@ class PlanarIndex {
   size_t RankLessEqual(double key) const;
   void EraseKey(double key, uint32_t row);
   void InsertKey(double key, uint32_t row);
-  // Rebuilds the Eytzinger sidecar from keys_ after any mutation of the
-  // sorted-array backend (no-op on the B+-tree backend).
+  // keys_/ids_ hold a sorted run in [0, kept) and room for `fresh` after
+  // it: sorts `fresh`, merges it in, and refreshes the sidecars.
+  void SpliceSorted(size_t kept, std::vector<SortEntry>* fresh);
+  // Rebuilds the search and aggregate sidecars from keys_/ids_ after any
+  // mutation of the sorted arrays.
   void RefreshSearchLayout();
   Result<InequalityResult> RunInequality(const NormalizedQuery& q,
                                          const Deadline& deadline) const;
@@ -482,8 +466,7 @@ class PlanarIndex {
   Result<TopKResult> RunTopK(const NormalizedQuery& q, size_t k,
                              const Deadline& deadline) const;
   // Verifies the candidate ids (block-batched kernels, one deadline poll
-  // per block) and appends accepted ids to *out in candidate order. For
-  // the B+-tree backend the caller materializes candidate ids first.
+  // per block) and appends accepted ids to *out in candidate order.
   // Returns false iff the deadline expired mid-verification.
   bool VerifyCandidates(const NormalizedQuery& q, const uint32_t* ids,
                         size_t count, const Deadline& deadline,
@@ -496,9 +479,9 @@ class PlanarIndex {
   std::vector<double> signed_normal_;  // sign(O, i) * normal_[i]
   double key_shift_ = 0.0;             // sum_i normal_[i] * delta_i
 
-  // Sorted-array backend. keys_/ids_ stay the source of truth for II
-  // range scans, serialization, and maintenance; eytz_ is a read-only
-  // search sidecar rebuilt whenever they change.
+  // The sorted key list. keys_/ids_ are the source of truth for II range
+  // scans, serialization, and maintenance; eytz_ is a read-only search
+  // sidecar rebuilt whenever they change.
   std::vector<double> keys_;    // ascending
   std::vector<uint32_t> ids_;   // ids_[r] = row with rank r
   EytzingerKeys eytz_;          // branchless SI/LI boundary search
@@ -508,11 +491,9 @@ class PlanarIndex {
   // authority (every probe is validated, every estimate bounded).
   LearnedCdf cdf_;
   // Rank-ordered prefix aggregates over the payload column (empty unless
-  // options_.payload_column >= 0 on the sorted-array backend). Rebuilt
+  // options_.payload_column >= 0). Rebuilt
   // with the search layout by the canonical helper (core/aggregate.h).
   PrefixAggregates payload_prefix_;
-  // B+-tree backend.
-  OrderStatisticBTree tree_;
 
   std::vector<double> key_of_row_;  // by row id
 };

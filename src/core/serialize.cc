@@ -7,6 +7,7 @@
 #include <cstring>
 #include <iterator>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,10 @@ namespace {
 
 constexpr char kMagicV1[8] = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '1'};
 constexpr char kMagicV2[8] = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '2'};
+
+// Octant ids are one bit per axis in a u64, so no saved set has more
+// phi dimensions than this.
+constexpr uint64_t kMaxDim = 64;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -62,6 +67,7 @@ class ByteReader {
   bool ReadValue(T* out) {
     return Read(out, sizeof(T));
   }
+  size_t remaining() const { return remaining_; }
 
  private:
   const unsigned char* data_;
@@ -72,7 +78,10 @@ class ByteReader {
 struct OptionsRecord {
   uint64_t budget;
   uint32_t selector;
-  uint32_t backend;
+  // Once the key-storage backend (0 = sorted array, 1 = B+-tree). Always
+  // written as 0; both values load onto the sorted array, since answers
+  // never depended on the backend.
+  uint32_t legacy_backend;
   double dedup_tolerance;
   uint64_t seed;
   uint64_t max_attempts_per_index;
@@ -86,7 +95,7 @@ OptionsRecord PackOptions(const IndexSetOptions& o) {
   OptionsRecord r{};
   r.budget = o.budget;
   r.selector = static_cast<uint32_t>(o.selector);
-  r.backend = static_cast<uint32_t>(o.index_options.backend);
+  r.legacy_backend = 0;
   r.dedup_tolerance = o.dedup_tolerance;
   r.seed = o.seed;
   r.max_attempts_per_index = o.max_attempts_per_index;
@@ -96,12 +105,22 @@ OptionsRecord PackOptions(const IndexSetOptions& o) {
   return r;
 }
 
-IndexSetOptions UnpackOptions(const OptionsRecord& r) {
+Result<IndexSetOptions> UnpackOptions(const OptionsRecord& r,
+                                      const std::string& path) {
+  if (r.selector > static_cast<uint32_t>(
+                       IndexSetOptions::Selector::kIntervalCount)) {
+    return Status::InvalidArgument("unknown selector " +
+                                   std::to_string(r.selector) + " in '" +
+                                   path + "'");
+  }
+  if (r.legacy_backend > 1) {
+    return Status::InvalidArgument("unknown backend " +
+                                   std::to_string(r.legacy_backend) +
+                                   " in '" + path + "'");
+  }
   IndexSetOptions o;
   o.budget = r.budget;
   o.selector = static_cast<IndexSetOptions::Selector>(r.selector);
-  o.index_options.backend =
-      static_cast<PlanarIndexOptions::Backend>(r.backend);
   o.dedup_tolerance = r.dedup_tolerance;
   o.seed = r.seed;
   o.max_attempts_per_index = r.max_attempts_per_index;
@@ -129,8 +148,9 @@ Result<std::vector<unsigned char>> ReadWholeFile(const std::string& path) {
 }
 
 // Parses the payload (everything after the version header) and rebuilds
-// the set. `options_override`, when non-null, replaces the stored
-// backend/tuning knobs.
+// the set. `options_override`, when non-null, replaces the stored tuning
+// knobs. Every count read from the file is bounded by the bytes left
+// before anything is allocated for it.
 Result<PlanarIndexSet> ParsePayload(ByteReader reader,
                                     const std::string& path,
                                     const IndexSetOptions* options_override) {
@@ -138,18 +158,23 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
   uint64_t dim = 0;
   uint64_t n = 0;
   if (!reader.ReadValue(&options_record) || !reader.ReadValue(&dim) ||
-      !reader.ReadValue(&n) || dim == 0 || dim > 1u << 20) {
+      !reader.ReadValue(&n) || dim == 0 || dim > kMaxDim) {
     return Status::InvalidArgument("corrupt header in '" + path + "'");
   }
-  const IndexSetOptions options = options_override != nullptr
-                                      ? *options_override
-                                      : UnpackOptions(options_record);
+  PLANAR_ASSIGN_OR_RETURN(const IndexSetOptions stored,
+                          UnpackOptions(options_record, path));
+  const IndexSetOptions& options =
+      options_override != nullptr ? *options_override : stored;
 
+  const size_t row_bytes = sizeof(double) * dim;
+  if (n > reader.remaining() / row_bytes) {
+    return Status::InvalidArgument("truncated phi data in '" + path + "'");
+  }
   PhiMatrix phi(dim);
   phi.Reserve(n);
   std::vector<double> row(dim);
   for (uint64_t i = 0; i < n; ++i) {
-    if (!reader.Read(row.data(), sizeof(double) * dim)) {
+    if (!reader.Read(row.data(), row_bytes)) {
       return Status::InvalidArgument("truncated phi data in '" + path + "'");
     }
     phi.AppendRow(row.data());
@@ -158,13 +183,17 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
   if (!reader.ReadValue(&num_indices) || num_indices == 0) {
     return Status::InvalidArgument("no indices in '" + path + "'");
   }
+  if (num_indices > reader.remaining() / (sizeof(uint64_t) + row_bytes)) {
+    return Status::InvalidArgument("truncated index table in '" + path +
+                                   "'");
+  }
   std::vector<std::pair<std::vector<double>, Octant>> definitions;
   definitions.reserve(num_indices);
   for (uint64_t i = 0; i < num_indices; ++i) {
     uint64_t octant_bits = 0;
     std::vector<double> normal(dim);
     if (!reader.ReadValue(&octant_bits) ||
-        !reader.Read(normal.data(), sizeof(double) * dim)) {
+        !reader.Read(normal.data(), row_bytes)) {
       return Status::InvalidArgument("truncated index table in '" + path +
                                      "'");
     }
@@ -199,6 +228,11 @@ Status SaveIndexSet(const PlanarIndexSet& set, const std::string& path) {
   const uint64_t dim = phi.dim();
   const uint64_t n = phi.size();
   const uint64_t num_indices = set.num_indices();
+  if (dim > kMaxDim) {
+    return Status::InvalidArgument(
+        "cannot save a set with more than " + std::to_string(kMaxDim) +
+        " phi dimensions (octant ids are 64-bit)");
+  }
 
   ByteWriter payload;
   payload.AppendValue(PackOptions(set.options()));

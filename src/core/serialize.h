@@ -4,7 +4,7 @@
 // matrix, the options, and every index's normal and octant; the sorted
 // key structures are rebuilt on load (index construction is loglinear
 // and fast, so this keeps the format small, versionable, and immune to
-// backend/layout changes).
+// layout changes).
 //
 // Format v2 (little-endian):
 //   magic "PLNRIDX2" | crc32 (u32, over the payload) | payload size (u64) |
@@ -28,17 +28,20 @@
 namespace planar {
 
 /// Writes the set (matrix + index definitions) to `path` in format v2.
+/// Fails with kInvalidArgument, before opening the file, when the set has
+/// more than 64 phi dimensions (octant ids are stored as 64-bit masks).
 Status SaveIndexSet(const PlanarIndexSet& set, const std::string& path);
 
 /// Reads a set written by SaveIndexSet and rebuilds its indices with the
 /// options stored in the file. Fails with kDataLoss when a v2 checksum
-/// does not match (truncation, bit flips).
+/// does not match (truncation, bit flips), and with kInvalidArgument when
+/// a field is out of range or a count exceeds the bytes present.
 Result<PlanarIndexSet> LoadIndexSet(const std::string& path);
 
-/// Same, but `options` overrides the stored backend/tuning knobs when
-/// non-null: the indices are rebuilt with *options instead of the
-/// persisted record (e.g. load a sorted-array snapshot onto the B+-tree
-/// backend). Passing nullptr is identical to the single-argument form.
+/// Same, but `options` overrides the stored tuning knobs when non-null:
+/// the indices are rebuilt with *options instead of the persisted record
+/// (e.g. load a snapshot with axis exclusion switched off). Passing
+/// nullptr is identical to the single-argument form.
 Result<PlanarIndexSet> LoadIndexSet(const std::string& path,
                                     const IndexSetOptions* options);
 

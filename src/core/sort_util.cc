@@ -14,15 +14,13 @@ namespace planar {
 
 namespace {
 
-using Entry = OrderStatisticBTree::Entry;
-
 /// Widest radix digit: 2048 four-byte buckets (8 KiB) stay L1-resident
 /// while a pass scatters.
 constexpr int kMaxDigitBits = 11;
 
 }  // namespace
 
-void SortEntries(std::vector<Entry>* entries, size_t threads) {
+void SortEntries(std::vector<SortEntry>* entries, size_t threads) {
   PLANAR_CHECK(entries != nullptr);
   const size_t n = entries->size();
   if (threads == 0) {
@@ -57,9 +55,9 @@ void SortEntries(std::vector<Entry>* entries, size_t threads) {
   // independent ranges, so rounds parallelize over run pairs. An odd
   // trailing run is copied through so the source of the next round is
   // always the destination buffer of this one.
-  std::vector<Entry> scratch(n);
-  Entry* src = entries->data();
-  Entry* dst = scratch.data();
+  std::vector<SortEntry> scratch(n);
+  SortEntry* src = entries->data();
+  SortEntry* dst = scratch.data();
   while (bounds.size() > 2) {
     const size_t runs = bounds.size() - 1;
     const size_t pairs = runs / 2;

@@ -36,13 +36,21 @@
 #ifndef PLANAR_CORE_SORT_UTIL_H_
 #define PLANAR_CORE_SORT_UTIL_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "btree/btree.h"
-
 namespace planar {
+
+/// One (key, row id) pair of an index's sorted key list, ordered
+/// lexicographically by (key, id).
+struct SortEntry {
+  double key;
+  uint32_t id;
+
+  friend auto operator<=>(const SortEntry&, const SortEntry&) = default;
+};
 
 /// Entries below this count are sorted serially regardless of `threads`;
 /// shard spawn/merge overhead exceeds the sort itself.
@@ -52,8 +60,7 @@ inline constexpr size_t kParallelSortMinEntries = 1u << 14;
 /// ThreadPool::ParallelFor width convention: 1 = serial (the default), 0 = hardware
 /// concurrency, n = at most n threads. The result is identical to
 /// std::sort for every thread count.
-void SortEntries(std::vector<OrderStatisticBTree::Entry>* entries,
-                 size_t threads = 1);
+void SortEntries(std::vector<SortEntry>* entries, size_t threads = 1);
 
 /// Sorts `ids` ascending in time linear in ids->size() (plus at most
 /// 3 * 2048 buckets). Every id must be below `bound` (checked); the

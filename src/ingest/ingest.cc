@@ -49,13 +49,6 @@ Status IngestManager::Manage(const std::string& target) {
   if (base == nullptr) {
     return Status::NotFound("no catalog entry named '" + target + "'");
   }
-  for (size_t i = 0; i < base->num_indices(); ++i) {
-    if (base->index(i).backend() == PlanarIndexOptions::Backend::kBTree) {
-      return Status::FailedPrecondition(
-          "ingest requires the sorted-array backend (the merge clone "
-          "cannot copy the B+-tree node store)");
-    }
-  }
   auto shard = std::make_unique<Shard>(target);
   shard->dim = base->phi().dim();
   Shard* raw = shard.get();
@@ -373,13 +366,11 @@ void IngestManager::MergerLoop(Shard* shard) {
     // snapshotted under the lock, so concurrent appends (which only
     // extend past `drain`) cannot race this read.
     WallTimer merge_timer;
-    Result<PlanarIndexSet> merged = view->base->Clone();
-    PLANAR_CHECK(merged.ok());  // Manage() validated the backend
-    const Status appended =
-        merged.value().AppendRows(view->delta->data(), drain);
+    PlanarIndexSet merged = view->base->Clone();
+    const Status appended = merged.AppendRows(view->delta->data(), drain);
     PLANAR_CHECK(appended.ok());
     const Catalog::SetPtr installed =
-        catalog_->Install(shard->name, std::move(merged).value());
+        catalog_->Install(shard->name, std::move(merged));
     // Account the merge before waking flushers so a caller returning
     // from Flush() observes the bumped counters.
     // relaxed-ok: monotone monitoring counter; nothing orders on it.

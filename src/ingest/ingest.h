@@ -75,9 +75,8 @@ class IngestManager final : public IngestBackend {
 
   /// Puts the existing catalog entry `target` under ingest management
   /// and starts its merger. Fails with kNotFound (no such entry),
-  /// kFailedPrecondition (an index uses the B+-tree backend, which the
-  /// merge clone cannot copy — or `target` is already managed), or
-  /// kUnavailable (after Stop()).
+  /// kFailedPrecondition (`target` is already managed), or kUnavailable
+  /// (after Stop()).
   Status Manage(const std::string& target) PLANAR_EXCLUDES(mu_);
 
   /// Forces a merge of everything appended before the call and waits

@@ -198,15 +198,6 @@ TEST(AggregateInequalityTest, FailsWithoutPayloadColumn) {
   EXPECT_EQ(agg.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(AggregateInequalityTest, BuildRejectsPayloadOnBTreeBackend) {
-  PhiMatrix phi = RandomPhi(500, 2, 1.0, 100.0, 5);
-  PlanarIndexOptions options;
-  options.backend = PlanarIndexOptions::Backend::kBTree;
-  options.payload_column = 0;
-  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
-  EXPECT_EQ(index.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(AggregateInequalityTest, BuildRejectsOutOfRangePayloadColumn) {
   PhiMatrix phi = RandomPhi(500, 2, 1.0, 100.0, 5);
   PlanarIndexOptions options;

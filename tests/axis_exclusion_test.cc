@@ -142,22 +142,17 @@ TEST(AxisExclusionTest, TopKUnaffectedByExclusion) {
 
 TEST(CollectRangeTest, ReturnsRankOrderedIds) {
   PhiMatrix phi = RowMatrix::FromRowMajor(1, {5.0, 1.0, 3.0, 2.0, 4.0});
-  for (auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                       PlanarIndexOptions::Backend::kBTree}) {
-    PlanarIndexOptions options;
-    options.backend = backend;
-    auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0}, options);
-    ASSERT_TRUE(index.ok());
-    std::vector<uint32_t> ids;
-    index->CollectRange(0, 5, &ids);
-    EXPECT_EQ(ids, (std::vector<uint32_t>{1, 3, 2, 4, 0}));
-    ids.clear();
-    index->CollectRange(1, 3, &ids);
-    EXPECT_EQ(ids, (std::vector<uint32_t>{3, 2}));
-    ids.clear();
-    index->CollectRange(2, 2, &ids);
-    EXPECT_TRUE(ids.empty());
-  }
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0});
+  ASSERT_TRUE(index.ok());
+  std::vector<uint32_t> ids;
+  index->CollectRange(0, 5, &ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{1, 3, 2, 4, 0}));
+  ids.clear();
+  index->CollectRange(1, 3, &ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{3, 2}));
+  ids.clear();
+  index->CollectRange(2, 2, &ids);
+  EXPECT_TRUE(ids.empty());
 }
 
 TEST(CollectRangeTest, IntervalsPlusCollectEqualsInequality) {

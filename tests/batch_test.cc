@@ -3,7 +3,7 @@
 // PlanarIndexSet::BatchInequality contract tests. The batch path promises
 // answers bit-identical to the serial deadline-aware Inequality for every
 // query — same ids in the same order, same statistics, same statuses —
-// for any mix of directions, backends, and batch sizes, so most tests
+// for any mix of directions and batch sizes, so most tests
 // here run both paths and compare field by field.
 
 #include <cstdint>
@@ -84,33 +84,25 @@ TEST(BatchInequalityTest, EmptyBatch) {
   EXPECT_DOUBLE_EQ(stats.RowsSharedPerQuery(), 0.0);
 }
 
-TEST(BatchInequalityTest, BitIdenticalAcrossDimsAndBackends) {
+TEST(BatchInequalityTest, BitIdenticalAcrossDims) {
   for (size_t dim = 1; dim <= 8; ++dim) {
-    for (auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                         PlanarIndexOptions::Backend::kBTree}) {
-      IndexSetOptions options = BatchTestOptions(5);
-      options.index_options.backend = backend;
-      auto set = PlanarIndexSet::Build(
-          RandomPhi(400, dim, 1.0, 100.0, 100 + dim),
-          PositiveDomains(dim, 1.0, 8.0), options);
-      ASSERT_TRUE(set.ok()) << set.status().ToString();
-      Rng rng(200 + dim);
-      for (size_t m : {size_t{1}, size_t{4}, size_t{17}}) {
-        std::vector<ScalarProductQuery> queries(m);
-        for (ScalarProductQuery& q : queries) {
-          q.a.resize(dim);
-          for (double& v : q.a) v = rng.Uniform(1.0, 8.0);
-          q.b = rng.Uniform(50.0, 100.0 * static_cast<double>(dim) * 4.0);
-          q.cmp = rng.NextDouble() < 0.5 ? Comparison::kLessEqual
-                                         : Comparison::kGreaterEqual;
-        }
-        ExpectBatchMatchesSerial(
-            *set, queries,
-            "dim=" + std::to_string(dim) + " backend=" +
-                (backend == PlanarIndexOptions::Backend::kBTree ? "btree"
-                                                                : "array") +
-                " m=" + std::to_string(m));
+    auto set = PlanarIndexSet::Build(
+        RandomPhi(400, dim, 1.0, 100.0, 100 + dim),
+        PositiveDomains(dim, 1.0, 8.0), BatchTestOptions(5));
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    Rng rng(200 + dim);
+    for (size_t m : {size_t{1}, size_t{4}, size_t{17}}) {
+      std::vector<ScalarProductQuery> queries(m);
+      for (ScalarProductQuery& q : queries) {
+        q.a.resize(dim);
+        for (double& v : q.a) v = rng.Uniform(1.0, 8.0);
+        q.b = rng.Uniform(50.0, 100.0 * static_cast<double>(dim) * 4.0);
+        q.cmp = rng.NextDouble() < 0.5 ? Comparison::kLessEqual
+                                       : Comparison::kGreaterEqual;
       }
+      ExpectBatchMatchesSerial(
+          *set, queries,
+          "dim=" + std::to_string(dim) + " m=" + std::to_string(m));
     }
   }
 }

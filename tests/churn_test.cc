@@ -1,9 +1,9 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Sustained-churn property test: long random interleavings of point
-// updates, batch updates, appends, and queries on both backends must
-// remain exactly scan-equivalent throughout, including after transparent
-// rebuilds triggered by translation escapes.
+// updates, batch updates, appends, and queries must remain exactly
+// scan-equivalent throughout, including after transparent rebuilds
+// triggered by translation escapes.
 
 #include <algorithm>
 
@@ -18,7 +18,6 @@ namespace planar {
 namespace {
 
 struct ChurnParams {
-  PlanarIndexOptions::Backend backend;
   double escape_probability;  // updates escaping the translation margin
   uint64_t seed;
 };
@@ -35,7 +34,6 @@ TEST_P(ChurnTest, LongInterleavingStaysScanEquivalent) {
   }
   IndexSetOptions options;
   options.budget = 5;
-  options.index_options.backend = p.backend;
   auto set = PlanarIndexSet::Build(
       std::move(initial), std::vector<ParameterDomain>(3, {1.0, 6.0}),
       options);
@@ -80,11 +78,7 @@ TEST_P(ChurnTest, LongInterleavingStaysScanEquivalent) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, ChurnTest,
-    ::testing::Values(
-        ChurnParams{PlanarIndexOptions::Backend::kSortedArray, 0.0, 1},
-        ChurnParams{PlanarIndexOptions::Backend::kSortedArray, 0.05, 2},
-        ChurnParams{PlanarIndexOptions::Backend::kBTree, 0.0, 3},
-        ChurnParams{PlanarIndexOptions::Backend::kBTree, 0.05, 4}));
+    ::testing::Values(ChurnParams{0.0, 1}, ChurnParams{0.05, 2}));
 
 }  // namespace
 }  // namespace planar

@@ -126,47 +126,22 @@ TEST(DeadlineMidVerificationTest, ShortDeadlineCancelsScanMidway) {
 TEST(DeadlineMidVerificationTest, ShortDeadlineCancelsIndexMidII) {
   // A query whose per-axis ratio spread makes the intermediate interval
   // cover nearly the whole dataset, so verification dominates.
-  for (const auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                             PlanarIndexOptions::Backend::kBTree}) {
-    PlanarIndexOptions options;
-    options.backend = backend;
-    options.enable_axis_exclusion = false;
-    PhiMatrix phi = RandomPhi(300000, 2, 0.0, 100.0, 12);
-    auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
-    ASSERT_TRUE(index.ok());
-    ScalarProductQuery q;
-    q.a = {1.0, 1000.0};
-    q.b = 100.0 * 1000.0 / 2.0;
-    const NormalizedQuery nq = NormalizedQuery::From(q);
-    auto intervals = index->ComputeIntervals(nq);
-    ASSERT_TRUE(intervals.ok());
-    ASSERT_GT(intervals->larger_begin - intervals->smaller_end, 100000u);
+  PlanarIndexOptions options;
+  options.enable_axis_exclusion = false;
+  PhiMatrix phi = RandomPhi(300000, 2, 0.0, 100.0, 12);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
+  ASSERT_TRUE(index.ok());
+  ScalarProductQuery q;
+  q.a = {1.0, 1000.0};
+  q.b = 100.0 * 1000.0 / 2.0;
+  const NormalizedQuery nq = NormalizedQuery::From(q);
+  auto intervals = index->ComputeIntervals(nq);
+  ASSERT_TRUE(intervals.ok());
+  ASSERT_GT(intervals->larger_begin - intervals->smaller_end, 100000u);
 
-    auto result = index->Inequality(nq, Deadline::After(0.05));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  }
-}
-
-TEST_F(DeadlineQueryTest, BTreeBackendHonorsDeadlines) {
-  IndexSetOptions options;
-  options.index_options.backend = PlanarIndexOptions::Backend::kBTree;
-  PhiMatrix phi = RandomPhi(2000, 3, -20.0, 80.0, 8);
-  auto set = PlanarIndexSet::Build(
-      std::move(phi), {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}}, options);
-  ASSERT_TRUE(set.ok());
-
-  auto expired = set->Inequality(query_, Deadline::After(0.0));
-  ASSERT_FALSE(expired.ok());
-  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
-
-  auto expired_topk = set->TopK(query_, 10, Deadline::After(0.0));
-  ASSERT_FALSE(expired_topk.ok());
-  EXPECT_EQ(expired_topk.status().code(), StatusCode::kDeadlineExceeded);
-
-  auto fine = set->Inequality(query_, Deadline::After(60000.0));
-  ASSERT_TRUE(fine.ok());
-  EXPECT_EQ(Sorted(fine->ids), BruteForceMatches(set->phi(), query_));
+  auto result = index->Inequality(nq, Deadline::After(0.05));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 }  // namespace

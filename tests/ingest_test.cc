@@ -74,23 +74,14 @@ PlanarIndexSet FreshBuild(const PhiMatrix& all) {
   return std::move(set).value();
 }
 
-TEST(IngestManageTest, ValidatesTargetAndBackend) {
+TEST(IngestManageTest, ValidatesTarget) {
   Catalog catalog;
   IngestManager manager(&catalog);
   EXPECT_EQ(manager.Manage("absent").code(), StatusCode::kNotFound);
 
-  IndexSetOptions tree = SmallBudget();
-  tree.index_options.backend = PlanarIndexOptions::Backend::kBTree;
-  PhiMatrix phi = RandomPhi(100, 3, -20.0, 80.0, 7);
-  auto set = PlanarIndexSet::Build(std::move(phi), Domains(), tree);
-  ASSERT_TRUE(set.ok());
-  catalog.Install("tree", std::move(set).value());
-  EXPECT_EQ(manager.Manage("tree").code(), StatusCode::kFailedPrecondition);
-
   InstallBase(&catalog, 100, 8, nullptr);
   ASSERT_TRUE(manager.Manage(kTarget).ok());
   EXPECT_TRUE(manager.Manages(kTarget));
-  EXPECT_FALSE(manager.Manages("tree"));
   // Double-manage is refused.
   EXPECT_EQ(manager.Manage(kTarget).code(), StatusCode::kFailedPrecondition);
 }

@@ -176,7 +176,6 @@ TEST(MixedMaintenanceIntegrationTest, InterleavedUpdatesAppendsQueries) {
   }
   IndexSetOptions options;
   options.budget = 8;
-  options.index_options.backend = PlanarIndexOptions::Backend::kBTree;
   auto set = PlanarIndexSet::Build(
       std::move(phi), std::vector<ParameterDomain>(3, {1.0, 6.0}), options);
   ASSERT_TRUE(set.ok());

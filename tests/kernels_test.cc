@@ -372,32 +372,27 @@ TEST(KernelsTest, CompressAcceptManyMatchesBranchyReference) {
 }
 
 // End-to-end: the batched verification path answers exactly like the
-// brute-force reference for both backends and both comparison directions,
-// across dimensionalities with odd tails.
+// brute-force reference for both comparison directions, across
+// dimensionalities with odd tails.
 TEST(KernelsTest, IndexAnswersMatchBruteForceAcrossDims) {
   Rng rng(18);
   for (size_t d : {size_t{1}, size_t{2}, size_t{3}, size_t{5}, size_t{8},
                    size_t{13}}) {
     PhiMatrix phi = RandomPhi(600, d, 0.5, 100.0, 19 + d);
-    for (const auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                               PlanarIndexOptions::Backend::kBTree}) {
-      PlanarIndexOptions options;
-      options.backend = backend;
-      auto index = PlanarIndex::BuildFirstOctant(
-          &phi, std::vector<double>(d, 1.0), options);
-      ASSERT_TRUE(index.ok());
-      for (int it = 0; it < 20; ++it) {
-        ScalarProductQuery q;
-        q.a.resize(d);
-        for (double& v : q.a) v = rng.Uniform(0.1, 5.0);
-        q.b = rng.Uniform(0.0, 400.0 * static_cast<double>(d));
-        q.cmp = it % 2 == 0 ? Comparison::kLessEqual
-                            : Comparison::kGreaterEqual;
-        auto got = index->Inequality(q);
-        ASSERT_TRUE(got.ok());
-        EXPECT_EQ(Sorted(got->ids), BruteForceMatches(phi, q))
-            << "d=" << d << " it=" << it;
-      }
+    auto index =
+        PlanarIndex::BuildFirstOctant(&phi, std::vector<double>(d, 1.0));
+    ASSERT_TRUE(index.ok());
+    for (int it = 0; it < 20; ++it) {
+      ScalarProductQuery q;
+      q.a.resize(d);
+      for (double& v : q.a) v = rng.Uniform(0.1, 5.0);
+      q.b = rng.Uniform(0.0, 400.0 * static_cast<double>(d));
+      q.cmp = it % 2 == 0 ? Comparison::kLessEqual
+                          : Comparison::kGreaterEqual;
+      auto got = index->Inequality(q);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(Sorted(got->ids), BruteForceMatches(phi, q))
+          << "d=" << d << " it=" << it;
     }
   }
 }

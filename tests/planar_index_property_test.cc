@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Parameterized property tests: across dimensionalities, data octants,
-// query sign patterns, comparison directions and backends, the Planar
+// query sign patterns and comparison directions, the Planar
 // index must return exactly the sequential-scan answer, its directly
 // accepted points must all satisfy the query, and its directly rejected
 // points must all violate it (Observations 1 and 2 of the paper).
@@ -25,7 +25,6 @@ struct PropertyParams {
   double data_hi;
   uint64_t sign_pattern;  // bit i set -> a_i negative
   Comparison cmp;
-  PlanarIndexOptions::Backend backend;
   uint64_t seed;
 };
 
@@ -34,10 +33,7 @@ std::string ParamName(
   const PropertyParams& p = info.param;
   std::string name = "d" + std::to_string(p.dim) + "_sign" +
                      std::to_string(p.sign_pattern) + "_" +
-                     (p.cmp == Comparison::kLessEqual ? "le" : "ge") + "_" +
-                     (p.backend == PlanarIndexOptions::Backend::kSortedArray
-                          ? "array"
-                          : "btree") +
+                     (p.cmp == Comparison::kLessEqual ? "le" : "ge") +
                      "_lo" + std::to_string(static_cast<int>(p.data_lo)) +
                      "_s" + std::to_string(p.seed);
   for (char& c : name) {
@@ -67,16 +63,12 @@ TEST_P(PlanarIndexPropertyTest, AgreesWithScanAndPrunesSoundly) {
   const Octant octant = Octant::FromNormal(rep);
   const Octant mirror_octant = Octant::FromNormal(mirror_rep);
 
-  PlanarIndexOptions options;
-  options.backend = p.backend;
-
   for (int trial = 0; trial < 8; ++trial) {
     // Random positive mirrored-space normal.
     std::vector<double> normal(p.dim);
     for (size_t i = 0; i < p.dim; ++i) normal[i] = rng.Uniform(0.2, 5.0);
-    auto index = PlanarIndex::Build(&phi, normal, octant, options);
-    auto mirror_index = PlanarIndex::Build(&phi, normal, mirror_octant,
-                                           options);
+    auto index = PlanarIndex::Build(&phi, normal, octant);
+    auto mirror_index = PlanarIndex::Build(&phi, normal, mirror_octant);
     ASSERT_TRUE(index.ok()) << index.status().ToString();
     ASSERT_TRUE(mirror_index.ok()) << mirror_index.status().ToString();
 
@@ -134,23 +126,17 @@ std::vector<PropertyParams> MakeParams() {
                                                dim > 1 ? 1u : 0u}) {
       for (Comparison cmp :
            {Comparison::kLessEqual, Comparison::kGreaterEqual}) {
-        params.push_back({dim, -10.0, 10.0, sign, cmp,
-                          PlanarIndexOptions::Backend::kSortedArray, seed++});
+        params.push_back({dim, -10.0, 10.0, sign, cmp, seed++});
       }
     }
   }
-  // Non-negative data in the first octant, both backends.
-  params.push_back({3, 1.0, 100.0, 0, Comparison::kLessEqual,
-                    PlanarIndexOptions::Backend::kSortedArray, seed++});
-  params.push_back({3, 1.0, 100.0, 0, Comparison::kLessEqual,
-                    PlanarIndexOptions::Backend::kBTree, seed++});
-  params.push_back({4, -5.0, 5.0, 0b0101, Comparison::kGreaterEqual,
-                    PlanarIndexOptions::Backend::kBTree, seed++});
+  // Non-negative data in the first octant.
+  params.push_back({3, 1.0, 100.0, 0, Comparison::kLessEqual, seed++});
+  params.push_back({3, 1.0, 100.0, 0, Comparison::kLessEqual, seed++});
+  params.push_back({4, -5.0, 5.0, 0b0101, Comparison::kGreaterEqual, seed++});
   // All-negative data.
-  params.push_back({2, -50.0, -1.0, 0, Comparison::kLessEqual,
-                    PlanarIndexOptions::Backend::kSortedArray, seed++});
-  params.push_back({2, -50.0, -1.0, 0b11, Comparison::kGreaterEqual,
-                    PlanarIndexOptions::Backend::kSortedArray, seed++});
+  params.push_back({2, -50.0, -1.0, 0, Comparison::kLessEqual, seed++});
+  params.push_back({2, -50.0, -1.0, 0b11, Comparison::kGreaterEqual, seed++});
   return params;
 }
 
@@ -163,17 +149,12 @@ TEST(PlanarIndexEdgeTest, DuplicateKeysHandled) {
   for (int i = 0; i < 100; ++i) {
     phi.AppendRow({static_cast<double>(i % 5), static_cast<double>(i % 5)});
   }
-  for (auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                       PlanarIndexOptions::Backend::kBTree}) {
-    PlanarIndexOptions options;
-    options.backend = backend;
-    auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
-    ASSERT_TRUE(index.ok());
-    const ScalarProductQuery q{{1.0, 1.0}, 4.0, Comparison::kLessEqual};
-    auto result = index->Inequality(q);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
-  }
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0});
+  ASSERT_TRUE(index.ok());
+  const ScalarProductQuery q{{1.0, 1.0}, 4.0, Comparison::kLessEqual};
+  auto result = index->Inequality(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
 }
 
 // Single point dataset.

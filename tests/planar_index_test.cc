@@ -17,18 +17,6 @@
 namespace planar {
 namespace {
 
-PlanarIndexOptions ArrayBackend() {
-  PlanarIndexOptions o;
-  o.backend = PlanarIndexOptions::Backend::kSortedArray;
-  return o;
-}
-
-PlanarIndexOptions TreeBackend() {
-  PlanarIndexOptions o;
-  o.backend = PlanarIndexOptions::Backend::kBTree;
-  return o;
-}
-
 TEST(PlanarIndexBuildTest, RejectsNullAndEmpty) {
   EXPECT_FALSE(PlanarIndex::BuildFirstOctant(nullptr, {1.0}).ok());
   PhiMatrix empty(1);
@@ -206,55 +194,26 @@ TEST(PlanarIndexTest, TopKPruningFiresForParallelIndex) {
   }
 }
 
-TEST(PlanarIndexTest, BackendsAgree) {
-  PhiMatrix phi = RandomPhi(600, 4, -20.0, 20.0, 24);
-  const ScalarProductQuery q{{1.0, 2.0, 0.5, 1.5}, 10.0,
-                             Comparison::kLessEqual};
-  auto array_index =
-      PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0, 1.0, 1.0}, ArrayBackend());
-  auto tree_index =
-      PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0, 1.0, 1.0}, TreeBackend());
-  ASSERT_TRUE(array_index.ok());
-  ASSERT_TRUE(tree_index.ok());
-  auto ra = array_index->Inequality(q);
-  auto rt = tree_index->Inequality(q);
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rt.ok());
-  EXPECT_EQ(Sorted(ra->ids), Sorted(rt->ids));
-  EXPECT_EQ(ra->stats.verified, rt->stats.verified);
+TEST(PlanarIndexUpdateTest, UpdateWithinBounds) {
+  PhiMatrix phi = RandomPhi(200, 2, 1.0, 100.0, 25);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0});
+  ASSERT_TRUE(index.ok());
+  const ScalarProductQuery q{{1.0, 2.0}, 120.0, Comparison::kLessEqual};
 
-  auto ta = array_index->TopK(q, 25);
-  auto tt = tree_index->TopK(q, 25);
-  ASSERT_TRUE(ta.ok());
-  ASSERT_TRUE(tt.ok());
-  ASSERT_EQ(ta->neighbors.size(), tt->neighbors.size());
-  for (size_t i = 0; i < ta->neighbors.size(); ++i) {
-    EXPECT_EQ(ta->neighbors[i].id, tt->neighbors[i].id);
+  // Move 50 rows and keep the index in sync.
+  Rng rng(26);
+  std::vector<double> row(2);
+  for (int i = 0; i < 50; ++i) {
+    const uint32_t target = static_cast<uint32_t>(rng.UniformInt(200));
+    row[0] = rng.Uniform(1.0, 100.0);
+    row[1] = rng.Uniform(1.0, 100.0);
+    phi.SetRow(target, row.data());
+    EXPECT_TRUE(index->Update(target));
+    EXPECT_DOUBLE_EQ(index->KeyOf(target), row[0] + row[1]);
   }
-}
-
-TEST(PlanarIndexUpdateTest, UpdateWithinBoundsBothBackends) {
-  for (const auto& options : {ArrayBackend(), TreeBackend()}) {
-    PhiMatrix phi = RandomPhi(200, 2, 1.0, 100.0, 25);
-    auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
-    ASSERT_TRUE(index.ok());
-    const ScalarProductQuery q{{1.0, 2.0}, 120.0, Comparison::kLessEqual};
-
-    // Move 50 rows and keep the index in sync.
-    Rng rng(26);
-    std::vector<double> row(2);
-    for (int i = 0; i < 50; ++i) {
-      const uint32_t target = static_cast<uint32_t>(rng.UniformInt(200));
-      row[0] = rng.Uniform(1.0, 100.0);
-      row[1] = rng.Uniform(1.0, 100.0);
-      phi.SetRow(target, row.data());
-      EXPECT_TRUE(index->Update(target));
-      EXPECT_DOUBLE_EQ(index->KeyOf(target), row[0] + row[1]);
-    }
-    auto result = index->Inequality(q);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
-  }
+  auto result = index->Inequality(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
 }
 
 TEST(PlanarIndexUpdateTest, EscapingUpdateRequestsRebuild) {
@@ -271,28 +230,25 @@ TEST(PlanarIndexUpdateTest, EscapingUpdateRequestsRebuild) {
   EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
 }
 
-TEST(PlanarIndexUpdateTest, UpdateBatchBothBackends) {
-  for (const auto& options : {ArrayBackend(), TreeBackend()}) {
-    PhiMatrix phi = RandomPhi(300, 3, 1.0, 100.0, 26);
-    auto index =
-        PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 1.0}, options);
-    ASSERT_TRUE(index.ok());
-    Rng rng(27);
-    std::vector<uint32_t> rows;
-    std::vector<double> row(3);
-    for (int i = 0; i < 80; ++i) {
-      const uint32_t target = static_cast<uint32_t>(rng.UniformInt(300));
-      for (double& v : row) v = rng.Uniform(1.0, 100.0);
-      phi.SetRow(target, row.data());
-      rows.push_back(target);
-    }
-    ASSERT_TRUE(index->UpdateBatch(rows));
-    const ScalarProductQuery q{{1.0, 2.0, 3.0}, 250.0,
-                               Comparison::kLessEqual};
-    auto result = index->Inequality(q);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
+TEST(PlanarIndexUpdateTest, UpdateBatchAgreesWithScan) {
+  PhiMatrix phi = RandomPhi(300, 3, 1.0, 100.0, 26);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 1.0});
+  ASSERT_TRUE(index.ok());
+  Rng rng(27);
+  std::vector<uint32_t> rows;
+  std::vector<double> row(3);
+  for (int i = 0; i < 80; ++i) {
+    const uint32_t target = static_cast<uint32_t>(rng.UniformInt(300));
+    for (double& v : row) v = rng.Uniform(1.0, 100.0);
+    phi.SetRow(target, row.data());
+    rows.push_back(target);
   }
+  ASSERT_TRUE(index->UpdateBatch(rows));
+  const ScalarProductQuery q{{1.0, 2.0, 3.0}, 250.0,
+                             Comparison::kLessEqual};
+  auto result = index->Inequality(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
 }
 
 // The sorted-array UpdateBatch merge path (compact unchanged entries,
@@ -308,8 +264,7 @@ TEST(PlanarIndexUpdateTest, UpdateBatchMatchesFullRebuild) {
     phi.AppendRow({static_cast<double>(init.UniformInt(8) + 1),
                    static_cast<double>(init.UniformInt(8) + 1)});
   }
-  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0},
-                                             ArrayBackend());
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0});
   ASSERT_TRUE(index.ok());
   Rng rng(32);
   std::vector<uint32_t> rows;
@@ -352,21 +307,19 @@ TEST(PlanarIndexUpdateTest, UpdateBatchDetectsEscape) {
   EXPECT_EQ(Sorted(index->Inequality(q)->ids), BruteForceMatches(phi, q));
 }
 
-TEST(PlanarIndexUpdateTest, AppendBothBackends) {
-  for (const auto& options : {ArrayBackend(), TreeBackend()}) {
-    PhiMatrix phi = RandomPhi(100, 2, 1.0, 50.0, 28);
-    auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
-    ASSERT_TRUE(index.ok());
-    for (int i = 0; i < 20; ++i) {
-      phi.AppendRow({10.0 + i, 20.0});
-      EXPECT_TRUE(index->NotifyAppend(static_cast<uint32_t>(phi.size() - 1)));
-    }
-    EXPECT_EQ(index->size(), 120u);
-    const ScalarProductQuery q{{1.0, 1.0}, 60.0, Comparison::kLessEqual};
-    auto result = index->Inequality(q);
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
+TEST(PlanarIndexUpdateTest, AppendAgreesWithScan) {
+  PhiMatrix phi = RandomPhi(100, 2, 1.0, 50.0, 28);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0});
+  ASSERT_TRUE(index.ok());
+  for (int i = 0; i < 20; ++i) {
+    phi.AppendRow({10.0 + i, 20.0});
+    EXPECT_TRUE(index->NotifyAppend(static_cast<uint32_t>(phi.size() - 1)));
   }
+  EXPECT_EQ(index->size(), 120u);
+  const ScalarProductQuery q{{1.0, 1.0}, 60.0, Comparison::kLessEqual};
+  auto result = index->Inequality(q);
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(Sorted(result->ids), BruteForceMatches(phi, q));
 }
 
 TEST(PlanarIndexTest, StretchZeroForParallelQuery) {

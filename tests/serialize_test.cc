@@ -4,11 +4,17 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <initializer_list>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/random.h"
+#include "core/validate.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -60,7 +66,6 @@ TEST(SerializeTest, OptionsSurviveRoundTrip) {
   const std::string path = TempPath("set_options.planar");
   IndexSetOptions options;
   options.selector = IndexSetOptions::Selector::kAngle;
-  options.index_options.backend = PlanarIndexOptions::Backend::kBTree;
   options.index_options.enable_axis_exclusion = false;
   options.index_options.epsilon_band = 1e-7;
   PlanarIndexSet original = MakeSet(83, 3, options);
@@ -68,12 +73,8 @@ TEST(SerializeTest, OptionsSurviveRoundTrip) {
   auto loaded = LoadIndexSet(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->options().selector, IndexSetOptions::Selector::kAngle);
-  EXPECT_EQ(loaded->options().index_options.backend,
-            PlanarIndexOptions::Backend::kBTree);
   EXPECT_FALSE(loaded->options().index_options.enable_axis_exclusion);
   EXPECT_DOUBLE_EQ(loaded->options().index_options.epsilon_band, 1e-7);
-  EXPECT_EQ(loaded->index(0).backend(),
-            PlanarIndexOptions::Backend::kBTree);
   std::remove(path.c_str());
 }
 
@@ -128,8 +129,9 @@ void WriteAll(const std::string& path,
               const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   PLANAR_CHECK(f != nullptr);
-  PLANAR_CHECK(std::fwrite(bytes.data(), 1, bytes.size(), f) ==
-               bytes.size());
+  // An empty vector's data() may be null, which fwrite must not see.
+  PLANAR_CHECK(bytes.empty() ||
+               std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size());
   std::fclose(f);
 }
 
@@ -181,23 +183,19 @@ TEST(SerializeTest, V1FilesStillLoad) {
   std::remove(v1_path.c_str());
 }
 
-TEST(SerializeTest, LoadWithOptionsOverrideSwitchesBackend) {
+TEST(SerializeTest, LoadWithOptionsOverrideReplacesStoredKnobs) {
   const std::string path = TempPath("override.planar");
-  // Saved with the sorted-array backend...
+  // Saved with axis exclusion on...
   PlanarIndexSet original = MakeSet(87, 2);
-  ASSERT_EQ(original.options().index_options.backend,
-            PlanarIndexOptions::Backend::kSortedArray);
+  ASSERT_TRUE(original.options().index_options.enable_axis_exclusion);
   ASSERT_TRUE(SaveIndexSet(original, path).ok());
 
-  // ...loaded onto the B+-tree backend via the override, answers intact.
+  // ...loaded with it off via the override, answers intact.
   IndexSetOptions override_options = original.options();
-  override_options.index_options.backend =
-      PlanarIndexOptions::Backend::kBTree;
+  override_options.index_options.enable_axis_exclusion = false;
   auto loaded = LoadIndexSet(path, &override_options);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->options().index_options.backend,
-            PlanarIndexOptions::Backend::kBTree);
-  EXPECT_EQ(loaded->index(0).backend(), PlanarIndexOptions::Backend::kBTree);
+  EXPECT_FALSE(loaded->options().index_options.enable_axis_exclusion);
   ScalarProductQuery q;
   q.a = {3.0, -2.0, 1.0};
   q.b = 120.0;
@@ -207,9 +205,187 @@ TEST(SerializeTest, LoadWithOptionsOverrideSwitchesBackend) {
   // A null override is identical to the single-argument overload.
   auto plain = LoadIndexSet(path, nullptr);
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain->options().index_options.backend,
-            PlanarIndexOptions::Backend::kSortedArray);
+  EXPECT_TRUE(plain->options().index_options.enable_axis_exclusion);
   std::remove(path.c_str());
+}
+
+// Blob surgery helpers. A v2 file is magic(8) | crc(4) | size(8) |
+// payload; the payload starts with the 64-byte options record (budget
+// u64, selector u32, legacy backend u32, ...), then dim u64, n u64, the
+// phi rows, num_indices u64 and the index table.
+constexpr size_t kV2Header = 20;
+constexpr size_t kSelectorOffset = 8;
+constexpr size_t kLegacyBackendOffset = 12;
+constexpr size_t kDimOffset = 64;
+constexpr size_t kNOffset = 72;
+constexpr size_t kPhiOffset = 80;
+
+std::vector<unsigned char> SavedBytes(const PlanarIndexSet& set,
+                                      const char* name) {
+  const std::string path = TempPath(name);
+  PLANAR_CHECK(SaveIndexSet(set, path).ok());
+  std::vector<unsigned char> bytes = ReadAll(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+template <typename T>
+void Poke(std::vector<unsigned char>* bytes, size_t offset, T value) {
+  PLANAR_CHECK(offset + sizeof(T) <= bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+// Re-stamps a v2 blob's size and checksum after its payload was edited,
+// so the edit reaches the parser instead of failing the checksum.
+void Reseal(std::vector<unsigned char>* v2) {
+  const uint64_t size = v2->size() - kV2Header;
+  Poke(v2, 12, size);
+  Poke(v2, 8, Crc32(v2->data() + kV2Header, v2->size() - kV2Header));
+}
+
+// The same payload behind the unchecksummed v1 magic.
+std::vector<unsigned char> ToV1(const std::vector<unsigned char>& v2) {
+  const char kV1Magic[8] = {'P', 'L', 'N', 'R', 'I', 'D', 'X', '1'};
+  std::vector<unsigned char> v1(v2.begin() + (kV2Header - 8), v2.end());
+  std::memcpy(v1.data(), kV1Magic, sizeof(kV1Magic));
+  return v1;
+}
+
+Result<PlanarIndexSet> LoadBytes(const std::vector<unsigned char>& bytes) {
+  const std::string path = TempPath("crafted.planar");
+  WriteAll(path, bytes);
+  Result<PlanarIndexSet> loaded = LoadIndexSet(path);
+  std::remove(path.c_str());
+  return loaded;
+}
+
+// The snapshot field that once named the key-storage backend: 1 (the
+// retired B+-tree) loads onto the sorted array with identical answers.
+TEST(SerializeTest, LegacyBTreeBackendLoadsOntoSortedArray) {
+  PlanarIndexSet original = MakeSet(88, 3);
+  std::vector<unsigned char> bytes = SavedBytes(original, "legacy.planar");
+  const auto plain = LoadBytes(bytes);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  Poke(&bytes, kV2Header + kLegacyBackendOffset, uint32_t{1});
+  Reseal(&bytes);
+  const auto legacy = LoadBytes(bytes);
+  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  ASSERT_EQ(legacy->num_indices(), plain->num_indices());
+  Rng rng(89);
+  for (int trial = 0; trial < 10; ++trial) {
+    ScalarProductQuery q;
+    q.a = {rng.Uniform(1, 6), -rng.Uniform(1, 6), rng.Uniform(1, 6)};
+    q.b = rng.Uniform(-200, 400);
+    q.cmp = trial % 2 == 0 ? Comparison::kLessEqual
+                           : Comparison::kGreaterEqual;
+    EXPECT_EQ(legacy->Inequality(q).ids, plain->Inequality(q).ids) << trial;
+    EXPECT_EQ(Sorted(legacy->Inequality(q).ids),
+              Sorted(original.Inequality(q).ids))
+        << trial;
+  }
+}
+
+TEST(SerializeTest, UnknownBackendOrSelectorRejected) {
+  const std::vector<unsigned char> saved =
+      SavedBytes(MakeSet(90, 2), "enums.planar");
+  std::vector<unsigned char> backend = saved;
+  Poke(&backend, kV2Header + kLegacyBackendOffset, uint32_t{9});
+  Reseal(&backend);
+  EXPECT_EQ(LoadBytes(backend).status().code(),
+            StatusCode::kInvalidArgument);
+
+  std::vector<unsigned char> selector = saved;
+  Poke(&selector, kV2Header + kSelectorOffset, uint32_t{77});
+  Reseal(&selector);
+  EXPECT_EQ(LoadBytes(selector).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBytes(ToV1(selector)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Framing fuzz: counts read from a crafted file (dim, n, num_indices)
+// and truncation at every byte must yield a Status, never an abort, and
+// anything that does load must be a consistent index set.
+TEST(SerializeTest, CraftedCountsAndTruncationsNeverAbort) {
+  PhiMatrix phi = RandomPhi(24, 3, -20.0, 80.0, 91);
+  IndexSetOptions options;
+  options.budget = 3;
+  auto set = PlanarIndexSet::Build(
+      std::move(phi), {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}}, options);
+  ASSERT_TRUE(set.ok());
+  const std::vector<unsigned char> v2 = SavedBytes(*set, "fuzz.planar");
+  const size_t num_indices_offset = kPhiOffset + 24 * 3 * sizeof(double);
+
+  auto expect_status_or_valid = [](const std::vector<unsigned char>& bytes,
+                                   const std::string& what) {
+    const Result<PlanarIndexSet> loaded = LoadBytes(bytes);
+    if (loaded.ok()) {
+      EXPECT_TRUE(ValidateIndexSet(*loaded).ok()) << what;
+    }
+  };
+  for (const size_t field : {kDimOffset, kNOffset, num_indices_offset}) {
+    for (const uint64_t value :
+         {uint64_t{0}, uint64_t{1}, uint64_t{65}, uint64_t{1} << 32,
+          uint64_t{1} << 61, ~uint64_t{0}}) {
+      std::vector<unsigned char> edited = v2;
+      Poke(&edited, kV2Header + field, value);
+      Reseal(&edited);
+      const std::string what =
+          "field@" + std::to_string(field) + "=" + std::to_string(value);
+      expect_status_or_valid(edited, "v2 " + what);
+      expect_status_or_valid(ToV1(edited), "v1 " + what);
+    }
+  }
+  const std::vector<unsigned char> v1 = ToV1(v2);
+  for (const std::vector<unsigned char>* blob : {&v2, &v1}) {
+    for (size_t cut = 0; cut < blob->size(); ++cut) {
+      const std::vector<unsigned char> truncated(blob->begin(),
+                                                 blob->begin() + cut);
+      const Result<PlanarIndexSet> loaded = LoadBytes(truncated);
+      EXPECT_FALSE(loaded.ok()) << "cut at " << cut;
+    }
+  }
+}
+
+TEST(SerializeTest, SaveRejectsMoreThan64Dims) {
+  PhiMatrix phi = RandomPhi(16, 65, 1.0, 10.0, 92);
+  IndexSetOptions options;
+  options.budget = 1;
+  auto set = PlanarIndexSet::Build(
+      std::move(phi), std::vector<ParameterDomain>(65, {1.0, 2.0}), options);
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  const std::string path = TempPath("dim65.planar");
+  std::remove(path.c_str());
+  EXPECT_EQ(SaveIndexSet(*set, path).code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(access(path.c_str(), F_OK), 0) << "no file may be left behind";
+}
+
+TEST(SerializeTest, LoadRejectsMoreThan64Dims) {
+  // A self-consistent blob (rows, index table and checksum all match
+  // dim = 70) that no SaveIndexSet could have written.
+  const std::vector<unsigned char> saved =
+      SavedBytes(MakeSet(93, 1), "dim70_src.planar");
+  const uint64_t dim = 70;
+  const uint64_t n = 4;
+  std::vector<unsigned char> bytes(saved.begin(),
+                                   saved.begin() + kV2Header + kDimOffset);
+  auto append = [&bytes](const void* data, size_t size) {
+    const unsigned char* p = static_cast<const unsigned char*>(data);
+    bytes.insert(bytes.end(), p, p + size);
+  };
+  append(&dim, sizeof(dim));
+  append(&n, sizeof(n));
+  const std::vector<double> row(dim, 1.5);
+  for (uint64_t i = 0; i < n; ++i) append(row.data(), dim * sizeof(double));
+  const uint64_t num_indices = 1;
+  const uint64_t octant_bits = 0;
+  append(&num_indices, sizeof(num_indices));
+  append(&octant_bits, sizeof(octant_bits));
+  append(row.data(), dim * sizeof(double));
+  Reseal(&bytes);
+  EXPECT_EQ(LoadBytes(bytes).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadBytes(ToV1(bytes)).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 namespace planar {
 namespace {
 
-using Entry = OrderStatisticBTree::Entry;
+using Entry = SortEntry;
 
 std::vector<Entry> RandomEntries(size_t n, int distinct_keys, uint64_t seed) {
   Rng rng(seed);
@@ -51,7 +51,7 @@ void ExpectSortedIdentically(std::vector<Entry> input, size_t threads) {
   ASSERT_EQ(input.size(), expected.size());
   for (size_t i = 0; i < input.size(); ++i) {
     ASSERT_EQ(input[i].key, expected[i].key) << "position " << i;
-    ASSERT_EQ(input[i].value, expected[i].value) << "position " << i;
+    ASSERT_EQ(input[i].id, expected[i].id) << "position " << i;
   }
 }
 
@@ -96,7 +96,7 @@ TEST(SortUtilTest, ThreadCountsAgreeBitwise) {
     for (size_t i = 0; i < serial.size(); ++i) {
       ASSERT_EQ(parallel[i].key, serial[i].key)
           << "threads " << threads << " position " << i;
-      ASSERT_EQ(parallel[i].value, serial[i].value)
+      ASSERT_EQ(parallel[i].id, serial[i].id)
           << "threads " << threads << " position " << i;
     }
   }

@@ -33,12 +33,6 @@ std::string FileBytes(const std::string& path) {
   return buffer.str();
 }
 
-PlanarIndexOptions ArrayBackend() {
-  PlanarIndexOptions o;
-  o.backend = PlanarIndexOptions::Backend::kSortedArray;
-  return o;
-}
-
 // Ranks, ids, and keys of the maintained index must match what a full
 // Rebuild over the same matrix produces.
 void ExpectMatchesRebuild(PlanarIndex* index) {
@@ -60,7 +54,7 @@ void ExpectMatchesRebuild(PlanarIndex* index) {
 
 TEST(UpdateBatchEdgeTest, EmptyBatchIsANoOp) {
   PhiMatrix phi = RandomPhi(64, 2, 1.0, 50.0, 91);
-  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0}, ArrayBackend());
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0});
   ASSERT_TRUE(index.ok());
   ASSERT_TRUE(index->UpdateBatch({}));
   ASSERT_TRUE(index->AppendBatch(static_cast<uint32_t>(phi.size()), 0));
@@ -73,7 +67,7 @@ TEST(UpdateBatchEdgeTest, EmptyBatchIsANoOp) {
 // with a rebuild.
 TEST(UpdateBatchEdgeTest, BatchLargerThanExistingArray) {
   PhiMatrix phi = RandomPhi(40, 2, 1.0, 50.0, 92);
-  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, ArrayBackend());
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0});
   ASSERT_TRUE(index.ok());
   Rng rng(93);
   std::vector<uint32_t> rows;
@@ -93,7 +87,7 @@ TEST(UpdateBatchEdgeTest, BatchLargerThanExistingArray) {
 TEST(UpdateBatchEdgeTest, AllDuplicateKeys) {
   PhiMatrix phi(2);
   for (int i = 0; i < 50; ++i) phi.AppendRow({4.0, 9.0});
-  auto index = PlanarIndex::BuildFirstOctant(&phi, {2.0, 1.0}, ArrayBackend());
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {2.0, 1.0});
   ASSERT_TRUE(index.ok());
   std::vector<uint32_t> rows;
   const double same[] = {4.0, 9.0};
@@ -114,7 +108,7 @@ TEST(UpdateBatchEdgeTest, AllDuplicateKeys) {
 TEST(UpdateBatchEdgeTest, InterleavedAppendThenUpdate) {
   PhiMatrix phi = RandomPhi(80, 3, 1.0, 40.0, 94);
   auto index =
-      PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 1.0}, ArrayBackend());
+      PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 1.0});
   ASSERT_TRUE(index.ok());
   Rng rng(95);
   std::vector<double> row(3);
@@ -202,11 +196,10 @@ TEST(UpdateBatchEdgeTest, CloneIsolatesMaintenanceFromOriginal) {
   ASSERT_TRUE(SaveIndexSet(*original, before_path).ok());
   const std::string before = FileBytes(before_path);
 
-  auto clone = original->Clone();
-  ASSERT_TRUE(clone.ok());
+  PlanarIndexSet clone = original->Clone();
   PhiMatrix extra = RandomPhi(80, 2, 1.0, 60.0, 100);
-  ASSERT_TRUE(clone->AppendRows(extra.data(), extra.size()).ok());
-  EXPECT_EQ(clone->size(), 280u);
+  ASSERT_TRUE(clone.AppendRows(extra.data(), extra.size()).ok());
+  EXPECT_EQ(clone.size(), 280u);
   EXPECT_EQ(original->size(), 200u);
 
   const std::string after_path = TempPath("clone_after.planar");

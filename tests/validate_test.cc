@@ -12,15 +12,9 @@ namespace {
 
 TEST(ValidateIndexTest, FreshIndexValidates) {
   PhiMatrix phi = RandomPhi(1000, 3, -10.0, 10.0, 131);
-  for (auto backend : {PlanarIndexOptions::Backend::kSortedArray,
-                       PlanarIndexOptions::Backend::kBTree}) {
-    PlanarIndexOptions options;
-    options.backend = backend;
-    auto index =
-        PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 0.5}, options);
-    ASSERT_TRUE(index.ok());
-    EXPECT_TRUE(ValidateIndex(*index, phi).ok());
-  }
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0, 0.5});
+  ASSERT_TRUE(index.ok());
+  EXPECT_TRUE(ValidateIndex(*index, phi).ok());
 }
 
 TEST(ValidateIndexTest, MaintainedIndexValidates) {
