@@ -3,12 +3,12 @@
 // PlanarIndexSet::BatchInequality: cross-query batched execution.
 //
 // Per call:
-//   1. Plan. Each query is normalized, assigned its best index with the
-//      existing Section-5.1 selectors, and its SI/LI/II rank boundaries
-//      are computed with the existing (Eytzinger) boundary searches; the
-//      serial path's scan-fallback rule routes too-wide intervals to the
-//      scan group. Degenerate queries and single-query groups take the
-//      serial code path directly — a batch of one costs exactly what
+//   1. Plan. Each query is normalized and assigned its best index with
+//      the existing Section-5.1 selectors, which also return its plan on
+//      that index (SI/LI/II rank boundaries); the serial path's
+//      scan-fallback rule routes too-wide intervals to the scan group.
+//      Degenerate queries and single-query groups are served from their
+//      plan by the serial code path — a batch of one costs exactly what
 //      Inequality() costs.
 //   2. Per index with >= 2 queries: each query's accept region is emitted
 //      outright (identical order to serial), then the non-empty
@@ -38,7 +38,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -52,14 +51,6 @@ namespace planar {
 namespace {
 
 using kernels::kBlockRows;
-
-// One non-degenerate index-served query: its position in the caller's
-// span and its intermediate interval in rank space.
-struct IntervalQuery {
-  size_t slot = 0;
-  size_t begin = 0;  // smaller_end
-  size_t end = 0;    // larger_begin
-};
 
 // A coalesced rank range [begin, end) covering the sorted interval list
 // entries [first, last).
@@ -95,26 +86,6 @@ struct BlockArgs {
         residuals(max_queries * kBlockRows) {}
 };
 
-// The serial path's degenerate-query answer (RunInequality's constant
-// predicate branch), with the set-level index attribution.
-InequalityResult DegenerateResult(const NormalizedQuery& q, size_t n,
-                                  int index_used) {
-  InequalityResult result;
-  result.stats.num_points = n;
-  result.stats.index_used = index_used;
-  const bool all_match =
-      q.cmp == Comparison::kLessEqual ? (0.0 <= q.b) : (0.0 >= q.b);
-  if (all_match) {
-    result.ids.resize(n);
-    std::iota(result.ids.begin(), result.ids.end(), 0u);
-    result.stats.accepted_directly = n;
-  } else {
-    result.stats.rejected_directly = n;
-  }
-  result.stats.result_size = result.ids.size();
-  return result;
-}
-
 }  // namespace
 
 std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
@@ -146,9 +117,29 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
   const size_t dim = phi_->dim();
   const kernels::DotOps& ops = kernels::Ops();
 
+  // One non-degenerate index-served query: its position in the caller's
+  // span and its plan, whose intermediate interval is [begin, end) in
+  // rank space.
+  struct IntervalQuery {
+    size_t slot = 0;
+    PlanarIndex::Plan plan;
+
+    size_t begin() const { return plan.intervals.smaller_end; }
+    size_t end() const { return plan.intervals.larger_begin; }
+  };
+
+  // The serial path, served from the query's plan on index `best`.
+  std::vector<NormalizedQuery> norms;
+  const auto serve_alone = [&](size_t slot, size_t best,
+                               const PlanarIndex::Plan& plan) {
+    Result<InequalityResult> r =
+        indices_[best].RunInequality(norms[slot], plan, deadline_of(slot));
+    if (r.ok()) r->stats.index_used = static_cast<int>(best);
+    results[slot] = std::move(r);
+  };
+
   // ---- Plan: route every query to an index group or the scan group,
   // replicating the serial Inequality() decision sequence exactly.
-  std::vector<NormalizedQuery> norms;
   norms.reserve(m);
   std::vector<std::vector<IntervalQuery>> groups(indices_.size());
   std::vector<size_t> scan_slots;
@@ -160,26 +151,16 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
       results[qi] = dim_ok;
       continue;
     }
-    const int best = SelectBestIndex(norm);
-    if (best < 0) {
-      scan_slots.push_back(qi);
-      continue;
-    }
-    const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    if (options_.scan_fallback_fraction < 1.0 &&
-        static_cast<double>(iv->larger_begin - iv->smaller_end) >
-            options_.scan_fallback_fraction * static_cast<double>(n)) {
+    const Selection best = Select(norm);
+    if (best.index < 0 || PrefersScan(best.plan.intervals)) {
       scan_slots.push_back(qi);
       continue;
     }
     if (norm.IsDegenerate()) {
-      results[qi] = DegenerateResult(norm, n, best);
+      serve_alone(qi, static_cast<size_t>(best.index), best.plan);
       continue;
     }
-    groups[static_cast<size_t>(best)].push_back(
-        {qi, iv->smaller_end, iv->larger_begin});
+    groups[static_cast<size_t>(best.index)].push_back({qi, best.plan});
   }
 
   // ---- Index groups.
@@ -192,12 +173,8 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     if (group.size() == 1) {
       // Nothing to share: the serial path is exactly right, and keeps a
       // batch of one at serial latency.
-      const size_t slot = group[0].slot;
-      const size_t ii = group[0].end - group[0].begin;
-      Result<InequalityResult> r =
-          index.Inequality(norms[slot], deadline_of(slot));
-      if (r.ok()) r->stats.index_used = static_cast<int>(gi);
-      results[slot] = std::move(r);
+      const size_t ii = group[0].plan.intervals.intermediate();
+      serve_alone(group[0].slot, gi, group[0].plan);
       stats.rows_demanded += ii;
       stats.rows_streamed += ii;
       if (ii > 0) ++stats.merged_ranges;
@@ -210,13 +187,13 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
       InequalityResult r;
       r.stats.num_points = n;
       const bool le = norms[iq.slot].cmp == Comparison::kLessEqual;
-      const size_t accept_begin = le ? 0 : iq.end;
-      const size_t accept_end = le ? iq.begin : n;
-      const size_t ii = iq.end - iq.begin;
+      const size_t accept_begin = le ? 0 : iq.end();
+      const size_t accept_end = le ? iq.begin() : n;
+      const size_t ii = iq.end() - iq.begin();
       r.ids.reserve((accept_end - accept_begin) + ii);
       index.CollectRange(accept_begin, accept_end, &r.ids);
       r.stats.accepted_directly = accept_end - accept_begin;
-      r.stats.rejected_directly = le ? n - iq.end : iq.begin;
+      r.stats.rejected_directly = le ? n - iq.end() : iq.begin();
       r.stats.verified = ii;
       r.stats.index_used = static_cast<int>(gi);
       results[iq.slot] = std::move(r);
@@ -228,20 +205,20 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     std::vector<IntervalQuery> intervals;
     intervals.reserve(group.size());
     for (const IntervalQuery& iq : group) {
-      if (iq.end > iq.begin) intervals.push_back(iq);
+      if (iq.end() > iq.begin()) intervals.push_back(iq);
     }
     std::sort(intervals.begin(), intervals.end(),
               [](const IntervalQuery& x, const IntervalQuery& y) {
-                if (x.begin != y.begin) return x.begin < y.begin;
-                if (x.end != y.end) return x.end < y.end;
+                if (x.begin() != y.begin()) return x.begin() < y.begin();
+                if (x.end() != y.end()) return x.end() < y.end();
                 return x.slot < y.slot;
               });
     std::vector<MergedRange> ranges;
     for (size_t i = 0; i < intervals.size();) {
-      MergedRange range{intervals[i].begin, intervals[i].end, i, i + 1};
+      MergedRange range{intervals[i].begin(), intervals[i].end(), i, i + 1};
       size_t j = i + 1;
-      while (j < intervals.size() && intervals[j].begin <= range.end) {
-        range.end = std::max(range.end, intervals[j].end);
+      while (j < intervals.size() && intervals[j].begin() <= range.end) {
+        range.end = std::max(range.end, intervals[j].end());
         ++j;
       }
       range.last = j;
@@ -264,7 +241,7 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
       size_t next = range.first;
       for (size_t r0 = range.begin; r0 < range.end; r0 += kBlockRows) {
         const size_t r1 = std::min(range.end, r0 + kBlockRows);
-        while (next < range.last && intervals[next].begin < r1) {
+        while (next < range.last && intervals[next].begin() < r1) {
           active.push_back(next++);
         }
         // Retire finished intervals and poll deadlines — one poll per
@@ -274,7 +251,7 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
         size_t na = 0;
         for (const size_t idx : active) {
           const IntervalQuery& iq = intervals[idx];
-          if (iq.end <= r0) continue;
+          if (iq.end() <= r0) continue;
           if (deadline_of(iq.slot).Expired()) {
             results[iq.slot] = Status::DeadlineExceeded(
                 "inequality query exceeded its deadline during II "
@@ -294,8 +271,8 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
           args.q_ptrs[ai] = nq.a.data();
           args.biases[ai] = -nq.b;
           args.less_equal[ai] = nq.cmp == Comparison::kLessEqual;
-          args.slice_begin[ai] = std::max(iq.begin, r0) - r0;
-          args.slice_end[ai] = std::min(iq.end, r1) - r0;
+          args.slice_begin[ai] = std::max(iq.begin(), r0) - r0;
+          args.slice_end[ai] = std::min(iq.end(), r1) - r0;
           std::vector<uint32_t>& out_ids = results[iq.slot]->ids;
           args.old_size[ai] = out_ids.size();
           out_ids.resize(args.old_size[ai] +

@@ -58,10 +58,6 @@ std::vector<double> SampleNormal(const std::vector<ParameterDomain>& domains,
   return c;
 }
 
-/// Route's refine floor for answers that always stream their II: any
-/// intermediate interval wider than the scan-fallback fraction diverts.
-constexpr double kAlwaysRefines = -std::numeric_limits<double>::infinity();
-
 }  // namespace
 
 Result<PlanarIndexSet> PlanarIndexSet::Build(
@@ -76,6 +72,15 @@ Result<PlanarIndexSet> PlanarIndexSet::Build(
   }
   if (options.budget == 0) {
     return Status::InvalidArgument("index budget must be positive");
+  }
+  if (options.budget > kMaxIndexBudget) {
+    return Status::InvalidArgument("index budget exceeds kMaxIndexBudget (" +
+                                   std::to_string(kMaxIndexBudget) + ")");
+  }
+  if (options.max_attempts_per_index >
+      std::numeric_limits<size_t>::max() / options.budget) {
+    return Status::InvalidArgument(
+        "budget * max_attempts_per_index overflows");
   }
   PLANAR_ASSIGN_OR_RETURN(Octant octant, OctantFromDomains(domains));
 
@@ -161,16 +166,26 @@ Status PlanarIndexSet::BuildIndicesParallel(
 }
 
 int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
+  return Select(q).index;
+}
+
+PlanarIndexSet::Selection PlanarIndexSet::Select(
+    const NormalizedQuery& q) const {
   // Non-finite parameters defeat every selection heuristic and the index
   // pruning math itself; reporting "no index" routes such queries to the
   // exact sequential-scan fallback.
-  if (!q.IsFinite()) return -1;
-  int best = -1;
+  Selection best;
+  if (!q.IsFinite()) return best;
+  // One scratch for every candidate's plan: Prepare stays off the heap.
+  PlanarIndex::PlanScratch scratch;
+  const bool by_count =
+      options_.selector == IndexSetOptions::Selector::kIntervalCount;
   double best_score = 0.0;
   for (size_t i = 0; i < indices_.size(); ++i) {
     const PlanarIndex& index = indices_[i];
     if (!index.CanServe(q)) continue;
     double score = 0.0;
+    PlanarIndex::Plan plan;
     switch (options_.selector) {
       case IndexSetOptions::Selector::kStretch:
         score = index.MaxStretch(q);  // smaller is better
@@ -178,35 +193,43 @@ int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
       case IndexSetOptions::Selector::kAngle:
         score = -index.CosAngle(q);  // larger cosine is better
         break;
-      case IndexSetOptions::Selector::kIntervalCount: {
-        const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(q);
-        PLANAR_DCHECK(iv.ok());
-        score = static_cast<double>(iv->larger_begin - iv->smaller_end);
+      case IndexSetOptions::Selector::kIntervalCount:
+        plan = index.MakePlan(q, &scratch);
+        score = static_cast<double>(plan.intervals.intermediate());
         break;
-      }
     }
-    if (best == -1 || score < best_score) {
-      best = static_cast<int>(i);
+    if (best.index == -1 || score < best_score) {
+      best.index = static_cast<int>(i);
+      best.plan = plan;
       best_score = score;
     }
   }
+  if (best.index >= 0 && !by_count) {
+    best.plan =
+        indices_[static_cast<size_t>(best.index)].MakePlan(q, &scratch);
+  }
   return best;
+}
+
+bool PlanarIndexSet::PrefersScan(const PlanarIndex::Intervals& iv,
+                                 double refine_floor) const {
+  const double intermediate = static_cast<double>(iv.intermediate());
+  return options_.scan_fallback_fraction < 1.0 &&
+         intermediate > refine_floor &&
+         intermediate > options_.scan_fallback_fraction *
+                            static_cast<double>(phi_->size());
 }
 
 PlanarIndexSet::Explanation PlanarIndexSet::Explain(
     const ScalarProductQuery& q) const {
   Explanation e;
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) return e;
-  e.index_used = best;
-  e.index_explanation = indices_[static_cast<size_t>(best)].Explain(norm);
-  if (options_.scan_fallback_fraction < 1.0 &&
-      static_cast<double>(e.index_explanation.intermediate()) >
-          options_.scan_fallback_fraction *
-              static_cast<double>(phi_->size())) {
-    e.scan_fallback = true;
-  }
+  const Selection best = Select(norm);
+  if (best.index < 0) return e;
+  e.index_used = best.index;
+  e.index_explanation =
+      indices_[static_cast<size_t>(best.index)].Describe(norm, best.plan);
+  e.scan_fallback = PrefersScan(best.plan.intervals);
   return e;
 }
 
@@ -226,19 +249,16 @@ std::string PlanarIndexSet::Explanation::ToString() const {
 PlanarIndexSet::SelectivityBounds PlanarIndexSet::EstimateSelectivity(
     const ScalarProductQuery& q) const {
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
+  const Selection best = Select(norm);
   SelectivityBounds bounds;
-  if (best < 0) return bounds;
-  const PlanarIndex::Explanation e =
-      indices_[static_cast<size_t>(best)].Explain(norm);
+  if (best.index < 0 || norm.IsDegenerate()) return bounds;
+  const PlanarIndex::Intervals& iv = best.plan.intervals;
   const double n = static_cast<double>(phi_->size());
-  if (n == 0.0) return bounds;
-  if (e.degenerate) return bounds;
   const bool le = norm.cmp == Comparison::kLessEqual;
   const double accepted = static_cast<double>(
-      le ? e.smaller_end : e.num_points - e.larger_begin);
+      le ? iv.smaller_end : phi_->size() - iv.larger_begin);
   bounds.lo = accepted / n;
-  bounds.hi = (accepted + static_cast<double>(e.intermediate())) / n;
+  bounds.hi = (accepted + static_cast<double>(iv.intermediate())) / n;
   return bounds;
 }
 
@@ -262,22 +282,13 @@ Result<T> PlanarIndexSet::Route(const ScalarProductQuery& q,
                                 const Serve& serve) const {
   PLANAR_RETURN_IF_ERROR(CheckQueryDim(q));
   const NormalizedQuery norm = NormalizedQuery::From(q);
-  const int best = SelectBestIndex(norm);
-  if (best < 0) return scan();
-  const PlanarIndex& index = indices_[static_cast<size_t>(best)];
-  if (options_.scan_fallback_fraction < 1.0) {
-    const Result<PlanarIndex::Intervals> iv = index.ComputeIntervals(norm);
-    PLANAR_CHECK(iv.ok());  // CanServe was verified by the selector
-    const double intermediate =
-        static_cast<double>(iv->larger_begin - iv->smaller_end);
-    if (intermediate > refine_floor &&
-        intermediate > options_.scan_fallback_fraction *
-                           static_cast<double>(phi_->size())) {
-      return scan();
-    }
+  const Selection best = Select(norm);
+  if (best.index < 0 || PrefersScan(best.plan.intervals, refine_floor)) {
+    return scan();
   }
-  Result<T> result = serve(index, norm);
-  if (result.ok()) StatsOf(result.value()).index_used = best;
+  Result<T> result =
+      serve(indices_[static_cast<size_t>(best.index)], norm, best.plan);
+  if (result.ok()) StatsOf(result.value()).index_used = best.index;
   return result;
 }
 
@@ -285,8 +296,9 @@ Result<InequalityResult> PlanarIndexSet::Inequality(
     const ScalarProductQuery& q, const Deadline& deadline) const {
   return Route<InequalityResult>(
       q, kAlwaysRefines, [&] { return ScanInequality(*phi_, q, deadline); },
-      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
-        return index.Inequality(norm, deadline);
+      [&](const PlanarIndex& index, const NormalizedQuery& norm,
+          const PlanarIndex::Plan& plan) {
+        return index.RunInequality(norm, plan, deadline);
       });
 }
 
@@ -299,8 +311,9 @@ Result<CountResult> PlanarIndexSet::CountInequality(
   return Route<CountResult>(
       q, tolerance.Allowed(static_cast<double>(phi_->size())),
       [&] { return ScanCountInequality(*phi_, q, deadline); },
-      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
-        return index.CountInequality(norm, tolerance, deadline);
+      [&](const PlanarIndex& index, const NormalizedQuery& norm,
+          const PlanarIndex::Plan& plan) {
+        return index.RunCount(norm, plan, tolerance, deadline);
       });
 }
 
@@ -313,8 +326,9 @@ Result<AggregateResult> PlanarIndexSet::AggregateInequality(
       [&] {
         return ScanAggregateInequality(*phi_, payload_column, q, deadline);
       },
-      [&](const PlanarIndex& index, const NormalizedQuery& norm) {
-        return index.AggregateInequality(norm, tolerance, deadline);
+      [&](const PlanarIndex& index, const NormalizedQuery& norm,
+          const PlanarIndex::Plan& plan) {
+        return index.RunAggregate(norm, plan, tolerance, deadline);
       });
 }
 
@@ -330,13 +344,13 @@ Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q, size_t k,
   if (!norm.IsFinite()) {
     return Status::InvalidArgument("query parameters must be finite");
   }
-  const int best = SelectBestIndex(norm);
-  if (best < 0) {
+  const Selection best = Select(norm);
+  if (best.index < 0) {
     return ScanTopK(*phi_, q, k, deadline);
   }
-  Result<TopKResult> result =
-      indices_[static_cast<size_t>(best)].TopK(norm, k, deadline);
-  if (result.ok()) result->stats.index_used = best;
+  Result<TopKResult> result = indices_[static_cast<size_t>(best.index)]
+                                  .RunTopK(norm, best.plan, k, deadline);
+  if (result.ok()) result->stats.index_used = best.index;
   return result;
 }
 

@@ -12,6 +12,7 @@
 #define PLANAR_CORE_INDEX_SET_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -35,6 +36,11 @@ struct ParameterDomain {
   double hi = 0.0;
 };
 
+/// The largest index budget PlanarIndexSet::Build accepts. Sampling
+/// deduplicates every new normal against all accepted ones, so the cost
+/// grows with the square of the budget; in-tree callers use at most 200.
+inline constexpr size_t kMaxIndexBudget = 4096;
+
 /// Options for building a PlanarIndexSet.
 struct IndexSetOptions {
   /// Best-index selection strategy (Section 5.1 of the paper, plus this
@@ -50,7 +56,8 @@ struct IndexSetOptions {
     kIntervalCount,
   };
 
-  /// Number of indices to sample (the paper's budget b).
+  /// Number of indices to sample (the paper's budget b), in
+  /// [1, kMaxIndexBudget].
   size_t budget = 10;
   Selector selector = Selector::kIntervalCount;
   PlanarIndexOptions index_options;
@@ -60,7 +67,7 @@ struct IndexSetOptions {
   /// Sampling seed (index sets are deterministic given the seed).
   uint64_t seed = 42;
   /// Sampling stops after budget * this many attempts even when dedup
-  /// kept the set below budget.
+  /// kept the set below budget. Build rejects a product that overflows.
   size_t max_attempts_per_index = 16;
   /// Hybrid worst-case guard: when even the best index leaves more than
   /// this fraction of the points in the intermediate interval, answer by
@@ -272,11 +279,34 @@ class PlanarIndexSet {
   // on any failure appends nothing and returns the first failing status.
   Status BuildIndicesParallel(std::vector<IndexDefinition> definitions);
 
+  // The index selection picked for a query (-1: none can serve) and the
+  // query's plan on it, which the fallback test and the serve call read.
+  struct Selection {
+    int index = -1;
+    PlanarIndex::Plan plan;
+  };
+  // SelectBestIndex's choice plus the winner's plan: the interval-count
+  // selector keeps the plan it scored the winner with; the stretch and
+  // angle selectors plan the winner once, after choosing.
+  Selection Select(const NormalizedQuery& q) const;
+
+  // PrefersScan's refine floor for answers that always stream their II:
+  // any intermediate interval wider than the scan-fallback fraction
+  // diverts.
+  static constexpr double kAlwaysRefines =
+      -std::numeric_limits<double>::infinity();
+
+  // The hybrid worst-case guard: true when the intermediate interval of
+  // `iv` is wider than both `refine_floor` and the scan-fallback fraction
+  // of the points.
+  bool PrefersScan(const PlanarIndex::Intervals& iv,
+                   double refine_floor = kAlwaysRefines) const;
+
   // The serving route Inequality, CountInequality and
   // AggregateInequality share: select the best index, divert to
-  // `scan()` when none can serve or the hybrid guard fires (an II wider
-  // than both `refine_floor` and the scan-fallback fraction), else
-  // answer `serve(index, normalized query)` and stamp index_used.
+  // `scan()` when none can serve or the winner's plan PrefersScan at
+  // `refine_floor`, else answer `serve(index, normalized query, plan)`
+  // and stamp index_used.
   template <typename T, typename Scan, typename Serve>
   Result<T> Route(const ScalarProductQuery& q, double refine_floor,
                   const Scan& scan, const Serve& serve) const;

@@ -235,21 +235,25 @@ bool PlanarIndex::CanServe(const NormalizedQuery& q) const {
   return true;
 }
 
-PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
+void PlanarIndex::PlanScratch::Reserve(size_t dim) {
+  if (dim <= kInlineAxes) return;  // the current rows are wide enough
+  if (heap_axes_.size() < dim) {
+    heap_axes_.resize(dim);
+    heap_prefix_.resize(dim + 1);
+  }
+  axes_ = heap_axes_.data();
+  prefix_ = heap_prefix_.data();
+}
+
+PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q,
+                                           PlanScratch* scratch) const {
   Prepared p;
   p.b_prime = translator_.MirroredOffset(q);
 
   // Split axes into active (normal, finite ratio a~_i / c_i) and
   // always-excluded (a~_i == 0, or a ratio too degenerate to divide by).
-  struct Axis {
-    double ratio;     // a~_i / c_i
-    double c_psi_min;  // c_i * psi_min_i
-    double c_psi_max;
-    double a_psi_min;  // a~_i * psi_min_i
-    double a_psi_max;
-  };
-  std::vector<Axis> axes;
-  axes.reserve(q.a.size());
+  scratch->Reserve(q.a.size());
+  PlanScratch::Axis* const axes = scratch->axes_;
   size_t m = 0;
   for (size_t i = 0; i < q.a.size(); ++i) {
     const double at = std::fabs(q.a[i]);
@@ -266,9 +270,8 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
     // choice.
     if (ratio >= std::numeric_limits<double>::min() &&
         std::isfinite(ratio)) {
-      axes.push_back({ratio, normal_[i] * psi_min, normal_[i] * psi_max,
-                      at * psi_min, at * psi_max});
-      ++m;
+      axes[m++] = {ratio, normal_[i] * psi_min, normal_[i] * psi_max,
+                   at * psi_min, at * psi_max};
     } else {
       p.c0min += normal_[i] * psi_min;
       p.c0max += normal_[i] * psi_max;
@@ -289,20 +292,21 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
 
   size_t prefix = 0;  // smallest-ratio axes excluded
   size_t suffix = 0;  // largest-ratio axes excluded
-  std::sort(axes.begin(), axes.end(),
-            [](const Axis& x, const Axis& y) { return x.ratio < y.ratio; });
+  std::sort(axes, axes + m,
+            [](const PlanScratch::Axis& x, const PlanScratch::Axis& y) {
+              return x.ratio < y.ratio;
+            });
 
   if (options_.enable_axis_exclusion && m > 1) {
     // Prefix sums over ratio order for O(1) evaluation of any
     // prefix/suffix exclusion choice.
-    std::vector<double> pc_min(m + 1), pc_max(m + 1), pa_min(m + 1),
-        pa_max(m + 1);
-    pc_min[0] = pc_max[0] = pa_min[0] = pa_max[0] = 0.0;
+    PlanScratch::Prefix* const ps = scratch->prefix_;
+    ps[0] = {0.0, 0.0, 0.0, 0.0};
     for (size_t i = 0; i < m; ++i) {
-      pc_min[i + 1] = pc_min[i] + axes[i].c_psi_min;
-      pc_max[i + 1] = pc_max[i] + axes[i].c_psi_max;
-      pa_min[i + 1] = pa_min[i] + axes[i].a_psi_min;
-      pa_max[i + 1] = pa_max[i] + axes[i].a_psi_max;
+      ps[i + 1].c_min = ps[i].c_min + axes[i].c_psi_min;
+      ps[i + 1].c_max = ps[i].c_max + axes[i].c_psi_max;
+      ps[i + 1].a_min = ps[i].a_min + axes[i].a_psi_min;
+      ps[i + 1].a_max = ps[i].a_max + axes[i].a_psi_max;
     }
     // Choose the exclusion (prefix, suffix) minimizing the interval width
     //   W = (b' - Emin)/rmin - (b' - Emax)/rmax + (C0max - C0min),
@@ -313,13 +317,13 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
         const double rmin = axes[pre].ratio;
         const double rmax = axes[m - suf - 1].ratio;
         const double e_min =
-            p.emin + pa_min[pre] + (pa_min[m] - pa_min[m - suf]);
+            p.emin + ps[pre].a_min + (ps[m].a_min - ps[m - suf].a_min);
         const double e_max =
-            p.emax + pa_max[pre] + (pa_max[m] - pa_max[m - suf]);
+            p.emax + ps[pre].a_max + (ps[m].a_max - ps[m - suf].a_max);
         const double c_min =
-            p.c0min + pc_min[pre] + (pc_min[m] - pc_min[m - suf]);
+            p.c0min + ps[pre].c_min + (ps[m].c_min - ps[m - suf].c_min);
         const double c_max =
-            p.c0max + pc_max[pre] + (pc_max[m] - pc_max[m - suf]);
+            p.c0max + ps[pre].c_max + (ps[m].c_max - ps[m - suf].c_max);
         const double width = (p.b_prime - e_min) / rmin -
                              (p.b_prime - e_max) / rmax + (c_max - c_min);
         if (width < best_width) {
@@ -357,8 +361,29 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q) const {
   return p;
 }
 
-Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
-    const NormalizedQuery& q) const {
+PlanarIndex::Plan PlanarIndex::MakePlan(const NormalizedQuery& q,
+                                        PlanScratch* scratch) const {
+  Plan plan;
+  if (q.IsDegenerate()) {
+    // Constant predicate: everything is decided outright, nothing is
+    // intermediate.
+    plan.intervals = {size(), size()};
+    return plan;
+  }
+  plan.prepared = Prepare(q, scratch);
+  plan.intervals.smaller_end = RankLessEqual(plan.prepared.low_cut);
+  plan.intervals.larger_begin = RankLessEqual(plan.prepared.high_cut);
+  PLANAR_DCHECK(plan.intervals.smaller_end <= plan.intervals.larger_begin);
+  return plan;
+}
+
+PlanarIndex::Plan PlanarIndex::StandalonePlan(const NormalizedQuery& q) const {
+  if (!q.IsFinite() || !CanServe(q)) return Plan();
+  PlanScratch scratch;
+  return MakePlan(q, &scratch);
+}
+
+Status PlanarIndex::CheckServable(const NormalizedQuery& q) const {
   if (!q.IsFinite()) {
     return Status::InvalidArgument("query parameters must be finite");
   }
@@ -366,19 +391,14 @@ Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
     return Status::FailedPrecondition(
         "query octant is incompatible with this index");
   }
-  Intervals iv;
-  if (q.IsDegenerate()) {
-    // Constant predicate: everything is decided outright, nothing is
-    // intermediate.
-    iv.smaller_end = size();
-    iv.larger_begin = size();
-    return iv;
-  }
-  const Prepared p = Prepare(q);
-  iv.smaller_end = RankLessEqual(p.low_cut);
-  iv.larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(iv.smaller_end <= iv.larger_begin);
-  return iv;
+  return Status::OK();
+}
+
+Result<PlanarIndex::Intervals> PlanarIndex::ComputeIntervals(
+    const NormalizedQuery& q) const {
+  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  PlanScratch scratch;
+  return MakePlan(q, &scratch).intervals;
 }
 
 void PlanarIndex::CollectRange(size_t begin, size_t end,
@@ -400,19 +420,14 @@ Result<InequalityResult> PlanarIndex::Inequality(
 
 Result<InequalityResult> PlanarIndex::Inequality(
     const NormalizedQuery& q, const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunInequality(q, deadline);
+  return RunInequality(q, StandalonePlan(q), deadline);
 }
 
 Result<InequalityResult> PlanarIndex::RunInequality(
-    const NormalizedQuery& q, const Deadline& deadline) const {
+    const NormalizedQuery& q, const Plan& plan,
+    const Deadline& deadline) const {
+  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  PLANAR_CHECK_EQ(phi_->size(), size());
   const size_t n = size();
   InequalityResult result;
   result.stats.num_points = n;
@@ -432,10 +447,8 @@ Result<InequalityResult> PlanarIndex::RunInequality(
     return result;
   }
 
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
+  const size_t smaller_end = plan.intervals.smaller_end;
+  const size_t larger_begin = plan.intervals.larger_begin;
 
   const bool le = q.cmp == Comparison::kLessEqual;
   // Which rank range is accepted outright.
@@ -486,15 +499,7 @@ Result<CountResult> PlanarIndex::CountInequality(
 Result<CountResult> PlanarIndex::CountInequality(
     const NormalizedQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunCount(q, tolerance, deadline);
+  return RunCount(q, StandalonePlan(q), tolerance, deadline);
 }
 
 Result<AggregateResult> PlanarIndex::AggregateInequality(
@@ -506,15 +511,7 @@ Result<AggregateResult> PlanarIndex::AggregateInequality(
 Result<AggregateResult> PlanarIndex::AggregateInequality(
     const NormalizedQuery& q, const CountTolerance& tolerance,
     const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunAggregate(q, tolerance, deadline);
+  return RunAggregate(q, StandalonePlan(q), tolerance, deadline);
 }
 
 bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
@@ -560,8 +557,11 @@ bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
 }
 
 Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
+                                          const Plan& plan,
                                           const CountTolerance& tolerance,
                                           const Deadline& deadline) const {
+  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  PLANAR_CHECK_EQ(phi_->size(), size());
   const size_t n = size();
   CountResult result;
   result.stats.num_points = n;
@@ -581,10 +581,9 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
     return result;
   }
 
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
+  const Prepared& p = plan.prepared;
+  const size_t smaller_end = plan.intervals.smaller_end;
+  const size_t larger_begin = plan.intervals.larger_begin;
   const size_t outright = le ? smaller_end : n - larger_begin;
   const size_t ii_count = larger_begin - smaller_end;
   result.lower = outright;
@@ -648,8 +647,10 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
 }
 
 Result<AggregateResult> PlanarIndex::RunAggregate(
-    const NormalizedQuery& q, const CountTolerance& tolerance,
-    const Deadline& deadline) const {
+    const NormalizedQuery& q, const Plan& plan,
+    const CountTolerance& tolerance, const Deadline& deadline) const {
+  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  PLANAR_CHECK_EQ(phi_->size(), size());
   if (!has_payload()) {
     return Status::FailedPrecondition(
         "no payload column configured (set PlanarIndexOptions::"
@@ -679,10 +680,8 @@ Result<AggregateResult> PlanarIndex::RunAggregate(
     return result;
   }
 
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  PLANAR_DCHECK(smaller_end <= larger_begin);
+  const size_t smaller_end = plan.intervals.smaller_end;
+  const size_t larger_begin = plan.intervals.larger_begin;
   const size_t outright = le ? smaller_end : n - larger_begin;
   const size_t ii_count = larger_begin - smaller_end;
 
@@ -770,14 +769,17 @@ Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q,
 
 Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q, size_t k,
                                      const Deadline& deadline) const {
-  if (!q.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  if (!CanServe(q)) {
-    return Status::FailedPrecondition(
-        "query octant is incompatible with this index");
-  }
-  if (q.IsDegenerate()) {
+  return RunTopK(q, StandalonePlan(q), k, deadline);
+}
+
+Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q,
+                                        const Plan& plan, size_t k,
+                                        const Deadline& deadline) const {
+  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  // |a| == 0 also when a != 0 but its squares underflow; ScanTopK
+  // refuses both the same way.
+  const double norm_a = q.NormA();
+  if (norm_a == 0.0) {
     return Status::InvalidArgument(
         "top-k distance is undefined for an all-zero query normal");
   }
@@ -785,19 +787,13 @@ Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q, size_t k,
     return Status::InvalidArgument("k must be positive");
   }
   PLANAR_CHECK_EQ(phi_->size(), size());
-  return RunTopK(q, k, deadline);
-}
-
-Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
-                                        const Deadline& deadline) const {
   const size_t n = size();
   TopKResult result;
   result.stats.num_points = n;
 
-  const Prepared p = Prepare(q);
-  const size_t smaller_end = RankLessEqual(p.low_cut);
-  const size_t larger_begin = RankLessEqual(p.high_cut);
-  const double norm_a = q.NormA();
+  const Prepared& p = plan.prepared;
+  const size_t smaller_end = plan.intervals.smaller_end;
+  const size_t larger_begin = plan.intervals.larger_begin;
   const bool le = q.cmp == Comparison::kLessEqual;
 
   // The heap can never hold more than n entries, so a huge k does not
@@ -843,8 +839,12 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
     return (deadline_step++ & (kDeadlineCheckInterval - 1)) == 0 &&
            deadline.Expired();
   };
-  const Status deadline_status = Status::DeadlineExceeded(
-      "top-k query exceeded its deadline during candidate evaluation");
+  // Built only on expiry: the message would cost a heap allocation on
+  // every query.
+  const auto deadline_status = [] {
+    return Status::DeadlineExceeded(
+        "top-k query exceeded its deadline during candidate evaluation");
+  };
 
   // Accept-region termination check (lines 10-11): the heap is full and
   // even the lower-bound distance of rank r exceeds its worst entry.
@@ -854,7 +854,7 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
   };
 
   for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-    if (deadline.Expired()) return deadline_status;
+    if (deadline.Expired()) return deadline_status();
     const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
     consider_block(ids_.data() + smaller_end + off, blk);
   }
@@ -862,7 +862,7 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
   // outward, pruning with the lower-bound distance (lines 8-14).
   if (le) {
     for (size_t r = smaller_end; r-- > 0;) {
-      if (past_deadline()) return deadline_status;
+      if (past_deadline()) return deadline_status();
       if (terminate_at(r)) {
         result.stats.early_terminated = true;
         break;
@@ -874,7 +874,7 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
     }
   } else {
     for (size_t r = larger_begin; r < n; ++r) {
-      if (past_deadline()) return deadline_status;
+      if (past_deadline()) return deadline_status();
       if (terminate_at(r)) {
         result.stats.early_terminated = true;
         break;
@@ -892,25 +892,26 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q, size_t k,
 
 PlanarIndex::Explanation PlanarIndex::Explain(
     const NormalizedQuery& q) const {
+  return Describe(q, StandalonePlan(q));
+}
+
+PlanarIndex::Explanation PlanarIndex::Describe(const NormalizedQuery& q,
+                                               const Plan& plan) const {
   Explanation e;
   e.num_points = size();
   e.cmp = q.cmp;
-  e.can_serve = q.IsFinite() && CanServe(q);
+  e.can_serve = CheckServable(q).ok();
   if (!e.can_serve) return e;
-  if (q.IsDegenerate()) {
-    e.degenerate = true;
-    e.smaller_end = e.larger_begin = size();
-    return e;
-  }
-  const Prepared p = Prepare(q);
+  e.degenerate = q.IsDegenerate();
+  const Prepared& p = plan.prepared;
   e.b_prime = p.b_prime;
   e.rmin = p.rmin;
   e.rmax = p.rmax;
   e.excluded_axes = p.excluded_axes;
   e.low_cut = p.low_cut;
   e.high_cut = p.high_cut;
-  e.smaller_end = RankLessEqual(p.low_cut);
-  e.larger_begin = RankLessEqual(p.high_cut);
+  e.smaller_end = plan.intervals.smaller_end;
+  e.larger_begin = plan.intervals.larger_begin;
   return e;
 }
 

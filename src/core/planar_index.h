@@ -212,6 +212,9 @@ class PlanarIndex {
   struct Intervals {
     size_t smaller_end = 0;
     size_t larger_begin = 0;
+
+    /// Points needing scalar-product evaluation (|II|).
+    size_t intermediate() const { return larger_begin - smaller_end; }
   };
 
   PlanarIndex(PlanarIndex&&) = default;
@@ -410,6 +413,10 @@ class PlanarIndex {
   size_t MemoryUsage() const;
 
  private:
+  // PlanarIndexSet plans each query once during index selection and
+  // serves it from that plan through the Run* calls below.
+  friend class PlanarIndexSet;
+
   // Thresholds and per-query scalars shared by query paths. With the
   // included axis set A and excluded set E (zero axes always in E):
   //   <a~, psi>  <=  rmax * (key - c0min) + emax
@@ -428,9 +435,68 @@ class PlanarIndex {
     bool all_axes_zero = false;
   };
 
+  // A query's plan on this index: its prepared key cuts and the rank
+  // boundaries they select. Built once per query and read by the
+  // scan-fallback test, EXPLAIN and the serve call. A degenerate query's
+  // plan decides every point outright ({n, n}, nothing prepared).
+  struct Plan {
+    Prepared prepared;
+    Intervals intervals;
+  };
+
+  // Working storage for Prepare: the ratio-sorted active axes and their
+  // prefix sums. Up to kInlineAxes axes live inside the object, so a
+  // stack scratch plans a low-dimensional query without touching the
+  // heap; a wider query takes one heap buffer, which every later plan
+  // made through the same scratch (every candidate of one index
+  // selection) reuses.
+  class PlanScratch {
+   public:
+    PlanScratch() = default;
+    PlanScratch(const PlanScratch&) = delete;
+    PlanScratch& operator=(const PlanScratch&) = delete;
+
+   private:
+    friend class PlanarIndex;
+    struct Axis {
+      double ratio;      // a~_i / c_i
+      double c_psi_min;  // c_i * psi_min_i
+      double c_psi_max;
+      double a_psi_min;  // a~_i * psi_min_i
+      double a_psi_max;
+    };
+    // Prefix sums over ratio order of the four psi terms.
+    struct Prefix {
+      double c_min;
+      double c_max;
+      double a_min;
+      double a_max;
+    };
+    static constexpr size_t kInlineAxes = 16;
+
+    // Points axes_/prefix_ at room for `dim` axes and dim + 1 prefix rows.
+    void Reserve(size_t dim);
+
+    Axis inline_axes_[kInlineAxes];
+    Prefix inline_prefix_[kInlineAxes + 1];
+    std::vector<Axis> heap_axes_;
+    std::vector<Prefix> heap_prefix_;
+    Axis* axes_ = inline_axes_;
+    Prefix* prefix_ = inline_prefix_;
+  };
+
   PlanarIndex() = default;
 
-  Prepared Prepare(const NormalizedQuery& q) const;
+  Prepared Prepare(const NormalizedQuery& q, PlanScratch* scratch) const;
+  // The plan of a query this index can serve (finite, CanServe).
+  Plan MakePlan(const NormalizedQuery& q, PlanScratch* scratch) const;
+  // The plan a single-index entry point serves from: empty when this
+  // index cannot serve `q`, which every Run* rejects before reading it.
+  Plan StandalonePlan(const NormalizedQuery& q) const;
+  // Finiteness and octant compatibility, the checks every query passes
+  // before its plan is read.
+  Status CheckServable(const NormalizedQuery& q) const;
+  Explanation Describe(const NormalizedQuery& q, const Plan& plan) const;
   void ComputeKey(uint32_t row, double* key) const;
   double RawKey(const double* phi_row) const;
   size_t RankLessEqual(double key) const;
@@ -442,12 +508,16 @@ class PlanarIndex {
   // Rebuilds the search and aggregate sidecars from keys_/ids_ after any
   // mutation of the sorted arrays.
   void RefreshSearchLayout();
+  // The serve calls: each runs every check of its public entry point,
+  // then answers from `plan`, which must be this index's plan of `q`.
   Result<InequalityResult> RunInequality(const NormalizedQuery& q,
+                                         const Plan& plan,
                                          const Deadline& deadline) const;
-  Result<CountResult> RunCount(const NormalizedQuery& q,
+  Result<CountResult> RunCount(const NormalizedQuery& q, const Plan& plan,
                                const CountTolerance& tolerance,
                                const Deadline& deadline) const;
   Result<AggregateResult> RunAggregate(const NormalizedQuery& q,
+                                       const Plan& plan,
                                        const CountTolerance& tolerance,
                                        const Deadline& deadline) const;
   // Streams `count` candidate ids through the counting verify blocks
@@ -463,8 +533,8 @@ class PlanarIndex {
                        const std::function<bool(size_t)>& stop,
                        size_t* accepted, size_t* resolved,
                        double* accepted_sum) const;
-  Result<TopKResult> RunTopK(const NormalizedQuery& q, size_t k,
-                             const Deadline& deadline) const;
+  Result<TopKResult> RunTopK(const NormalizedQuery& q, const Plan& plan,
+                             size_t k, const Deadline& deadline) const;
   // Verifies the candidate ids (block-batched kernels, one deadline poll
   // per block) and appends accepted ids to *out in candidate order.
   // Returns false iff the deadline expired mid-verification.

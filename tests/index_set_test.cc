@@ -56,6 +56,31 @@ TEST(IndexSetBuildTest, DedupCollapsesDegenerateDomain) {
   EXPECT_EQ(set->num_indices(), 1u);
 }
 
+TEST(IndexSetBuildTest, RejectsOverflowingOrOversizedBudget) {
+  // budget * max_attempts_per_index used to wrap: 2^60 * 16 wrapped to 0
+  // attempts (Internal), 2^60 + 1 to 16 (a silent OK with <= 16 indices).
+  const size_t huge = size_t{1} << 60;
+  for (const size_t budget : {huge, huge + 1, kMaxIndexBudget + 1}) {
+    auto set = PlanarIndexSet::Build(RandomPhi(20, 2, 1.0, 10.0, 45),
+                                     PositiveDomains(2, 1.0, 8.0),
+                                     WithBudget(budget));
+    ASSERT_FALSE(set.ok()) << budget;
+    EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument) << budget;
+  }
+  // A product that overflows under the cap.
+  IndexSetOptions options = WithBudget(10);
+  options.max_attempts_per_index = std::numeric_limits<size_t>::max() / 4;
+  auto set = PlanarIndexSet::Build(RandomPhi(20, 2, 1.0, 10.0, 46),
+                                   PositiveDomains(2, 1.0, 8.0), options);
+  ASSERT_FALSE(set.ok());
+  EXPECT_EQ(set.status().code(), StatusCode::kInvalidArgument);
+  // The cap itself is accepted.
+  EXPECT_TRUE(PlanarIndexSet::Build(RandomPhi(20, 2, 1.0, 10.0, 47),
+                                    {{2.0, 2.0}, {3.0, 3.0}},
+                                    WithBudget(kMaxIndexBudget))
+                  .ok());
+}
+
 TEST(IndexSetBuildTest, NegativeDomainsYieldNegativeOctant) {
   PhiMatrix phi = RandomPhi(50, 2, -10.0, 10.0, 44);
   auto set = PlanarIndexSet::Build(

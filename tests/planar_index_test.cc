@@ -154,6 +154,16 @@ TEST(PlanarIndexTest, DegenerateAllZeroQuery) {
           ->TopK(ScalarProductQuery{{0.0, 0.0}, 3.0, Comparison::kLessEqual},
                  2)
           .ok());
+  // So it is when |a| underflows to zero; the index refuses such a query
+  // with the scan's status instead of dividing by the zero norm.
+  const ScalarProductQuery tiny{{5e-324, 5e-324}, 3.0,
+                                Comparison::kLessEqual};
+  const auto indexed = index->TopK(tiny, 2);
+  const auto scanned = ScanTopK(phi, tiny, 2);
+  ASSERT_FALSE(indexed.ok());
+  ASSERT_FALSE(scanned.ok());
+  EXPECT_EQ(indexed.status().code(), scanned.status().code());
+  EXPECT_EQ(indexed.status().message(), scanned.status().message());
 }
 
 TEST(PlanarIndexTest, TopKMatchesScan) {

@@ -23,7 +23,10 @@
 // The feature space of a CLI-built index is the raw CSV columns
 // (phi = identity); use the library API for nonlinear phi.
 
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -96,6 +99,40 @@ int Fail(const Status& status) {
   return 1;
 }
 
+// Reads integer flag `name` into *out (default when absent). A value that
+// is not a whole decimal number in [lo, hi] prints a usage error and
+// returns false; the caller exits 2.
+bool GetIntInRange(const FlagParser& flags, const char* name,
+                   int64_t default_value, int64_t lo, int64_t hi,
+                   int64_t* out) {
+  *out = default_value;
+  if (!flags.Has(name)) return true;
+  const std::string text = flags.GetString(name, "");
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    std::fprintf(stderr, "--%s must be an integer in [%lld, %lld]\n", name,
+                 static_cast<long long>(lo), static_cast<long long>(hi));
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+// Reads --cmp (le or ge) into *cmp; anything else prints a usage error
+// and returns false.
+bool GetComparison(const FlagParser& flags, Comparison* cmp) {
+  const std::string text = flags.GetString("cmp", "le");
+  if (text != "le" && text != "ge") {
+    std::fprintf(stderr, "--cmp must be le or ge\n");
+    return false;
+  }
+  *cmp = text == "ge" ? Comparison::kGreaterEqual : Comparison::kLessEqual;
+  return true;
+}
+
 int RunBuild(const FlagParser& flags) {
   const std::string csv = flags.GetString("csv", "");
   const std::string out_path = flags.GetString("out", "index.planar");
@@ -107,8 +144,15 @@ int RunBuild(const FlagParser& flags) {
   const std::string delimiter = flags.GetString("delimiter", ",");
   csv_options.delimiter = delimiter.empty() ? ',' : delimiter[0];
   csv_options.has_header = flags.GetBool("header", false);
-  csv_options.max_rows =
-      static_cast<size_t>(flags.GetInt("max_rows", 0));
+  int64_t max_rows = 0;
+  int64_t budget = 0;
+  if (!GetIntInRange(flags, "max_rows", 0, 0,
+                     std::numeric_limits<int64_t>::max(), &max_rows) ||
+      !GetIntInRange(flags, "budget", 50, 1,
+                     static_cast<int64_t>(kMaxIndexBudget), &budget)) {
+    return 2;
+  }
+  csv_options.max_rows = static_cast<size_t>(max_rows);
   if (flags.Has("columns")) {
     auto columns = ParseDoubles(flags.GetString("columns", ""));
     if (!columns.ok()) return Fail(columns.status());
@@ -127,7 +171,7 @@ int RunBuild(const FlagParser& flags) {
   if (!domains.ok()) return Fail(domains.status());
 
   IndexSetOptions options;
-  options.budget = static_cast<size_t>(flags.GetInt("budget", 50));
+  options.budget = static_cast<size_t>(budget);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   WallTimer build_timer;
   auto set = PlanarIndexSet::Build(std::move(*data), *domains, options);
@@ -168,10 +212,14 @@ int RunQuery(const FlagParser& flags) {
   ScalarProductQuery q;
   q.a = *a;
   q.b = flags.GetDouble("b", 0.0);
-  q.cmp = flags.GetString("cmp", "le") == "ge" ? Comparison::kGreaterEqual
-                                               : Comparison::kLessEqual;
+  if (!GetComparison(flags, &q.cmp)) return 2;
   if (q.a.size() != set->phi().dim()) {
     std::fprintf(stderr, "--a needs %zu coefficients\n", set->phi().dim());
+    return 2;
+  }
+  int64_t topk = 0;
+  if (!GetIntInRange(flags, "topk", 0, 0,
+                     std::numeric_limits<int64_t>::max(), &topk)) {
     return 2;
   }
 
@@ -182,7 +230,6 @@ int RunQuery(const FlagParser& flags) {
                 100.0 * bounds.hi);
   }
 
-  const int64_t topk = flags.GetInt("topk", 0);
   WallTimer timer;
   if (topk > 0) {
     auto result = set->TopK(q, static_cast<size_t>(topk));
@@ -219,8 +266,7 @@ int RunCount(const FlagParser& flags) {
   ScalarProductQuery q;
   q.a = *a;
   q.b = flags.GetDouble("b", 0.0);
-  q.cmp = flags.GetString("cmp", "le") == "ge" ? Comparison::kGreaterEqual
-                                               : Comparison::kLessEqual;
+  if (!GetComparison(flags, &q.cmp)) return 2;
   if (q.a.size() != set->phi().dim()) {
     std::fprintf(stderr, "--a needs %zu coefficients\n", set->phi().dim());
     return 2;

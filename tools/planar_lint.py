@@ -106,6 +106,13 @@ Rules (library code under src/ unless stated otherwise):
                     query answer comes from the one exact f64 pipeline,
                     and a float that leaks into index math silently
                     breaks the bit-identity contract with the f64 scan.
+  serve-from-plan   `ComputeIntervals(` and `Prepare(` calls are forbidden
+                    in src/core/index_set.cc and src/core/batch.cc: the
+                    set-level paths plan a query once, during index
+                    selection (PlanarIndexSet::Select), and the fallback
+                    test, EXPLAIN and the serve call read that plan.
+                    Re-planning the winner repeats its Prepare and two
+                    boundary searches on every request.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
@@ -184,6 +191,11 @@ RE_AGG_MUTATION = re.compile(
 AGG_COMMENT_WINDOW = 8
 # The canonical construction helper's home (core/aggregate.cc) is exempt.
 AGG_EXEMPT_FILES = {Path("src/core/aggregate.cc")}
+# Re-planning calls (serve-from-plan) and the files that serve from the
+# plan selection built.
+RE_REPLAN = re.compile(
+    r"(?<![A-Za-z0-9_])(?:ComputeIntervals|Prepare)\s*\(")
+PLAN_ONCE_FILES = {Path("src/core/index_set.cc"), Path("src/core/batch.cc")}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -302,6 +314,11 @@ def findings_for_file(root: Path, path: Path):
                 yield (rel, lineno, "no-naked-float-in-core",
                        "the float type is forbidden in src/core: every "
                        "answer comes from the exact f64 pipeline")
+            if rel in PLAN_ONCE_FILES and RE_REPLAN.search(line):
+                yield (rel, lineno, "serve-from-plan",
+                       "serve from the plan index selection built "
+                       "(PlanarIndexSet::Select); re-planning repeats "
+                       "Prepare and two boundary searches per request")
             if rel not in AGG_EXEMPT_FILES and RE_AGG_MUTATION.search(line):
                 if lineno - last_agg_ok <= AGG_COMMENT_WINDOW:
                     last_agg_ok = lineno  # consecutive uses chain
@@ -592,6 +609,25 @@ def self_test() -> int:
          "  std::sort(valids.begin(), valids.end());\n"
          "  std::sort(idsx.begin(), idsx.end());\n"
          "}\n", "core-sort-via-sort-util", 0),
+        # serve-from-plan: re-planning in the set-level serving files
+        # fires,
+        ("src/core/index_set.cc",
+         "auto iv = index.ComputeIntervals(norm);\n"
+         "const Prepared p = index.Prepare (norm, &scratch);\n",
+         "serve-from-plan", 2),
+        ("src/core/batch.cc",
+         "const auto iv = index.ComputeIntervals(norms[slot]);\n",
+         "serve-from-plan", 1),
+        # but planning through selection, comments and longer names do
+        # not,
+        ("src/core/index_set.cc",
+         "// never call ComputeIntervals( here\n"
+         "plan = index.MakePlan(q, &scratch);\n"
+         "Status s = PrepareAll(q);\n", "serve-from-plan", 0),
+        # and other files may still plan on their own.
+        ("src/core/band.cc",
+         "const auto upper_iv = index.ComputeIntervals(upper_norm);\n",
+         "serve-from-plan", 0),
     ]
     for i, (rel_path, content, rule, want) in enumerate(file_cases):
         root = write_source(rel_path, content)
