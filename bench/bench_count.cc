@@ -3,11 +3,9 @@
 // Approximate aggregate fast path sweep (DESIGN.md section 5k): COUNT
 // latency across tolerance x n against two baselines — the full
 // materializing Inequality-and-count, and the pure boundary-search
-// bounds — plus a head-to-head of the learned predict-then-probe
-// boundary search against the PR 4 Eytzinger descent on the same index.
-// Every tolerance-0 count is first cross-checked bit-equal to the scan
-// baseline (a mismatch is a hard failure), which makes --smoke the CI
-// gate for the count path.
+// bounds. Every tolerance-0 count is first cross-checked bit-equal to
+// the scan baseline (a mismatch is a hard failure), which makes --smoke
+// the CI gate for the count path.
 //
 //   --n        dataset size            (default 100000)
 //   --queries  queries per mode        (default 64)
@@ -90,8 +88,8 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "approximate count fast path",
       "COUNT bounds/refinement latency across tolerance, vs the "
-      "materializing Inequality baseline; learned predict-then-probe vs "
-      "Eytzinger boundary search; tolerance-0 bit-exactness checked");
+      "materializing Inequality baseline; tolerance-0 bit-exactness "
+      "checked");
 
   const PhiMatrix phi = RandomPhi(n, 3, -20.0, 80.0, 17);
   const std::vector<ParameterDomain> domains = {
@@ -159,54 +157,6 @@ int main(int argc, char** argv) {
                   FormatDouble(inequality_ms / ms, 1),
                   FormatDouble(refined_fraction, 2)});
   }
-
-  // Predict-then-probe vs Eytzinger, same index, bounds-only queries
-  // (two boundary searches per count, no II streaming): the learned
-  // model's win or loss on ns/lookup is whatever these two lines say.
-  CountTolerance bounds_only;
-  bounds_only.absolute = static_cast<double>(n);
-  PlanarIndexOptions eytzinger_only;
-  eytzinger_only.learned_cdf = false;
-  PhiMatrix first_octant = RandomPhi(n, 3, 1.0, 100.0, 19);
-  auto model_index =
-      PlanarIndex::BuildFirstOctant(&first_octant, {1.0, 2.0, 1.0});
-  auto eytz_index = PlanarIndex::BuildFirstOctant(&first_octant,
-                                                  {1.0, 2.0, 1.0},
-                                                  eytzinger_only);
-  PLANAR_CHECK(model_index.ok() && eytz_index.ok());
-  std::vector<ScalarProductQuery> lookups(num_queries * 8);
-  {
-    Rng rng(29);
-    for (ScalarProductQuery& q : lookups) {
-      q.a = {rng.Uniform(1, 6), rng.Uniform(1, 6), rng.Uniform(1, 6)};
-      q.b = rng.Uniform(0, 2000);
-      q.cmp = Comparison::kLessEqual;
-    }
-  }
-  const auto time_lookups = [&](const PlanarIndex& index) {
-    return BestMillis(
-        [&] {
-          for (const ScalarProductQuery& q : lookups) {
-            auto count = index.CountInequality(q, bounds_only);
-            PLANAR_CHECK(count.ok());
-          }
-        },
-        runs);
-  };
-  const double model_ms = time_lookups(model_index.value());
-  const double eytz_ms = time_lookups(eytz_index.value());
-  PrintJson("lookup_model", n, lookups.size(), 0.0, model_ms, eytz_ms, 0.0);
-  PrintJson("lookup_eytzinger", n, lookups.size(), 0.0, eytz_ms, eytz_ms, 0.0);
-  std::printf(
-      "\npredict-then-probe %.0f ns/lookup vs eytzinger %.0f ns/lookup "
-      "(model %s by %.2fx; model %s, max_error %zu)\n",
-      model_ms * 1e6 / static_cast<double>(lookups.size()),
-      eytz_ms * 1e6 / static_cast<double>(lookups.size()),
-      model_ms <= eytz_ms ? "wins" : "loses",
-      model_ms <= eytz_ms ? eytz_ms / model_ms : model_ms / eytz_ms,
-      model_index->learned_cdf().empty() ? "ABSENT (fallback timed)"
-                                         : "present",
-      model_index->learned_cdf().max_error());
 
   std::printf("\n");
   table.Print();

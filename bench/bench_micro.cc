@@ -11,7 +11,6 @@
 
 #include "bench/synthetic_harness.h"
 #include "common/random.h"
-#include "core/eytzinger.h"
 #include "core/planar_index.h"
 #include "core/scan.h"
 
@@ -125,8 +124,8 @@ void BM_SelectBestIndex(benchmark::State& state) {
 BENCHMARK(BM_SelectBestIndex)->Arg(10)->Arg(100)->Arg(200);
 
 // The SI/LI boundary searches that precede every query: a rank lookup in
-// a sorted key array. Random probes defeat the branch predictor, which is
-// precisely the case the Eytzinger layout exists for.
+// a sorted key array (the flat search the learned CDF falls back to).
+// Random probes defeat the branch predictor.
 std::vector<double> SortedKeys(size_t n) {
   Rng rng(9);
   std::vector<double> keys(n);
@@ -146,22 +145,6 @@ void BM_BoundarySearchStd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoundarySearchStd)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
-
-void BM_BoundarySearchEytzinger(benchmark::State& state) {
-  const std::vector<double> keys =
-      SortedKeys(static_cast<size_t>(state.range(0)));
-  EytzingerKeys eytz;
-  eytz.Build(keys.data(), keys.size());
-  Rng rng(10);
-  for (auto _ : state) {
-    const double probe = rng.Uniform(0.0, 1e6);
-    benchmark::DoNotOptimize(eytz.UpperBound(probe));
-  }
-}
-BENCHMARK(BM_BoundarySearchEytzinger)
-    ->Arg(1 << 16)
-    ->Arg(1 << 20)
-    ->Arg(1 << 22);
 
 void BM_PointUpdateArray(benchmark::State& state) {
   PhiMatrix phi = MakePhi(static_cast<size_t>(state.range(0)), 6);

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -18,6 +17,11 @@
 namespace planar {
 
 namespace {
+
+// Normal sampling stops after budget * this many attempts even when
+// dedup kept the set below budget, so a domain that yields only parallel
+// normals (point domains) ends after at most kMaxIndexBudget * 16 draws.
+constexpr size_t kMaxAttemptsPerIndex = 16;
 
 // Derives the octant from the domain signs; fails when a domain straddles
 // zero (octant would be ambiguous).
@@ -77,11 +81,6 @@ Result<PlanarIndexSet> PlanarIndexSet::Build(
     return Status::InvalidArgument("index budget exceeds kMaxIndexBudget (" +
                                    std::to_string(kMaxIndexBudget) + ")");
   }
-  if (options.max_attempts_per_index >
-      std::numeric_limits<size_t>::max() / options.budget) {
-    return Status::InvalidArgument(
-        "budget * max_attempts_per_index overflows");
-  }
   PLANAR_ASSIGN_OR_RETURN(Octant octant, OctantFromDomains(domains));
 
   PlanarIndexSet set(std::move(phi), options);
@@ -89,7 +88,7 @@ Result<PlanarIndexSet> PlanarIndexSet::Build(
   // This is O(budget^2 d') with no data access, so parallelizing it would
   // buy nothing and cost determinism of the accepted sequence.
   Rng rng(options.seed);
-  const size_t max_attempts = options.budget * options.max_attempts_per_index;
+  const size_t max_attempts = options.budget * kMaxAttemptsPerIndex;
   std::vector<IndexDefinition> definitions;
   size_t attempts = 0;
   while (definitions.size() < options.budget && attempts < max_attempts) {

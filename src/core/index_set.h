@@ -66,9 +66,6 @@ struct IndexSetOptions {
   double dedup_tolerance = 1e-6;
   /// Sampling seed (index sets are deterministic given the seed).
   uint64_t seed = 42;
-  /// Sampling stops after budget * this many attempts even when dedup
-  /// kept the set below budget. Build rejects a product that overflows.
-  size_t max_attempts_per_index = 16;
   /// Hybrid worst-case guard: when even the best index leaves more than
   /// this fraction of the points in the intermediate interval, answer by
   /// sequential scan instead — random access over a near-total interval

@@ -112,11 +112,12 @@ void PlanarIndex::Rebuild() {
   }
 
   const size_t n = phi_->size();
-  key_of_row_.resize(n);
+  // Keys by row first, computed into keys_ and reordered by rank below.
   // Batched kernel calls over contiguous phi row ranges; bit-identical to
   // per-row RawKey (same blocked dot, same shift), and — because every
   // row's key is independent — bit-identical for any shard count, so
   // build_threads never changes a key.
+  keys_.resize(n);
   size_t threads = options_.build_threads;
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
@@ -131,21 +132,19 @@ void PlanarIndex::Rebuild() {
           if (begin >= end) return;
           kernels::Ops().dot_range(signed_normal_.data(), d, phi_->data(),
                                    phi_->dim(), begin, end - begin,
-                                   key_shift_, key_of_row_.data() + begin);
+                                   key_shift_, keys_.data() + begin);
         },
         threads);
   } else {
     kernels::Ops().dot_range(signed_normal_.data(), d, phi_->data(),
-                             phi_->dim(), 0, n, key_shift_,
-                             key_of_row_.data());
+                             phi_->dim(), 0, n, key_shift_, keys_.data());
   }
   std::vector<SortEntry> entries(n);
   for (size_t row = 0; row < n; ++row) {
-    entries[row] = {key_of_row_[row], static_cast<uint32_t>(row)};
+    entries[row] = {keys_[row], static_cast<uint32_t>(row)};
   }
   SortEntries(&entries, options_.build_threads);
 
-  keys_.resize(n);
   ids_.resize(n);
   for (size_t r = 0; r < n; ++r) {
     keys_[r] = entries[r].key;
@@ -155,25 +154,19 @@ void PlanarIndex::Rebuild() {
 }
 
 void PlanarIndex::RefreshSearchLayout() {
-  eytz_.Build(keys_.data(), keys_.size());
-  if (options_.learned_cdf) {
-    // The learned CDF rides the same refresh cadence as the Eytzinger
-    // sidecar: any mutation of keys_ rebuilds it, so predictions are
-    // never stale. A fit over the error budget is discarded and every
-    // boundary search falls back to the exact descent.
-    LearnedCdf::Options cdf_options;
-    cdf_options.max_error_budget = kLearnedCdfMaxErrorBudget;
-    // Scale segments with n (~1024 ranks each, >= the default 256):
-    // a fixed segment count makes per-segment rank spans — and hence
-    // fit error — grow linearly with n, which busts the error budget
-    // exactly on the large arrays where the model pays off. ~24 bytes
-    // per segment keeps the sidecar under 0.1% of the key array.
-    cdf_options.max_segments =
-        std::max<size_t>(cdf_options.max_segments, keys_.size() / 1024);
-    cdf_.Build(keys_.data(), keys_.size(), cdf_options);
-  } else {
-    cdf_.Clear();
-  }
+  // Any mutation of keys_ refits the learned CDF, so predictions are
+  // never stale. A fit over the error budget is discarded and every
+  // boundary search takes the flat std::upper_bound.
+  LearnedCdf::Options cdf_options;
+  cdf_options.max_error_budget = kLearnedCdfMaxErrorBudget;
+  // Scale segments with n (~1024 ranks each, >= the default 256):
+  // a fixed segment count makes per-segment rank spans — and hence
+  // fit error — grow linearly with n, which busts the error budget
+  // exactly on the large arrays where the model pays off. ~24 bytes
+  // per segment keeps the sidecar under 0.1% of the key array.
+  cdf_options.max_segments =
+      std::max<size_t>(cdf_options.max_segments, keys_.size() / 1024);
+  cdf_.Build(keys_.data(), keys_.size(), cdf_options);
   if (options_.payload_column >= 0) {
     BuildPrefixAggregates(
         phi_->data() + static_cast<size_t>(options_.payload_column),
@@ -199,8 +192,8 @@ size_t PlanarIndex::RankLessEqual(double key) const {
     // below only accepts the globally-correct rank — keys_[r-1] <= key
     // < keys_[r] with the array-edge cases — so a probe that clamped
     // at its window edge (true rank outside the window), a NaN probe,
-    // or any model bug falls through to the exact descent. Answers are
-    // therefore identical to std::upper_bound by construction.
+    // or any model bug falls through to the flat search below. Answers
+    // are therefore identical to std::upper_bound by construction.
     const double pred = cdf_.PredictRank(key);
     const double w = static_cast<double>(cdf_.max_error() + 2);
     const size_t n = keys_.size();
@@ -217,10 +210,8 @@ size_t PlanarIndex::RankLessEqual(double key) const {
       }
     }
   }
-  // Branchless Eytzinger descent with prefetch; small arrays (below
-  // kEytzingerMinKeys the sidecar is not materialized) keep the flat
-  // std::upper_bound, which is already cache-resident there.
-  if (!eytz_.empty()) return eytz_.UpperBound(key);
+  // No model (array below min_keys, or a fit over budget) or a failed
+  // validation: the flat search over the whole key array.
   return static_cast<size_t>(
       std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
 }
@@ -514,11 +505,11 @@ Result<AggregateResult> PlanarIndex::AggregateInequality(
   return RunAggregate(q, StandalonePlan(q), tolerance, deadline);
 }
 
+template <typename Stop>
 bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
                                   const uint32_t* ids, size_t count,
                                   const double* payload, size_t payload_stride,
-                                  const Deadline& deadline,
-                                  const std::function<bool(size_t)>& stop,
+                                  const Deadline& deadline, const Stop& stop,
                                   size_t* accepted, size_t* resolved,
                                   double* accepted_sum) const {
   // The counting twin of VerifyBlocks: same block size, same deadline
@@ -535,7 +526,7 @@ bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
   uint32_t kept_ids[kernels::kBlockRows];
   double vals[kernels::kBlockRows];
   for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (stop && stop(*resolved)) return true;
+    if (stop(*resolved)) return true;
     if (deadline.Expired()) return false;
     const size_t blk = std::min(kernels::kBlockRows, count - off);
     ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
@@ -626,9 +617,7 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
   size_t accepted = 0;
   size_t resolved = 0;
   double unused_sum = 0.0;
-  const std::function<bool(size_t)> stop = [&](size_t done) {
-    return ii_count - done <= allowed;
-  };
+  const auto stop = [&](size_t done) { return ii_count - done <= allowed; };
   const bool completed =
       CountCandidates(q, ids_.data() + smaller_end, ii_count, nullptr, 0,
                       deadline, stop, &accepted, &resolved, &unused_sum);
@@ -721,7 +710,7 @@ Result<AggregateResult> PlanarIndex::RunAggregate(
   size_t accepted = 0;
   size_t resolved = 0;
   double accepted_sum = 0.0;
-  const std::function<bool(size_t)> stop = [&](size_t done) {
+  const auto stop = [&](size_t done) {
     const size_t r = smaller_end + done;
     const double rem_gap = (pre.pos[larger_begin] - pre.pos[r]) -
                            (pre.neg[larger_begin] - pre.neg[r]);
@@ -966,15 +955,6 @@ double PlanarIndex::CosAngle(const NormalizedQuery& q) const {
   return dot / (std::sqrt(norm_a) * Norm(normal_));
 }
 
-void PlanarIndex::EraseKey(double key, uint32_t row) {
-  size_t pos = static_cast<size_t>(
-      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
-  while (pos < keys_.size() && keys_[pos] == key && ids_[pos] != row) ++pos;
-  PLANAR_CHECK(pos < keys_.size() && keys_[pos] == key && ids_[pos] == row);
-  keys_.erase(keys_.begin() + static_cast<ptrdiff_t>(pos));
-  ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(pos));
-}
-
 void PlanarIndex::InsertKey(double key, uint32_t row) {
   size_t pos = static_cast<size_t>(
       std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
@@ -985,45 +965,45 @@ void PlanarIndex::InsertKey(double key, uint32_t row) {
 }
 
 bool PlanarIndex::Update(uint32_t row) {
-  PLANAR_CHECK_LT(row, key_of_row_.size());
-  PLANAR_CHECK_EQ(phi_->size(), key_of_row_.size());
+  PLANAR_CHECK_LT(row, size());
+  PLANAR_CHECK_EQ(phi_->size(), size());
   const double* phi_row = phi_->row(row);
   if (!translator_.Covers(phi_row)) return false;
   const double new_key = RawKey(phi_row);
-  const double old_key = key_of_row_[row];
-  if (new_key == old_key) return true;
-  EraseKey(old_key, row);
+  // One O(n) pass finds the row's rank — the same order as the memmoves
+  // of the erase and insert below.
+  const auto rank = std::find(ids_.begin(), ids_.end(), row) - ids_.begin();
+  PLANAR_CHECK_LT(static_cast<size_t>(rank), size());
+  if (keys_[static_cast<size_t>(rank)] == new_key) return true;
+  keys_.erase(keys_.begin() + rank);
+  ids_.erase(ids_.begin() + rank);
   InsertKey(new_key, row);
-  key_of_row_[row] = new_key;
   RefreshSearchLayout();
   return true;
 }
 
 bool PlanarIndex::UpdateBatch(const std::vector<uint32_t>& rows) {
-  PLANAR_CHECK_EQ(phi_->size(), key_of_row_.size());
+  PLANAR_CHECK_EQ(phi_->size(), size());
   for (uint32_t row : rows) {
-    PLANAR_CHECK_LT(row, key_of_row_.size());
+    PLANAR_CHECK_LT(row, size());
     if (!translator_.Covers(phi_->row(row))) return false;
   }
-  // Recompute only the touched keys, then splice them back with one
-  // merge pass instead of re-sorting all n entries — compact the
-  // unchanged entries (O(n), stable, preserves rank order), then
-  // SpliceSorted (O(n + k log k) total). The result is identical to a
-  // Rebuild (machine-checked by the UpdateBatchMatchesFullRebuild
-  // regression test).
-  const size_t n = key_of_row_.size();
+  if (rows.empty()) return true;
+  // Recompute every listed key, then splice them back with one merge
+  // pass instead of re-sorting all n entries — compact the untouched
+  // entries (O(n), stable, preserves rank order), then SpliceSorted
+  // (O(n + k log k) total). The result is identical to a Rebuild
+  // (machine-checked by the UpdateBatchMatchesFullRebuild regression
+  // test).
+  const size_t n = size();
   std::vector<SortEntry> fresh;
   fresh.reserve(rows.size());
   std::vector<unsigned char> changed(n, 0);
   for (uint32_t row : rows) {
-    const double new_key = RawKey(phi_->row(row));
-    // A duplicate row id in `rows` recomputes the same key and skips.
-    if (new_key == key_of_row_[row]) continue;
-    key_of_row_[row] = new_key;
+    if (changed[row] != 0) continue;  // listed twice: already fresh
     changed[row] = 1;
-    fresh.push_back({new_key, row});
+    fresh.push_back({RawKey(phi_->row(row)), row});
   }
-  if (fresh.empty()) return true;
   size_t kept = 0;
   for (size_t r = 0; r < n; ++r) {
     if (changed[ids_[r]] == 0) {
@@ -1039,41 +1019,39 @@ bool PlanarIndex::UpdateBatch(const std::vector<uint32_t>& rows) {
 
 bool PlanarIndex::NotifyAppend(uint32_t row) {
   PLANAR_CHECK_EQ(static_cast<size_t>(row) + 1, phi_->size());
-  PLANAR_CHECK_EQ(static_cast<size_t>(row), key_of_row_.size());
+  PLANAR_CHECK_EQ(static_cast<size_t>(row), size());
   const double* phi_row = phi_->row(row);
   if (!translator_.Covers(phi_row)) return false;
-  const double key = RawKey(phi_row);
-  key_of_row_.push_back(key);
-  InsertKey(key, row);
+  InsertKey(RawKey(phi_row), row);
   RefreshSearchLayout();
   return true;
 }
 
 bool PlanarIndex::AppendBatch(uint32_t first_row, size_t count) {
-  PLANAR_CHECK_EQ(static_cast<size_t>(first_row), key_of_row_.size());
+  PLANAR_CHECK_EQ(static_cast<size_t>(first_row), size());
   PLANAR_CHECK_EQ(static_cast<size_t>(first_row) + count, phi_->size());
   if (count == 0) return true;
-  const size_t old_n = key_of_row_.size();
+  const size_t old_n = size();
   for (size_t i = 0; i < count; ++i) {
     if (!translator_.Covers(phi_->row(old_n + i))) return false;
   }
-  // One contiguous kernel call over the appended range: bit-identical to
-  // the per-row RawKey maintenance path and the Rebuild bulk path, so a
-  // batch-appended index and a rebuilt one carry the same keys.
-  key_of_row_.resize(old_n + count);
+  // One contiguous kernel call over the appended range, straight into
+  // the tail of keys_: bit-identical to the per-row RawKey maintenance
+  // path and the Rebuild bulk path, so a batch-appended index and a
+  // rebuilt one carry the same keys.
+  keys_.resize(old_n + count);
+  ids_.resize(old_n + count);
   kernels::Ops().dot_range(signed_normal_.data(), signed_normal_.size(),
                            phi_->data(), phi_->dim(), old_n, count,
-                           key_shift_, key_of_row_.data() + old_n);
+                           key_shift_, keys_.data() + old_n);
   // The same O(n + k log k) splice UpdateBatch uses, with the existing
   // run already compact (nothing was displaced). The result is identical
   // to a Rebuild (machine-checked by ingest_test and the
   // update_batch_test append-then-update case).
   std::vector<SortEntry> fresh(count);
   for (size_t i = 0; i < count; ++i) {
-    fresh[i] = {key_of_row_[old_n + i], static_cast<uint32_t>(old_n + i)};
+    fresh[i] = {keys_[old_n + i], static_cast<uint32_t>(old_n + i)};
   }
-  keys_.resize(old_n + count);
-  ids_.resize(old_n + count);
   SpliceSorted(old_n, &fresh);
   return true;
 }
@@ -1116,12 +1094,10 @@ PlanarIndex PlanarIndex::CloneFor(const PhiMatrix* phi) const {
   copy.key_shift_ = key_shift_;
   copy.keys_ = keys_;
   copy.ids_ = ids_;
-  copy.eytz_ = eytz_;
   copy.cdf_ = cdf_;
   // agg-ok: wholesale copy of prefix arrays built by the canonical
   // helper; no values are recomputed.
   copy.payload_prefix_ = payload_prefix_;
-  copy.key_of_row_ = key_of_row_;
   return copy;
 }
 
@@ -1129,10 +1105,8 @@ size_t PlanarIndex::MemoryUsage() const {
   size_t total = sizeof(*this);
   total += keys_.capacity() * sizeof(double);
   total += ids_.capacity() * sizeof(uint32_t);
-  total += eytz_.MemoryUsage();
   total += cdf_.MemoryUsage();
   total += payload_prefix_.MemoryUsage();
-  total += key_of_row_.capacity() * sizeof(double);
   total += (normal_.capacity() + signed_normal_.capacity()) * sizeof(double);
   return total;
 }

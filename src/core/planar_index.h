@@ -21,7 +21,6 @@
 #define PLANAR_CORE_PLANAR_INDEX_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -29,7 +28,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/aggregate.h"
-#include "core/eytzinger.h"
 #include "core/query.h"
 #include "core/row_matrix.h"
 #include "core/sort_util.h"
@@ -161,17 +159,6 @@ struct PlanarIndexOptions {
   /// intervals verbatim.
   bool enable_axis_exclusion = true;
 
-  /// Learned key->rank CDF sidecar (DESIGN.md section 5k): built at
-  /// every RefreshSearchLayout over the sorted keys and used for
-  /// predict-then-probe boundary search (probe a +/-(max_error + 2)
-  /// window, validate against the flat key array, fall back to the
-  /// Eytzinger descent on any mismatch — answers are identical either
-  /// way) and for model-based COUNT estimates between the sound
-  /// [SI, LI] bounds. A fit whose exact max error exceeds
-  /// kLearnedCdfMaxErrorBudget is discarded. Never serialized; rebuilt
-  /// on load like the Eytzinger layout.
-  bool learned_cdf = true;
-
   /// Payload column for SUM/AVG aggregate queries: an index into the phi
   /// matrix columns, or -1 (the default) for no payload. When set, every
   /// RefreshSearchLayout rebuilds rank-ordered prefix-aggregate arrays
@@ -197,8 +184,9 @@ inline constexpr size_t kParallelBuildMinRows = 16384;
 
 /// Largest learned-CDF fit error worth probing: the probe window is
 /// 2 * (max_error + 2) keys, so past this budget the windowed
-/// std::upper_bound stops beating the full Eytzinger descent and the fit
-/// is discarded at build (the fallback contract of DESIGN.md 5k).
+/// std::upper_bound stops beating the flat std::upper_bound over the
+/// whole key array and the fit is discarded at build (the fallback
+/// contract of DESIGN.md 5k).
 inline constexpr size_t kLearnedCdfMaxErrorBudget = 512;
 
 /// One Planar index over an externally-owned phi matrix.
@@ -290,9 +278,9 @@ class PlanarIndex {
   /// are live.
   bool has_payload() const { return !payload_prefix_.empty(); }
 
-  /// The learned-CDF sidecar (empty when options_.learned_cdf is off,
-  /// the key array is too small, or the fit blew the error budget).
-  /// Exposed for tests and benches.
+  /// The learned-CDF sidecar (empty when the key array is below
+  /// LearnedCdf's min_keys or the fit blew the error budget). Exposed for
+  /// tests and benches.
   const LearnedCdf& learned_cdf() const { return cdf_; }
 
   /// Problem 2: the k satisfying points nearest to the query hyperplane.
@@ -322,6 +310,11 @@ class PlanarIndex {
   /// coalesced candidate ranges straight off this array. Invalidated by
   /// any maintenance call.
   const uint32_t* RankIds() const { return ids_.data(); }
+
+  /// Zero-copy view of the ascending key array (RankKeys()[r] = key of
+  /// the row with rank r, i.e. of RankIds()[r]). Invalidated by any
+  /// maintenance call.
+  const double* RankKeys() const { return keys_.data(); }
 
   /// A human-inspectable account of how this index would process `q`:
   /// thresholds, interval boundaries, exclusion decisions, and the exact
@@ -404,9 +397,7 @@ class PlanarIndex {
   /// The translation in effect.
   const Translator& translator() const { return translator_; }
   /// Number of indexed points.
-  size_t size() const { return key_of_row_.size(); }
-  /// The key <c, psi(x)> of a row.
-  double KeyOf(uint32_t row) const { return key_of_row_[row]; }
+  size_t size() const { return ids_.size(); }
 
   /// Heap footprint of the index structure in bytes (excludes the shared
   /// phi matrix).
@@ -500,7 +491,6 @@ class PlanarIndex {
   void ComputeKey(uint32_t row, double* key) const;
   double RawKey(const double* phi_row) const;
   size_t RankLessEqual(double key) const;
-  void EraseKey(double key, uint32_t row);
   void InsertKey(double key, uint32_t row);
   // keys_/ids_ hold a sorted run in [0, kept) and room for `fresh` after
   // it: sorts `fresh`, merges it in, and refreshes the sidecars.
@@ -526,12 +516,14 @@ class PlanarIndex {
   // `accepted_sum` accumulates the accepted rows' payload in canonical
   // blocked summation. `stop` is polled at block boundaries with the
   // resolved-so-far count and may end the stream early (bounds already
-  // within tolerance). Returns false iff the deadline expired.
+  // within tolerance); a template so the caller's lambda is called
+  // directly, never boxed into a heap-allocated std::function. Returns
+  // false iff the deadline expired.
+  template <typename Stop>
   bool CountCandidates(const NormalizedQuery& q, const uint32_t* ids,
                        size_t count, const double* payload,
                        size_t payload_stride, const Deadline& deadline,
-                       const std::function<bool(size_t)>& stop,
-                       size_t* accepted, size_t* resolved,
+                       const Stop& stop, size_t* accepted, size_t* resolved,
                        double* accepted_sum) const;
   Result<TopKResult> RunTopK(const NormalizedQuery& q, const Plan& plan,
                              size_t k, const Deadline& deadline) const;
@@ -549,23 +541,22 @@ class PlanarIndex {
   std::vector<double> signed_normal_;  // sign(O, i) * normal_[i]
   double key_shift_ = 0.0;             // sum_i normal_[i] * delta_i
 
-  // The sorted key list. keys_/ids_ are the source of truth for II range
-  // scans, serialization, and maintenance; eytz_ is a read-only search
-  // sidecar rebuilt whenever they change.
+  // The sorted key list: the only key store, read by boundary search, II
+  // range scans, serialization, maintenance and ValidateIndex.
   std::vector<double> keys_;    // ascending
   std::vector<uint32_t> ids_;   // ids_[r] = row with rank r
-  EytzingerKeys eytz_;          // branchless SI/LI boundary search
-  // Learned key->rank CDF sidecar (see PlanarIndexOptions::learned_cdf):
-  // predict-then-probe boundary search + model-based count estimates.
-  // Rebuilt with the search layout, never serialized, carries no
-  // authority (every probe is validated, every estimate bounded).
+  // Learned key->rank CDF sidecar (DESIGN.md section 5k): predict-then-
+  // probe boundary search (probe a +/-(max_error + 2) window, validate
+  // against keys_, fall back to the flat std::upper_bound on any
+  // mismatch) and model-based COUNT estimates between the sound [SI, LI]
+  // bounds. Rebuilt at every RefreshSearchLayout, never serialized,
+  // carries no authority (every probe is validated, every estimate
+  // bounded).
   LearnedCdf cdf_;
   // Rank-ordered prefix aggregates over the payload column (empty unless
   // options_.payload_column >= 0). Rebuilt
   // with the search layout by the canonical helper (core/aggregate.h).
   PrefixAggregates payload_prefix_;
-
-  std::vector<double> key_of_row_;  // by row id
 };
 
 }  // namespace planar

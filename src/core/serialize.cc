@@ -84,7 +84,10 @@ struct OptionsRecord {
   uint32_t legacy_backend;
   double dedup_tolerance;
   uint64_t seed;
-  uint64_t max_attempts_per_index;
+  // Once IndexSetOptions::max_attempts_per_index, a build-time sampling
+  // cap. Always written as 16 (its only value in practice) so snapshots
+  // stay byte-identical; ignored on load.
+  uint64_t legacy_max_attempts;
   double delta_margin;
   double epsilon_band;
   uint32_t axis_exclusion;
@@ -98,7 +101,7 @@ OptionsRecord PackOptions(const IndexSetOptions& o) {
   r.legacy_backend = 0;
   r.dedup_tolerance = o.dedup_tolerance;
   r.seed = o.seed;
-  r.max_attempts_per_index = o.max_attempts_per_index;
+  r.legacy_max_attempts = 16;
   r.delta_margin = o.index_options.translation.delta_margin;
   r.epsilon_band = o.index_options.epsilon_band;
   r.axis_exclusion = o.index_options.enable_axis_exclusion ? 1 : 0;
@@ -123,7 +126,6 @@ Result<IndexSetOptions> UnpackOptions(const OptionsRecord& r,
   o.selector = static_cast<IndexSetOptions::Selector>(r.selector);
   o.dedup_tolerance = r.dedup_tolerance;
   o.seed = r.seed;
-  o.max_attempts_per_index = r.max_attempts_per_index;
   o.index_options.translation.delta_margin = r.delta_margin;
   o.index_options.epsilon_band = r.epsilon_band;
   o.index_options.enable_axis_exclusion = r.axis_exclusion != 0;

@@ -24,7 +24,18 @@ Status ValidateIndex(const PlanarIndex& index, const PhiMatrix& phi) {
   const std::vector<double>& normal = index.normal();
   const size_t d = normal.size();
 
-  for (uint32_t row = 0; row < n; ++row) {
+  // Walk the served arrays rank by rank: the ids must be a permutation
+  // of the rows, each key must match its row, and the keys must ascend.
+  const uint32_t* ids = index.RankIds();
+  const double* keys = index.RankKeys();
+  std::vector<bool> seen(n, false);
+  for (size_t r = 0; r < n; ++r) {
+    const uint32_t row = ids[r];
+    if (row >= n || seen[row]) {
+      return Status::Internal("rank walk is not a permutation at rank " +
+                              std::to_string(r));
+    }
+    seen[row] = true;
     const double* phi_row = phi.row(row);
     if (!translator.Covers(phi_row)) {
       return Status::Internal("row " + std::to_string(row) +
@@ -35,7 +46,7 @@ Status ValidateIndex(const PlanarIndex& index, const PhiMatrix& phi) {
     for (size_t i = 0; i < d; ++i) {
       key += normal[i] * translator.Mirror(i, phi_row[i]);
     }
-    const double stored = index.KeyOf(row);
+    const double stored = keys[r];
     const double tolerance =
         1e-9 * (std::fabs(key) + std::fabs(stored) + 1.0);
     if (std::fabs(key - stored) > tolerance) {
@@ -44,26 +55,7 @@ Status ValidateIndex(const PlanarIndex& index, const PhiMatrix& phi) {
                               std::to_string(stored) + ", recomputed " +
                               std::to_string(key) + ")");
     }
-  }
-
-  // Rank order: CollectRange over the full range must be sorted by key
-  // and cover each row exactly once.
-  std::vector<uint32_t> order;
-  index.CollectRange(0, n, &order);
-  if (order.size() != n) {
-    return Status::Internal("rank walk covers " +
-                            std::to_string(order.size()) + " of " +
-                            std::to_string(n) + " rows");
-  }
-  std::vector<bool> seen(n, false);
-  for (size_t r = 0; r < n; ++r) {
-    const uint32_t row = order[r];
-    if (row >= n || seen[row]) {
-      return Status::Internal("rank walk is not a permutation at rank " +
-                              std::to_string(r));
-    }
-    seen[row] = true;
-    if (r > 0 && index.KeyOf(order[r - 1]) > index.KeyOf(row)) {
+    if (r > 0 && keys[r - 1] > stored) {
       return Status::Internal("keys out of order at rank " +
                               std::to_string(r));
     }

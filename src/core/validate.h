@@ -15,9 +15,10 @@
 
 namespace planar {
 
-/// Exhaustively audits one index against its backing matrix: key-of-row
-/// consistency, sorted order, rank/CollectRange agreement, and
-/// translation coverage of every row. O(n log n). Returns the first
+/// Exhaustively audits one index against its backing matrix by walking
+/// the arrays that answer queries (RankKeys/RankIds) rank by rank: each
+/// key recomputed from its row, keys ascending, ids a permutation of the
+/// rows, and translation coverage of every row. O(n). Returns the first
 /// violation found.
 Status ValidateIndex(const PlanarIndex& index, const PhiMatrix& phi);
 

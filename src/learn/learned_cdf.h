@@ -14,18 +14,19 @@
 //      u lies in [PredictRank(x) - max_error() - 1,
 //                 PredictRank(x) + max_error() + 1]. Callers still
 //      validate the probed rank against the flat key array and fall back
-//      to the Eytzinger descent when validation fails, so answers are
-//      identical to std::upper_bound regardless of fit quality.
+//      to a flat std::upper_bound over it when validation fails, so
+//      answers are identical to std::upper_bound regardless of fit
+//      quality.
 //
 //   2. Model-based approximate counts: PredictRank, clamped to the sound
 //      [SI, LI] bounds, is the count estimate reported before any
 //      intermediate-interval scan.
 //
-// The model is a sidecar in the same sense as the Eytzinger layout:
-// rebuilt from the sorted keys at every RefreshSearchLayout, never
-// serialized (blobs stay byte-identical), and carrying no authority —
-// every answer it influences is validated or bounded by exact
-// structures.
+// The model is a sidecar of the sorted key array: rebuilt from it at
+// every RefreshSearchLayout, never serialized (blobs stay
+// byte-identical), and carrying no authority — every answer it
+// influences is validated or bounded by exact structures. It is always
+// on; arrays below Options::min_keys simply build none.
 
 #ifndef PLANAR_LEARN_LEARNED_CDF_H_
 #define PLANAR_LEARN_LEARNED_CDF_H_

@@ -66,9 +66,9 @@ void ExpectIdenticalIndices(const PlanarIndexSet& a, const PlanarIndexSet& b) {
     a.index(i).CollectRange(0, a.index(i).size(), &ids_a);
     b.index(i).CollectRange(0, b.index(i).size(), &ids_b);
     EXPECT_EQ(ids_a, ids_b) << "rank order differs in index " << i;
-    for (uint32_t row = 0; row < a.index(i).size(); ++row) {
-      ASSERT_EQ(a.index(i).KeyOf(row), b.index(i).KeyOf(row))
-          << "key of row " << row << " in index " << i;
+    for (size_t rank = 0; rank < a.index(i).size(); ++rank) {
+      ASSERT_EQ(a.index(i).RankKeys()[rank], b.index(i).RankKeys()[rank])
+          << "key at rank " << rank << " in index " << i;
     }
   }
 }

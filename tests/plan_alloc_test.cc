@@ -86,6 +86,9 @@ class PlanAllocTest : public ::testing::Test {
   void SetUp() override {
     IndexSetOptions options;
     options.budget = 10;
+    // Payload column 1 arms AggregateInequality; it adds no per-query work
+    // to the other query kinds.
+    options.index_options.payload_column = 1;
     auto set = PlanarIndexSet::Build(
         RandomPhi(20000, 2, 0.0, 100.0, 11),
         std::vector<ParameterDomain>(2, {1.0, 8.0}), options);
@@ -106,6 +109,7 @@ class PlanAllocTest : public ::testing::Test {
     // Warm every lazily initialized static (kernel dispatch, etc.).
     for (const ScalarProductQuery& q : queries_) {
       ASSERT_TRUE(set_->CountInequality(q).ok());
+      ASSERT_TRUE(set_->AggregateInequality(q).ok());
       ASSERT_TRUE(set_->TopK(q, 10).ok());
       (void)set_->Inequality(q);
     }
@@ -124,6 +128,22 @@ TEST_F(PlanAllocTest, CountInequalityAllocatesOnlyTheNormalizedQuery) {
     EXPECT_GE(result->stats.index_used, 0) << q.ToString();
     EXPECT_LE(allocations, kMaxAllocationsPerQuery) << q.ToString();
   }
+}
+
+// A refined SUM streams the II through the same counting blocks as
+// COUNT; its stop predicate must not cost an allocation either.
+TEST_F(PlanAllocTest, AggregateInequalityAllocatesOnlyTheNormalizedQuery) {
+  size_t refined = 0;
+  for (const ScalarProductQuery& q : queries_) {
+    Result<AggregateResult> result = Status::Internal("not run");
+    const size_t allocations =
+        AllocationsOf([&] { result = set_->AggregateInequality(q); });
+    ASSERT_TRUE(result.ok());
+    EXPECT_GE(result->count.stats.index_used, 0) << q.ToString();
+    if (result->refined) ++refined;
+    EXPECT_LE(allocations, kMaxAllocationsPerQuery) << q.ToString();
+  }
+  EXPECT_GT(refined, 0u);
 }
 
 TEST_F(PlanAllocTest, InequalityAllocatesOnlyTheQueryAndItsIds) {

@@ -6,6 +6,7 @@
 
 #include "core/planar_index.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -37,9 +38,10 @@ TEST(PlanarIndexBuildTest, KeysAreSortedScalarProducts) {
   auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0});
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->size(), 3u);
-  EXPECT_DOUBLE_EQ(index->KeyOf(0), 5.0);
-  EXPECT_DOUBLE_EQ(index->KeyOf(1), 3.0);
-  EXPECT_DOUBLE_EQ(index->KeyOf(2), 12.0);
+  // Rank order: row 1 (key 3), row 0 (key 5), row 2 (key 12).
+  EXPECT_DOUBLE_EQ(index->RankKeys()[1], 5.0);
+  EXPECT_DOUBLE_EQ(index->RankKeys()[0], 3.0);
+  EXPECT_DOUBLE_EQ(index->RankKeys()[2], 12.0);
 }
 
 // A 2-d arrangement mirroring the paper's Figure 2: seven points, an index
@@ -219,7 +221,11 @@ TEST(PlanarIndexUpdateTest, UpdateWithinBounds) {
     row[1] = rng.Uniform(1.0, 100.0);
     phi.SetRow(target, row.data());
     EXPECT_TRUE(index->Update(target));
-    EXPECT_DOUBLE_EQ(index->KeyOf(target), row[0] + row[1]);
+    const uint32_t* ids = index->RankIds();
+    const size_t rank = static_cast<size_t>(
+        std::find(ids, ids + index->size(), target) - ids);
+    ASSERT_LT(rank, index->size());
+    EXPECT_DOUBLE_EQ(index->RankKeys()[rank], row[0] + row[1]);
   }
   auto result = index->Inequality(q);
   ASSERT_TRUE(result.ok());
@@ -292,7 +298,7 @@ TEST(PlanarIndexUpdateTest, UpdateBatchMatchesFullRebuild) {
   index->CollectRange(0, index->size(), &merged_ids);
   std::vector<double> merged_keys(merged_ids.size());
   for (size_t r = 0; r < merged_ids.size(); ++r) {
-    merged_keys[r] = index->KeyOf(merged_ids[r]);
+    merged_keys[r] = index->RankKeys()[r];
   }
 
   index->Rebuild();
@@ -301,7 +307,7 @@ TEST(PlanarIndexUpdateTest, UpdateBatchMatchesFullRebuild) {
   ASSERT_EQ(merged_ids.size(), rebuilt_ids.size());
   EXPECT_EQ(merged_ids, rebuilt_ids);
   for (size_t r = 0; r < rebuilt_ids.size(); ++r) {
-    EXPECT_EQ(merged_keys[r], index->KeyOf(rebuilt_ids[r])) << "rank " << r;
+    EXPECT_EQ(merged_keys[r], index->RankKeys()[r]) << "rank " << r;
   }
 }
 
@@ -456,6 +462,20 @@ TEST(PlanarIndexTest, MemoryUsageScalesWithN) {
   auto a = PlanarIndex::BuildFirstOctant(&small, {1.0, 1.0});
   auto b = PlanarIndex::BuildFirstOctant(&large, {1.0, 1.0});
   EXPECT_GT(b->MemoryUsage(), a->MemoryUsage() * 50);
+}
+
+// The sorted keys (8 B) and row ids (4 B) are the only per-row storage of
+// an index; the learned CDF and the fixed-size members must stay within
+// 1% on top. A per-row sidecar coming back (a second key copy, a by-row
+// key map) breaks this bound.
+TEST(PlanarIndexTest, MemoryUsageIsTwelveBytesPerRow) {
+  constexpr size_t kRows = 100000;
+  PhiMatrix phi = RandomPhi(kRows, 2, 1.0, 100.0, 32);
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 2.0});
+  ASSERT_TRUE(index.ok());
+  const double per_row = static_cast<double>(index->MemoryUsage()) /
+                         static_cast<double>(kRows);
+  EXPECT_LE(per_row, 12.0 * 1.01);
 }
 
 }  // namespace

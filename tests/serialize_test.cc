@@ -216,6 +216,7 @@ TEST(SerializeTest, LoadWithOptionsOverrideReplacesStoredKnobs) {
 constexpr size_t kV2Header = 20;
 constexpr size_t kSelectorOffset = 8;
 constexpr size_t kLegacyBackendOffset = 12;
+constexpr size_t kLegacyMaxAttemptsOffset = 32;
 constexpr size_t kDimOffset = 64;
 constexpr size_t kNOffset = 72;
 constexpr size_t kPhiOffset = 80;
@@ -283,6 +284,25 @@ TEST(SerializeTest, LegacyBTreeBackendLoadsOntoSortedArray) {
               Sorted(original.Inequality(q).ids))
         << trial;
   }
+}
+
+// The snapshot field that once held IndexSetOptions::max_attempts_per_index
+// (a build-time sampling cap, now a constant): always written as 16 and
+// ignored on load, so a snapshot re-saved after loading is byte-identical
+// whatever value the file carried there.
+TEST(SerializeTest, LegacyMaxAttemptsSlotWrittenAs16AndIgnored) {
+  const std::vector<unsigned char> saved =
+      SavedBytes(MakeSet(92, 3), "attempts.planar");
+  uint64_t slot = 0;
+  std::memcpy(&slot, saved.data() + kV2Header + kLegacyMaxAttemptsOffset,
+              sizeof(slot));
+  EXPECT_EQ(slot, 16u);
+  std::vector<unsigned char> crafted = saved;
+  Poke(&crafted, kV2Header + kLegacyMaxAttemptsOffset, uint64_t{1} << 40);
+  Reseal(&crafted);
+  const auto loaded = LoadBytes(crafted);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SavedBytes(*loaded, "attempts_resaved.planar"), saved);
 }
 
 TEST(SerializeTest, UnknownBackendOrSelectorRejected) {

@@ -40,7 +40,7 @@ void ExpectMatchesRebuild(PlanarIndex* index) {
   index->CollectRange(0, index->size(), &maintained_ids);
   std::vector<double> maintained_keys(maintained_ids.size());
   for (size_t r = 0; r < maintained_ids.size(); ++r) {
-    maintained_keys[r] = index->KeyOf(maintained_ids[r]);
+    maintained_keys[r] = index->RankKeys()[r];
   }
   index->Rebuild();
   std::vector<uint32_t> rebuilt_ids;
@@ -48,7 +48,7 @@ void ExpectMatchesRebuild(PlanarIndex* index) {
   ASSERT_EQ(maintained_ids.size(), rebuilt_ids.size());
   EXPECT_EQ(maintained_ids, rebuilt_ids);
   for (size_t r = 0; r < rebuilt_ids.size(); ++r) {
-    EXPECT_EQ(maintained_keys[r], index->KeyOf(rebuilt_ids[r])) << "rank " << r;
+    EXPECT_EQ(maintained_keys[r], index->RankKeys()[r]) << "rank " << r;
   }
 }
 
