@@ -20,8 +20,13 @@
 #include "common/stats.h"
 #include "common/timer.h"
 
-// Injected by bench/CMakeLists.txt from `git rev-parse --short HEAD`;
-// "unknown" outside a git checkout (e.g. a source tarball).
+// Generated at build time by bench/git_sha.cmake: `git rev-parse --short
+// HEAD`, "-dirty" when src/ or bench/ differ from it. A build that does
+// not generate it may define PLANAR_GIT_SHA itself; otherwise "unknown"
+// (e.g. a source tarball).
+#if __has_include("planar_git_sha.h")
+#include "planar_git_sha.h"
+#endif
 #ifndef PLANAR_GIT_SHA
 #define PLANAR_GIT_SHA "unknown"
 #endif

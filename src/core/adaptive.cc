@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "geometry/octant.h"
 #include "geometry/vec.h"
 
 namespace planar {
@@ -34,7 +35,7 @@ void AdaptiveIndexSet::Record(const NormalizedQuery& q, int index_used) {
     // valid (strictly positive) index normal.
     magnitudes[i] = std::max(std::fabs(q.a[i]), 1e-9);
   }
-  history_.emplace_back(std::move(magnitudes), q.octant);
+  history_.emplace_back(std::move(magnitudes), Octant::FromNormal(q.a));
   while (history_.size() > options_.history) history_.pop_front();
 }
 

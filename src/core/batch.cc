@@ -184,20 +184,11 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     // Accept regions first (same emission order as serial), reserving the
     // worst case so the block appends below never reallocate.
     for (const IntervalQuery& iq : group) {
-      InequalityResult r;
-      r.stats.num_points = n;
-      const bool le = norms[iq.slot].cmp == Comparison::kLessEqual;
-      const size_t accept_begin = le ? 0 : iq.end();
-      const size_t accept_end = le ? iq.begin() : n;
-      const size_t ii = iq.end() - iq.begin();
-      r.ids.reserve((accept_end - accept_begin) + ii);
-      index.CollectRange(accept_begin, accept_end, &r.ids);
-      r.stats.accepted_directly = accept_end - accept_begin;
-      r.stats.rejected_directly = le ? n - iq.end() : iq.begin();
-      r.stats.verified = ii;
+      InequalityResult r =
+          index.AcceptRegion(index.Split(norms[iq.slot], iq.plan).value());
       r.stats.index_used = static_cast<int>(gi);
       results[iq.slot] = std::move(r);
-      stats.rows_demanded += ii;
+      stats.rows_demanded += iq.end() - iq.begin();
     }
 
     // Coalesce: sort the non-empty intervals by begin rank and merge
@@ -245,8 +236,8 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
           active.push_back(next++);
         }
         // Retire finished intervals and poll deadlines — one poll per
-        // (query, block), the serial VerifyBlocks cadence. The batch
-        // walk is single-threaded, so the poll is a plain call on an
+        // (query, block), the cadence of the serial VerifyRows loop. The
+        // batch walk is single-threaded, so the poll is a plain call on an
         // immutable Deadline — no atomic flag, and nothing to order.
         size_t na = 0;
         for (const size_t idx : active) {

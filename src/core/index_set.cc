@@ -338,19 +338,16 @@ Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q,
 
 Result<TopKResult> PlanarIndexSet::TopK(const ScalarProductQuery& q, size_t k,
                                         const Deadline& deadline) const {
-  PLANAR_RETURN_IF_ERROR(CheckQueryDim(q));
-  const NormalizedQuery norm = NormalizedQuery::From(q);
-  if (!norm.IsFinite()) {
-    return Status::InvalidArgument("query parameters must be finite");
-  }
-  const Selection best = Select(norm);
-  if (best.index < 0) {
-    return ScanTopK(*phi_, q, k, deadline);
-  }
-  Result<TopKResult> result = indices_[static_cast<size_t>(best.index)]
-                                  .RunTopK(norm, best.plan, k, deadline);
-  if (result.ok()) result->stats.index_used = best.index;
-  return result;
+  // A +infinity refine floor keeps top-k on the index however wide its
+  // II: only a query no index can serve (or a non-finite one, which
+  // ScanTopK rejects) goes to the scan.
+  return Route<TopKResult>(
+      q, std::numeric_limits<double>::infinity(),
+      [&] { return ScanTopK(*phi_, q, k, deadline); },
+      [&](const PlanarIndex& index, const NormalizedQuery& norm,
+          const PlanarIndex::Plan& plan) {
+        return index.RunTopK(norm, plan, k, deadline);
+      });
 }
 
 Status PlanarIndexSet::AddIndex(std::vector<double> normal,

@@ -299,8 +299,8 @@ class PlanarIndexSet {
   bool PrefersScan(const PlanarIndex::Intervals& iv,
                    double refine_floor = kAlwaysRefines) const;
 
-  // The serving route Inequality, CountInequality and
-  // AggregateInequality share: select the best index, divert to
+  // The serving route Inequality, CountInequality, AggregateInequality
+  // and TopK share: select the best index, divert to
   // `scan()` when none can serve or the winner's plan PrefersScan at
   // `refine_floor`, else answer `serve(index, normalized query, plan)`
   // and stamp index_used.

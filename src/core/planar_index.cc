@@ -13,6 +13,7 @@
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "core/kernels/kernels.h"
+#include "core/scan.h"
 #include "core/sort_util.h"
 #include "geometry/vec.h"
 
@@ -25,32 +26,6 @@ namespace {
 // verification blocks.
 double ResidualNormalized(const NormalizedQuery& q, const double* phi_row) {
   return kernels::Ops().dot_one(q.a.data(), phi_row, q.a.size()) - q.b;
-}
-
-// The batched verification inner loop: per block of kernels::kBlockRows
-// candidates, one deadline poll, one batched residual computation, and
-// one branch-light compress-store append into *out (which must have
-// capacity for `count` more entries, so resize never reallocates).
-// Returns false iff the deadline expired before completing.
-bool VerifyBlocks(const NormalizedQuery& q, const double* rows, size_t stride,
-                  const uint32_t* ids, size_t count, const Deadline& deadline,
-                  std::vector<uint32_t>* out) {
-  const kernels::DotOps& ops = kernels::Ops();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  double residuals[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (deadline.Expired()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
-    const size_t old_size = out->size();
-    out->resize(old_size + blk);
-    const size_t kept = kernels::CompressAccept(residuals, ids + off, blk, le,
-                                                out->data() + old_size);
-    out->resize(old_size + kept);
-  }
-  return true;
 }
 
 }  // namespace
@@ -414,71 +389,63 @@ Result<InequalityResult> PlanarIndex::Inequality(
   return RunInequality(q, StandalonePlan(q), deadline);
 }
 
-Result<InequalityResult> PlanarIndex::RunInequality(
-    const NormalizedQuery& q, const Plan& plan,
-    const Deadline& deadline) const {
+Result<PlanarIndex::Regions> PlanarIndex::Split(const NormalizedQuery& q,
+                                                const Plan& plan) const {
   PLANAR_RETURN_IF_ERROR(CheckServable(q));
   PLANAR_CHECK_EQ(phi_->size(), size());
-  const size_t n = size();
-  InequalityResult result;
-  result.stats.num_points = n;
-
-  if (q.IsDegenerate()) {
+  Regions r;
+  r.n = size();
+  r.le = q.cmp == Comparison::kLessEqual;
+  r.degenerate = q.IsDegenerate();
+  if (r.degenerate) {
     // <0, phi(x)> cmp b with b >= 0: constant over all points.
-    const bool all_match =
-        q.cmp == Comparison::kLessEqual ? (0.0 <= q.b) : (0.0 >= q.b);
-    if (all_match) {
-      result.ids.resize(n);
-      std::iota(result.ids.begin(), result.ids.end(), 0u);
-      result.stats.accepted_directly = n;
-    } else {
-      result.stats.rejected_directly = n;
-    }
-    result.stats.result_size = result.ids.size();
-    return result;
+    const bool all_match = r.le ? (0.0 <= q.b) : (0.0 >= q.b);
+    r.accept_end = all_match ? r.n : 0;
+    return r;
   }
+  r.ii_begin = plan.intervals.smaller_end;
+  r.ii_end = plan.intervals.larger_begin;
+  r.accept_begin = r.le ? 0 : r.ii_end;
+  r.accept_end = r.le ? r.ii_begin : r.n;
+  return r;
+}
 
-  const size_t smaller_end = plan.intervals.smaller_end;
-  const size_t larger_begin = plan.intervals.larger_begin;
-
-  const bool le = q.cmp == Comparison::kLessEqual;
-  // Which rank range is accepted outright.
-  const size_t accept_begin = le ? 0 : larger_begin;
-  const size_t accept_end = le ? smaller_end : n;
-  const size_t ii_count = larger_begin - smaller_end;
-
+InequalityResult PlanarIndex::AcceptRegion(const Regions& r) const {
+  InequalityResult result;
+  result.stats.num_points = r.n;
+  result.stats.accepted_directly = r.accepted();
+  result.stats.rejected_directly = r.rejected();
+  result.stats.verified = r.ii();
   // Worst case up front (every II candidate accepted): one allocation for
-  // the whole query, and the verification blocks may compress-store
-  // straight into the vector's tail without capacity checks.
-  result.ids.reserve((accept_end - accept_begin) + ii_count);
-
-  // The II is verified by the batched kernels (core/kernels): per block of
-  // kernels::kBlockRows candidates, one deadline poll, one batched
-  // residual computation, one compress-store append — no per-row branch,
-  // no per-row clock read. An already-expired request still verifies
-  // nothing (the first block polls before any work).
-  result.ids.insert(result.ids.end(),
-                    ids_.begin() + static_cast<ptrdiff_t>(accept_begin),
-                    ids_.begin() + static_cast<ptrdiff_t>(accept_end));
-  if (!VerifyCandidates(q, ids_.data() + smaller_end, ii_count, deadline,
-                        &result.ids)) {
-    return Status::DeadlineExceeded(
-        "inequality query exceeded its deadline during II verification");
+  // the whole query, and the verify blocks compress-store straight into
+  // the vector's tail.
+  result.ids.reserve(r.accepted() + r.ii());
+  if (r.degenerate) {
+    // A constant answer lists the rows in ascending order, like the scan.
+    result.ids.resize(r.accepted());
+    std::iota(result.ids.begin(), result.ids.end(), 0u);
+  } else {
+    CollectRange(r.accept_begin, r.accept_end, &result.ids);
   }
-
-  result.stats.accepted_directly = accept_end - accept_begin;
-  result.stats.rejected_directly =
-      le ? n - larger_begin : smaller_end;
-  result.stats.verified = larger_begin - smaller_end;
-  result.stats.result_size = result.ids.size();
   return result;
 }
 
-bool PlanarIndex::VerifyCandidates(const NormalizedQuery& q,
-                                   const uint32_t* ids, size_t count,
-                                   const Deadline& deadline,
-                                   std::vector<uint32_t>* out) const {
-  return VerifyBlocks(q, phi_->data(), phi_->dim(), ids, count, deadline, out);
+VerifySource PlanarIndex::IISource(const Regions& r) const {
+  return {phi_->data(), phi_->dim(), r.ii(), ids_.data() + r.ii_begin};
+}
+
+Result<InequalityResult> PlanarIndex::RunInequality(
+    const NormalizedQuery& q, const Plan& plan,
+    const Deadline& deadline) const {
+  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
+  InequalityResult result = AcceptRegion(r);
+  AppendIds sink{&result.ids};
+  if (!VerifyRows(q, IISource(r), deadline, sink)) {
+    return Status::DeadlineExceeded(
+        "inequality query exceeded its deadline during II verification");
+  }
+  result.stats.result_size = result.ids.size();
+  return result;
 }
 
 Result<CountResult> PlanarIndex::CountInequality(
@@ -505,132 +472,52 @@ Result<AggregateResult> PlanarIndex::AggregateInequality(
   return RunAggregate(q, StandalonePlan(q), tolerance, deadline);
 }
 
-template <typename Stop>
-bool PlanarIndex::CountCandidates(const NormalizedQuery& q,
-                                  const uint32_t* ids, size_t count,
-                                  const double* payload, size_t payload_stride,
-                                  const Deadline& deadline, const Stop& stop,
-                                  size_t* accepted, size_t* resolved,
-                                  double* accepted_sum) const {
-  // The counting twin of VerifyBlocks: same block size, same deadline
-  // cadence, same accept predicate (through the same CompressAccept
-  // kernel), but accepts land in a scratch block instead of a result
-  // vector.
-  const kernels::DotOps& ops = kernels::Ops();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const double* a = q.a.data();
-  const size_t dim = q.a.size();
-  const double* rows = phi_->data();
-  const size_t stride = phi_->dim();
-  double residuals[kernels::kBlockRows];
-  uint32_t kept_ids[kernels::kBlockRows];
-  double vals[kernels::kBlockRows];
-  for (size_t off = 0; off < count; off += kernels::kBlockRows) {
-    if (stop(*resolved)) return true;
-    if (deadline.Expired()) return false;
-    const size_t blk = std::min(kernels::kBlockRows, count - off);
-    ops.dot_gather(a, dim, rows, stride, ids + off, blk, -q.b, residuals);
-    const size_t kept =
-        kernels::CompressAccept(residuals, ids + off, blk, le, kept_ids);
-    *accepted += kept;
-    *resolved += blk;
-    if (payload != nullptr && kept != 0) {
-      for (size_t i = 0; i < kept; ++i) {
-        vals[i] = payload[static_cast<size_t>(kept_ids[i]) * payload_stride];
-      }
-      // agg-ok: per-block payload totals go through the canonical helper
-      // and accumulate in block order, so a refined sum is deterministic
-      // for a fixed index state.
-      *accepted_sum += CanonicalBlockedSum(vals, kept);
-    }
-  }
-  return true;
-}
-
 Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
                                           const Plan& plan,
                                           const CountTolerance& tolerance,
                                           const Deadline& deadline) const {
-  PLANAR_RETURN_IF_ERROR(CheckServable(q));
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  const size_t n = size();
+  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
   CountResult result;
-  result.stats.num_points = n;
-  const bool le = q.cmp == Comparison::kLessEqual;
-
-  if (q.IsDegenerate()) {
-    // <0, phi(x)> cmp b with b >= 0: constant over all points.
-    const bool all_match = le ? (0.0 <= q.b) : (0.0 >= q.b);
-    result.lower = result.upper = result.estimate = all_match ? n : 0;
-    result.exact = true;
-    if (all_match) {
-      result.stats.accepted_directly = n;
-    } else {
-      result.stats.rejected_directly = n;
-    }
-    result.stats.result_size = result.estimate;
-    return result;
-  }
-
-  const Prepared& p = plan.prepared;
-  const size_t smaller_end = plan.intervals.smaller_end;
-  const size_t larger_begin = plan.intervals.larger_begin;
-  const size_t outright = le ? smaller_end : n - larger_begin;
-  const size_t ii_count = larger_begin - smaller_end;
-  result.lower = outright;
-  result.upper = outright + ii_count;
-  result.stats.accepted_directly = outright;
-  result.stats.rejected_directly = le ? n - larger_begin : smaller_end;
-
-  // Point estimate inside the current bounds: the learned CDF evaluated
-  // at the midpoint of the key cuts when available (clamped into the
-  // sound bounds, so a bad model can bias but never lie), otherwise the
-  // bound midpoint.
-  auto fill_estimate = [&](CountResult* r) {
-    r->estimate = r->lower + (r->upper - r->lower) / 2;
-    if (r->lower == r->upper) return;
-    if (cdf_.empty()) return;
-    const double mid_cut = 0.5 * p.low_cut + 0.5 * p.high_cut;
-    if (!std::isfinite(mid_cut)) return;
-    const double pred = cdf_.PredictRank(mid_cut);
-    double est = le ? pred : static_cast<double>(n) - pred;
-    est = std::min(static_cast<double>(r->upper),
-                   std::max(static_cast<double>(r->lower), est));
-    r->estimate = std::min(
-        r->upper, std::max(r->lower, static_cast<size_t>(est + 0.5)));
-    r->model_estimated = true;
-  };
-
-  const double allowed_d = tolerance.Allowed(static_cast<double>(n));
-  const size_t allowed = allowed_d >= static_cast<double>(n)
-                             ? n
+  result.stats.num_points = r.n;
+  result.stats.accepted_directly = r.accepted();
+  result.stats.rejected_directly = r.rejected();
+  result.lower = r.accepted();
+  result.upper = r.accepted() + r.ii();
+  const double allowed_d = tolerance.Allowed(static_cast<double>(r.n));
+  const size_t allowed = allowed_d >= static_cast<double>(r.n)
+                             ? r.n
                              : static_cast<size_t>(allowed_d);
-  if (result.gap() <= allowed) {
-    result.exact = result.gap() == 0;
-    fill_estimate(&result);
-    result.stats.result_size = result.estimate;
-    return result;
+  if (result.gap() > allowed) {
+    // Refine: stream the II through the counting sink, stopping as soon
+    // as the unresolved remainder fits the tolerance (never, at 0).
+    CountAccepts sink;
+    const auto stop = [&](size_t done) { return r.ii() - done <= allowed; };
+    if (!VerifyRows(q, IISource(r), deadline, sink, stop)) {
+      return Status::DeadlineExceeded(
+          "count query exceeded its deadline during II refinement");
+    }
+    result.refined = true;
+    result.lower = r.accepted() + sink.accepted;
+    result.upper = result.lower + (r.ii() - sink.verified);
+    result.stats.verified = sink.verified;
   }
-
-  // Refine: stream the II through the counting blocks, stopping as soon
-  // as the unresolved remainder fits the tolerance (never, at 0).
-  size_t accepted = 0;
-  size_t resolved = 0;
-  double unused_sum = 0.0;
-  const auto stop = [&](size_t done) { return ii_count - done <= allowed; };
-  const bool completed =
-      CountCandidates(q, ids_.data() + smaller_end, ii_count, nullptr, 0,
-                      deadline, stop, &accepted, &resolved, &unused_sum);
-  if (!completed) {
-    return Status::DeadlineExceeded(
-        "count query exceeded its deadline during II refinement");
-  }
-  result.refined = true;
-  result.lower = outright + accepted;
-  result.upper = result.lower + (ii_count - resolved);
   result.exact = result.gap() == 0;
-  result.stats.verified = resolved;
-  fill_estimate(&result);
+  // Point estimate inside the bounds: the learned CDF evaluated at the
+  // midpoint of the key cuts when available (clamped into the sound
+  // bounds, so a bad model can bias but never lie), otherwise the bound
+  // midpoint.
+  result.estimate = result.lower + result.gap() / 2;
+  const double mid_cut =
+      0.5 * plan.prepared.low_cut + 0.5 * plan.prepared.high_cut;
+  if (!result.exact && !cdf_.empty() && std::isfinite(mid_cut)) {
+    const double pred = cdf_.PredictRank(mid_cut);
+    double est = r.le ? pred : static_cast<double>(r.n) - pred;
+    est = std::min(static_cast<double>(result.upper),
+                   std::max(static_cast<double>(result.lower), est));
+    result.estimate = std::min(
+        result.upper, std::max(result.lower, static_cast<size_t>(est + 0.5)));
+    result.model_estimated = true;
+  }
   result.stats.result_size = result.estimate;
   return result;
 }
@@ -638,111 +525,71 @@ Result<CountResult> PlanarIndex::RunCount(const NormalizedQuery& q,
 Result<AggregateResult> PlanarIndex::RunAggregate(
     const NormalizedQuery& q, const Plan& plan,
     const CountTolerance& tolerance, const Deadline& deadline) const {
-  PLANAR_RETURN_IF_ERROR(CheckServable(q));
-  PLANAR_CHECK_EQ(phi_->size(), size());
+  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
   if (!has_payload()) {
     return Status::FailedPrecondition(
         "no payload column configured (set PlanarIndexOptions::"
-        "payload_column on the sorted-array backend)");
+        "payload_column)");
   }
-  const size_t n = size();
-  const bool le = q.cmp == Comparison::kLessEqual;
   const PrefixAggregates& pre = payload_prefix_;
-  PLANAR_DCHECK(pre.sum.size() == n + 1);
+  PLANAR_DCHECK(pre.sum.size() == r.n + 1);
   AggregateResult result;
-  result.count.stats.num_points = n;
-
-  if (q.IsDegenerate()) {
-    const bool all_match = le ? (0.0 <= q.b) : (0.0 >= q.b);
-    const size_t c = all_match ? n : 0;
-    result.count.lower = result.count.upper = result.count.estimate = c;
-    result.count.exact = true;
-    if (all_match) {
-      result.count.stats.accepted_directly = n;
-      result.sum = pre.sum[n];
-    } else {
-      result.count.stats.rejected_directly = n;
-    }
-    result.sum_lower = result.sum_upper = result.sum;
-    result.exact = true;
-    result.count.stats.result_size = c;
-    return result;
-  }
-
-  const size_t smaller_end = plan.intervals.smaller_end;
-  const size_t larger_begin = plan.intervals.larger_begin;
-  const size_t outright = le ? smaller_end : n - larger_begin;
-  const size_t ii_count = larger_begin - smaller_end;
+  result.count.stats.num_points = r.n;
+  result.count.stats.accepted_directly = r.accepted();
+  result.count.stats.rejected_directly = r.rejected();
 
   // Exact payload total of the outright-accepted rank range, straight
   // from the prefix sums; the II contributes its negative/positive-part
   // envelope to the bounds.
-  const double accept_sum =
-      le ? pre.sum[smaller_end] : pre.sum[n] - pre.sum[larger_begin];
-  result.sum_lower = accept_sum + (pre.neg[larger_begin] - pre.neg[smaller_end]);
-  result.sum_upper = accept_sum + (pre.pos[larger_begin] - pre.pos[smaller_end]);
+  const double accept_sum = pre.sum[r.accept_end] - pre.sum[r.accept_begin];
+  result.sum_lower = accept_sum + (pre.neg[r.ii_end] - pre.neg[r.ii_begin]);
+  result.sum_upper = accept_sum + (pre.pos[r.ii_end] - pre.pos[r.ii_begin]);
+  result.count.lower = r.accepted();
+  result.count.upper = r.accepted() + r.ii();
 
-  result.count.lower = outright;
-  result.count.upper = outright + ii_count;
-  result.count.stats.accepted_directly = outright;
-  result.count.stats.rejected_directly = le ? n - larger_begin : smaller_end;
-  result.count.estimate =
-      result.count.lower + (result.count.upper - result.count.lower) / 2;
-
-  const double total_abs = pre.pos[n] - pre.neg[n];
+  const double total_abs = pre.pos[r.n] - pre.neg[r.n];
   const double allowed = tolerance.Allowed(total_abs);
-  double gap = result.sum_upper - result.sum_lower;
+  const double gap = result.sum_upper - result.sum_lower;
   if (gap <= allowed) {
     result.exact = gap == 0.0;
-    result.count.exact = result.count.gap() == 0;
     result.sum = result.exact ? result.sum_lower
                               : 0.5 * result.sum_lower + 0.5 * result.sum_upper;
-    result.count.stats.result_size = result.count.estimate;
-    return result;
+  } else {
+    // Refine: stream the II in rank order, accumulating accepted payloads
+    // in canonical blocked summation, stopping once the envelope of the
+    // unresolved rank suffix fits the tolerance. The suffix envelope is a
+    // prefix-array difference, so the stop predicate is O(1) per poll.
+    CountAccepts sink{
+        .payload = phi_->data() + static_cast<size_t>(options_.payload_column),
+        .stride = phi_->dim()};
+    const auto stop = [&](size_t done) {
+      const size_t rank = r.ii_begin + done;
+      const double rem_gap = (pre.pos[r.ii_end] - pre.pos[rank]) -
+                             (pre.neg[r.ii_end] - pre.neg[rank]);
+      return rem_gap <= allowed;
+    };
+    if (!VerifyRows(q, IISource(r), deadline, sink, stop)) {
+      return Status::DeadlineExceeded(
+          "aggregate query exceeded its deadline during II refinement");
+    }
+    result.refined = true;
+    result.count.refined = true;
+    result.count.lower = r.accepted() + sink.accepted;
+    result.count.upper = result.count.lower + (r.ii() - sink.verified);
+    result.count.stats.verified = sink.verified;
+    const size_t rank = r.ii_begin + sink.verified;
+    const double known = accept_sum + sink.sum;
+    result.exact = sink.verified == r.ii();
+    result.sum_lower =
+        result.exact ? known : known + (pre.neg[r.ii_end] - pre.neg[rank]);
+    result.sum_upper =
+        result.exact ? known : known + (pre.pos[r.ii_end] - pre.pos[rank]);
+    result.sum = result.exact ? known
+                              : 0.5 * result.sum_lower + 0.5 * result.sum_upper;
   }
-
-  // Refine: stream the II in rank order, accumulating accepted payloads
-  // in canonical blocked summation, stopping once the envelope of the
-  // unresolved rank suffix fits the tolerance. The suffix envelope is a
-  // prefix-array difference, so the stop predicate is O(1) per poll.
-  const double* payload =
-      phi_->data() + static_cast<size_t>(options_.payload_column);
-  size_t accepted = 0;
-  size_t resolved = 0;
-  double accepted_sum = 0.0;
-  const auto stop = [&](size_t done) {
-    const size_t r = smaller_end + done;
-    const double rem_gap = (pre.pos[larger_begin] - pre.pos[r]) -
-                           (pre.neg[larger_begin] - pre.neg[r]);
-    return rem_gap <= allowed;
-  };
-  const bool completed = CountCandidates(
-      q, ids_.data() + smaller_end, ii_count, payload, phi_->dim(),
-      deadline, stop, &accepted, &resolved, &accepted_sum);
-  if (!completed) {
-    return Status::DeadlineExceeded(
-        "aggregate query exceeded its deadline during II refinement");
-  }
-  result.refined = true;
-  result.count.refined = true;
-  result.count.lower = outright + accepted;
-  result.count.upper = result.count.lower + (ii_count - resolved);
   result.count.exact = result.count.gap() == 0;
-  result.count.estimate =
-      result.count.lower + (result.count.upper - result.count.lower) / 2;
-  result.count.stats.verified = resolved;
+  result.count.estimate = result.count.lower + result.count.gap() / 2;
   result.count.stats.result_size = result.count.estimate;
-  const size_t r = smaller_end + resolved;
-  result.sum_lower =
-      accept_sum + accepted_sum + (pre.neg[larger_begin] - pre.neg[r]);
-  result.sum_upper =
-      accept_sum + accepted_sum + (pre.pos[larger_begin] - pre.pos[r]);
-  result.exact = resolved == ii_count;
-  result.sum = result.exact ? accept_sum + accepted_sum
-                            : 0.5 * result.sum_lower + 0.5 * result.sum_upper;
-  if (result.exact) {
-    result.sum_lower = result.sum_upper = result.sum;
-  }
   return result;
 }
 
@@ -764,7 +611,7 @@ Result<TopKResult> PlanarIndex::TopK(const NormalizedQuery& q, size_t k,
 Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q,
                                         const Plan& plan, size_t k,
                                         const Deadline& deadline) const {
-  PLANAR_RETURN_IF_ERROR(CheckServable(q));
+  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
   // |a| == 0 also when a != 0 but its squares underflow; ScanTopK
   // refuses both the same way.
   const double norm_a = q.NormA();
@@ -775,59 +622,11 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q,
   if (k == 0) {
     return Status::InvalidArgument("k must be positive");
   }
-  PLANAR_CHECK_EQ(phi_->size(), size());
-  const size_t n = size();
   TopKResult result;
-  result.stats.num_points = n;
-
-  const Prepared& p = plan.prepared;
-  const size_t smaller_end = plan.intervals.smaller_end;
-  const size_t larger_begin = plan.intervals.larger_begin;
-  const bool le = q.cmp == Comparison::kLessEqual;
-
+  result.stats.num_points = r.n;
   // The heap can never hold more than n entries, so a huge k does not
   // reserve unbounded storage.
-  TopKBuffer buffer(k, n);
-
-  // Phase 1: verify the intermediate interval (Algorithm 2, lines 3-7)
-  // with the batched kernels — per block: one deadline poll, one batched
-  // residual computation, then the (branchy, heap-bound) insert loop over
-  // the few matches.
-  const kernels::DotOps& ops = kernels::Ops();
-  const double* rows = phi_->data();
-  const size_t stride = phi_->dim();
-  const size_t dim = q.a.size();
-  const size_t ii_count = larger_begin - smaller_end;
-  double residuals[kernels::kBlockRows];
-
-  auto consider_block = [&](const uint32_t* block_ids, size_t blk) {
-    ops.dot_gather(q.a.data(), dim, rows, stride, block_ids, blk, -q.b,
-                   residuals);
-    for (size_t i = 0; i < blk; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) buffer.Insert(block_ids[i], std::fabs(residual) / norm_a);
-    }
-    result.stats.verified_intermediate += blk;
-  };
-
-  // Lower-bound distance of a directly-accepted point with the given key
-  // (Definition 5 / Claim 3, generalized for zero-parameter axes).
-  auto lower_bound_distance = [&](double key) {
-    const double raw =
-        le ? (p.b_prime - p.emax) - p.rmax * (key - p.c0min)
-           : p.rmin * (key - p.c0max) + p.emin - p.b_prime;
-    return std::max(0.0, raw) / norm_a;
-  };
-
-  // Deadline poll for the accept-region walk (phase 2): one clock read per
-  // kDeadlineCheckInterval rows, including the first, so an expired
-  // request evaluates nothing.
-  size_t deadline_step = 0;
-  auto past_deadline = [&]() {
-    return (deadline_step++ & (kDeadlineCheckInterval - 1)) == 0 &&
-           deadline.Expired();
-  };
+  TopKBuffer buffer(k, r.n);
   // Built only on expiry: the message would cost a heap allocation on
   // every query.
   const auto deadline_status = [] {
@@ -835,44 +634,38 @@ Result<TopKResult> PlanarIndex::RunTopK(const NormalizedQuery& q,
         "top-k query exceeded its deadline during candidate evaluation");
   };
 
-  // Accept-region termination check (lines 10-11): the heap is full and
-  // even the lower-bound distance of rank r exceeds its worst entry.
-  auto terminate_at = [&](size_t r) {
-    return buffer.full() &&
-           lower_bound_distance(keys_[r]) > buffer.WorstDistance();
-  };
+  // Phase 1: verify the intermediate interval (Algorithm 2, lines 3-7).
+  OfferNearest sink{&buffer, norm_a};
+  if (!VerifyRows(q, IISource(r), deadline, sink)) return deadline_status();
+  result.stats.verified_intermediate = r.ii();
 
-  for (size_t off = 0; off < ii_count; off += kernels::kBlockRows) {
-    if (deadline.Expired()) return deadline_status();
-    const size_t blk = std::min(kernels::kBlockRows, ii_count - off);
-    consider_block(ids_.data() + smaller_end + off, blk);
-  }
   // Phase 2: walk the directly-accepted region from the query hyperplane
-  // outward, pruning with the lower-bound distance (lines 8-14).
-  if (le) {
-    for (size_t r = smaller_end; r-- > 0;) {
-      if (past_deadline()) return deadline_status();
-      if (terminate_at(r)) {
-        result.stats.early_terminated = true;
-        break;
-      }
-      const uint32_t id = ids_[r];
-      buffer.Insert(id,
-                    std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-      ++result.stats.scanned_accept_region;
+  // outward (down from accept_end for <=, up from accept_begin for >=),
+  // pruning with the lower-bound distance (lines 8-14). The deadline is
+  // polled once per kDeadlineCheckInterval rows, including the first.
+  const Prepared& p = plan.prepared;
+  for (size_t i = 0; i < r.accepted(); ++i) {
+    if ((i & (kDeadlineCheckInterval - 1)) == 0 && deadline.Expired()) {
+      return deadline_status();
     }
-  } else {
-    for (size_t r = larger_begin; r < n; ++r) {
-      if (past_deadline()) return deadline_status();
-      if (terminate_at(r)) {
-        result.stats.early_terminated = true;
-        break;
-      }
-      const uint32_t id = ids_[r];
-      buffer.Insert(id,
-                    std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
-      ++result.stats.scanned_accept_region;
+    const size_t rank = r.le ? r.accept_end - 1 - i : r.accept_begin + i;
+    // Lower-bound distance of a directly-accepted point with this key
+    // (Definition 5 / Claim 3, generalized for zero-parameter axes); once
+    // the heap is full and even it exceeds the worst entry, stop (lines
+    // 10-11).
+    const double key = keys_[rank];
+    const double bound =
+        r.le ? (p.b_prime - p.emax) - p.rmax * (key - p.c0min)
+             : p.rmin * (key - p.c0max) + p.emin - p.b_prime;
+    if (buffer.full() &&
+        std::max(0.0, bound) / norm_a > buffer.WorstDistance()) {
+      result.stats.early_terminated = true;
+      break;
     }
+    const uint32_t id = ids_[rank];
+    buffer.Insert(id,
+                  std::fabs(ResidualNormalized(q, phi_->row(id))) / norm_a);
+    ++result.stats.scanned_accept_region;
   }
 
   result.neighbors = buffer.TakeSorted();

@@ -38,6 +38,8 @@
 
 namespace planar {
 
+struct VerifySource;
+
 /// Per-query bookkeeping: how many points were pruned without evaluating
 /// the scalar product (the quantity behind Figures 9 and 10).
 struct QueryStats {
@@ -488,7 +490,6 @@ class PlanarIndex {
   // before its plan is read.
   Status CheckServable(const NormalizedQuery& q) const;
   Explanation Describe(const NormalizedQuery& q, const Plan& plan) const;
-  void ComputeKey(uint32_t row, double* key) const;
   double RawKey(const double* phi_row) const;
   size_t RankLessEqual(double key) const;
   void InsertKey(double key, uint32_t row);
@@ -498,8 +499,34 @@ class PlanarIndex {
   // Rebuilds the search and aggregate sidecars from keys_/ids_ after any
   // mutation of the sorted arrays.
   void RefreshSearchLayout();
+  // The rank ranges a plan splits this index into for a query: ranks
+  // [accept_begin, accept_end) satisfy it outright, the II [ii_begin,
+  // ii_end) is verified, and the rest fail outright. A degenerate query
+  // is decided outright: every rank accepted, or every rank rejected.
+  struct Regions {
+    size_t n = 0;
+    bool le = true;  // Comparison::kLessEqual
+    bool degenerate = false;  // all-zero a: decided outright
+    size_t accept_begin = 0;
+    size_t accept_end = 0;
+    size_t ii_begin = 0;
+    size_t ii_end = 0;
+
+    size_t accepted() const { return accept_end - accept_begin; }
+    size_t ii() const { return ii_end - ii_begin; }
+    size_t rejected() const { return n - accepted() - ii(); }
+  };
+  // The preamble of every Run* call: CheckServable, then the regions of
+  // `plan`, which must be this index's plan of `q`.
+  Result<Regions> Split(const NormalizedQuery& q, const Plan& plan) const;
+  // An inequality answer holding the accept region's ids (ascending rows
+  // for a degenerate query) with room reserved for every II id, and its
+  // pruning stats; RunInequality and the batch path verify the II into it.
+  InequalityResult AcceptRegion(const Regions& r) const;
+  // The II's rank-id span, as VerifyRows reads it.
+  VerifySource IISource(const Regions& r) const;
   // The serve calls: each runs every check of its public entry point,
-  // then answers from `plan`, which must be this index's plan of `q`.
+  // then answers from `plan` through the one verify loop (core/scan.h).
   Result<InequalityResult> RunInequality(const NormalizedQuery& q,
                                          const Plan& plan,
                                          const Deadline& deadline) const;
@@ -510,29 +537,8 @@ class PlanarIndex {
                                        const Plan& plan,
                                        const CountTolerance& tolerance,
                                        const Deadline& deadline) const;
-  // Streams `count` candidate ids through the counting verify blocks
-  // (one deadline poll per block) without materializing accepted ids.
-  // `accepted`/`resolved` accumulate; when `payload` is non-null,
-  // `accepted_sum` accumulates the accepted rows' payload in canonical
-  // blocked summation. `stop` is polled at block boundaries with the
-  // resolved-so-far count and may end the stream early (bounds already
-  // within tolerance); a template so the caller's lambda is called
-  // directly, never boxed into a heap-allocated std::function. Returns
-  // false iff the deadline expired.
-  template <typename Stop>
-  bool CountCandidates(const NormalizedQuery& q, const uint32_t* ids,
-                       size_t count, const double* payload,
-                       size_t payload_stride, const Deadline& deadline,
-                       const Stop& stop, size_t* accepted, size_t* resolved,
-                       double* accepted_sum) const;
   Result<TopKResult> RunTopK(const NormalizedQuery& q, const Plan& plan,
                              size_t k, const Deadline& deadline) const;
-  // Verifies the candidate ids (block-batched kernels, one deadline poll
-  // per block) and appends accepted ids to *out in candidate order.
-  // Returns false iff the deadline expired mid-verification.
-  bool VerifyCandidates(const NormalizedQuery& q, const uint32_t* ids,
-                        size_t count, const Deadline& deadline,
-                        std::vector<uint32_t>* out) const;
 
   const PhiMatrix* phi_ = nullptr;
   PlanarIndexOptions options_;

@@ -61,7 +61,6 @@ NormalizedQuery NormalizedQuery::From(const ScalarProductQuery& q) {
     n.cmp = n.cmp == Comparison::kLessEqual ? Comparison::kGreaterEqual
                                             : Comparison::kLessEqual;
   }
-  n.octant = Octant::FromNormal(n.a);
   return n;
 }
 

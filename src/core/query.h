@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "geometry/octant.h"
-
 namespace planar {
 
 /// Direction of the scalar product constraint.
@@ -50,12 +48,11 @@ struct ScalarProductQuery {
 /// the constraint is negated ( <a,phi> <= b  <=>  <-a,phi> >= -b ), so
 /// downstream code may assume b >= 0 (paper, Section 4.5). The octant in
 /// which the query hyperplane meets the axes is then determined by the
-/// signs of `a` alone.
+/// signs of `a` alone (Octant::FromNormal(a)).
 struct NormalizedQuery {
   std::vector<double> a;
   double b = 0.0;
   Comparison cmp = Comparison::kLessEqual;
-  Octant octant;
 
   /// Normalizes `q`. The predicate is preserved exactly.
   static NormalizedQuery From(const ScalarProductQuery& q);

@@ -2,16 +2,18 @@
 
 #include "core/scan.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/macros.h"
-#include "core/aggregate.h"
-#include "core/kernels/kernels.h"
-#include "core/topk.h"
 #include "geometry/vec.h"
 
 namespace planar {
+
+namespace {
+
+Status ScanDeadlineExceeded() {
+  return Status::DeadlineExceeded("sequential scan exceeded its deadline");
+}
+
+}  // namespace
 
 Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
                                   uint32_t id_offset,
@@ -21,19 +23,9 @@ Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
   PLANAR_CHECK_EQ(dim, q.a.size());
   PLANAR_CHECK(out != nullptr);
   const size_t before = out->size();
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    const size_t kept = kernels::CompressAcceptRange(
-        residuals, id_offset + static_cast<uint32_t>(row), blk, le, accepted);
-    out->insert(out->end(), accepted, accepted + kept);
+  AppendIds sink{out};
+  if (!VerifyRows(q, {rows, dim, count, nullptr, id_offset}, deadline, sink)) {
+    return ScanDeadlineExceeded();
   }
   return out->size() - before;
 }
@@ -43,21 +35,11 @@ Result<size_t> ScanRowsCountInequality(const double* rows, size_t dim,
                                        const ScalarProductQuery& q,
                                        const Deadline& deadline) {
   PLANAR_CHECK_EQ(dim, q.a.size());
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  size_t total = 0;
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    total += kernels::CompressAcceptRange(
-        residuals, static_cast<uint32_t>(row), blk, le, accepted);
+  CountAccepts sink;
+  if (!VerifyRows(q, {rows, dim, count}, deadline, sink)) {
+    return ScanDeadlineExceeded();
   }
-  return total;
+  return sink.accepted;
 }
 
 Status ScanRowsAggregateInequality(const double* rows, size_t dim,
@@ -69,31 +51,15 @@ Status ScanRowsAggregateInequality(const double* rows, size_t dim,
   PLANAR_CHECK(matched != nullptr && sum != nullptr);
   PLANAR_CHECK(payload_column >= 0 && static_cast<size_t>(payload_column) <
                                           dim);
-  const double* payload = rows + static_cast<size_t>(payload_column);
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  uint32_t accepted[kernels::kBlockRows];
-  double vals[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("sequential scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    const size_t kept = kernels::CompressAcceptRange(
-        residuals, static_cast<uint32_t>(row), blk, le, accepted);
-    *matched += kept;
-    if (kept != 0) {
-      for (size_t i = 0; i < kept; ++i) {
-        vals[i] = payload[static_cast<size_t>(accepted[i]) * dim];
-      }
-      // agg-ok: per-block payload totals go through the canonical helper
-      // and accumulate in row order — the same determinism rule as the
-      // index refinement path.
-      *sum += CanonicalBlockedSum(vals, kept);
-    }
+  CountAccepts sink{.payload = rows + static_cast<size_t>(payload_column),
+                    .stride = dim,
+                    .accepted = *matched,
+                    .sum = *sum};
+  if (!VerifyRows(q, {rows, dim, count}, deadline, sink)) {
+    return ScanDeadlineExceeded();
   }
+  *matched = sink.accepted;
+  *sum = sink.sum;
   return Status::OK();
 }
 
@@ -104,24 +70,10 @@ Status ScanRowsTopK(const double* rows, size_t dim, size_t count,
   PLANAR_CHECK(buffer != nullptr);
   const double norm_a = Norm(q.a);
   PLANAR_CHECK(norm_a > 0.0);  // caller validated the query normal
-  const bool le = q.cmp == Comparison::kLessEqual;
-  const kernels::DotOps& ops = kernels::Ops();
-  double residuals[kernels::kBlockRows];
-  for (size_t row = 0; row < count; row += kernels::kBlockRows) {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded(
-          "sequential top-k scan exceeded its deadline");
-    }
-    const size_t blk = std::min(kernels::kBlockRows, count - row);
-    ops.dot_range(q.a.data(), dim, rows, dim, row, blk, -q.b, residuals);
-    for (size_t i = 0; i < blk; ++i) {
-      const double residual = residuals[i];
-      const bool match = le ? residual <= 0.0 : residual >= 0.0;
-      if (match) {
-        buffer->Insert(id_offset + static_cast<uint32_t>(row + i),
-                       std::fabs(residual) / norm_a);
-      }
-    }
+  OfferNearest sink{buffer, norm_a};
+  if (!VerifyRows(q, {rows, dim, count, nullptr, id_offset}, deadline, sink)) {
+    return Status::DeadlineExceeded(
+        "sequential top-k scan exceeded its deadline");
   }
   return Status::OK();
 }
@@ -149,10 +101,6 @@ Result<InequalityResult> ScanInequality(const PhiMatrix& phi,
   // selectivity scans the regrowth copies cost more than a block's
   // residual kernel (see the micro-bench note in bench/bench_micro.cc).
   result.ids.reserve(n);
-  // Batched over contiguous rows: per block, one deadline poll, one
-  // kernel call for the residuals, one branch-light compress-store of the
-  // matching row ids (shared with the ingest delta overlay via the raw
-  // helper above).
   Result<size_t> appended =
       ScanRowsInequality(phi.data(), phi.dim(), n, /*id_offset=*/0, q,
                          deadline, &result.ids);

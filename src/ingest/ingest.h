@@ -12,10 +12,10 @@
 //
 // Reads overlay the delta: a query pins an epoch — a {base snapshot,
 // delta} pair swapped atomically at merge install — and scan-verifies
-// the not-yet-merged rows with the same kernels the base paths use
-// (core/scan.h ScanRows*), so the ids returned are exactly the ids a
-// quiesced from-scratch Rebuild over the same rows would return
-// (machine-checked by tests/ingest_test.cc, under tsan by
+// the not-yet-merged rows through the verify loop the base paths use
+// (core/scan.h ScanRows* over VerifyRows), so the ids returned are
+// exactly the ids a quiesced from-scratch Rebuild over the same rows
+// would return (machine-checked by tests/ingest_test.cc, under tsan by
 // tests/ingest_stress_test.cc).
 //
 // Row ids are stable across merges by construction: delta row j of an

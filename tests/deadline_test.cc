@@ -102,6 +102,51 @@ TEST_F(DeadlineQueryTest, ExpiredDeadlineAbortsScan) {
   EXPECT_EQ(Sorted(full->ids), BruteForceMatches(set_->phi(), query_));
 }
 
+// Every query kind cut short by an expired deadline answers with its own
+// message, byte for byte: the four index kinds (on a non-empty II, so
+// each must verify; COUNT and SUM at tolerance 0) and the four scan kinds.
+TEST(DeadlineMessageTest, EveryKindPinsItsMessage) {
+  PhiMatrix phi = RandomPhi(2000, 3, 0.0, 100.0, 9);
+  PlanarIndexOptions options;
+  options.payload_column = 0;
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0, 1.0}, options);
+  ASSERT_TRUE(index.ok());
+  const ScalarProductQuery q{{1.0, 2.0, 3.0}, 300.0, Comparison::kLessEqual};
+  const NormalizedQuery nq = NormalizedQuery::From(q);
+  auto intervals = index->ComputeIntervals(nq);
+  ASSERT_TRUE(intervals.ok());
+  ASSERT_GT(intervals->intermediate(), 0u);
+
+  const Deadline expired = Deadline::After(0.0);
+  const CountTolerance exact;
+  const struct {
+    const char* kind;
+    Status status;
+    const char* message;
+  } cases[] = {
+      {"index inequality", index->Inequality(nq, expired).status(),
+       "inequality query exceeded its deadline during II verification"},
+      {"index count", index->CountInequality(nq, exact, expired).status(),
+       "count query exceeded its deadline during II refinement"},
+      {"index sum", index->AggregateInequality(nq, exact, expired).status(),
+       "aggregate query exceeded its deadline during II refinement"},
+      {"index top-k", index->TopK(nq, 5, expired).status(),
+       "top-k query exceeded its deadline during candidate evaluation"},
+      {"scan inequality", ScanInequality(phi, q, expired).status(),
+       "sequential scan exceeded its deadline"},
+      {"scan count", ScanCountInequality(phi, q, expired).status(),
+       "sequential scan exceeded its deadline"},
+      {"scan sum", ScanAggregateInequality(phi, 0, q, expired).status(),
+       "sequential scan exceeded its deadline"},
+      {"scan top-k", ScanTopK(phi, q, 5, expired).status(),
+       "sequential top-k scan exceeded its deadline"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(c.status.code(), StatusCode::kDeadlineExceeded) << c.kind;
+    EXPECT_EQ(c.status.message(), c.message) << c.kind;
+  }
+}
+
 // Deadline polling is amortized to once per verification block
 // (kernels::kBlockRows rows). These regressions pin down that a short —
 // but not yet expired — deadline still cancels the query part-way

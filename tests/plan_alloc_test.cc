@@ -4,11 +4,10 @@
 // operator new/delete with malloc/free plus a counter, then counts the
 // allocations one PlanarIndexSet query makes on a 2-d, 10-index set.
 //
-// The bound: a query normalizes its parameters once
-// (NormalizedQuery::From copies `a` and builds the octant's sign vector:
-// two allocations). Selection plans every candidate index through one
-// stack scratch and serves the winner from the plan it kept, so nothing
-// else may allocate except the answer's own result vector (Inequality's
+// The bound: a query normalizes its parameters once (NormalizedQuery::From
+// copies `a`: one allocation, the only one left). Selection plans every
+// candidate index through one stack scratch and serves the winner from
+// the plan it kept, so nothing else may allocate except the answer's own result vector (Inequality's
 // ids, TopK's neighbours), which is not counted here. Before plans, the
 // same CountInequality made 62 allocations: five vectors per Prepare,
 // twelve Prepares per request.
@@ -70,9 +69,9 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace planar {
 namespace {
 
-// Allocations one query may make beyond its result vector: the
-// normalized query's parameter copy and octant signs.
-constexpr size_t kMaxAllocationsPerQuery = 2;
+// Allocations one query may make beyond its result vector: the one that
+// remains is the normalized query's copy of `a`.
+constexpr size_t kMaxAllocationsPerQuery = 1;
 
 template <typename F>
 size_t AllocationsOf(const F& f) {

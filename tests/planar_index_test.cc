@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/scan.h"
 #include "tests/test_util.h"
 
@@ -166,6 +167,53 @@ TEST(PlanarIndexTest, DegenerateAllZeroQuery) {
   ASSERT_FALSE(scanned.ok());
   EXPECT_EQ(indexed.status().code(), scanned.status().code());
   EXPECT_EQ(indexed.status().message(), scanned.status().message());
+}
+
+// A degenerate (all-zero a) COUNT or SUM is a constant answer decided
+// without verifying a row; it must equal the scan's for both comparisons,
+// at b == 0 (0 <= 0 and 0 >= 0 hold everywhere) and b > 0. The payload
+// column holds small integers, so every summation order is exact.
+TEST(PlanarIndexTest, DegenerateCountAndSumMatchScan) {
+  Rng rng(23);
+  PhiMatrix phi(2);
+  for (int i = 0; i < 700; ++i) {
+    phi.AppendRow({rng.Uniform(1.0, 5.0),
+                   std::floor(rng.Uniform(-50.0, 50.0))});
+  }
+  PlanarIndexOptions options;
+  options.payload_column = 1;
+  auto index = PlanarIndex::BuildFirstOctant(&phi, {1.0, 1.0}, options);
+  ASSERT_TRUE(index.ok());
+  for (const Comparison cmp :
+       {Comparison::kLessEqual, Comparison::kGreaterEqual}) {
+    for (const double b : {0.0, 3.0}) {
+      const ScalarProductQuery q{{0.0, 0.0}, b, cmp};
+      SCOPED_TRACE(q.ToString());
+      auto count = index->CountInequality(q);
+      auto scan_count = ScanCountInequality(phi, q, Deadline::Infinite());
+      ASSERT_TRUE(count.ok());
+      ASSERT_TRUE(scan_count.ok());
+      EXPECT_TRUE(count->exact);
+      EXPECT_EQ(count->lower, scan_count->lower);
+      EXPECT_EQ(count->upper, scan_count->upper);
+      EXPECT_EQ(count->estimate, scan_count->estimate);
+      EXPECT_EQ(count->stats.verified, 0u);
+      EXPECT_FALSE(count->refined);
+
+      auto sum = index->AggregateInequality(q);
+      auto scan_sum =
+          ScanAggregateInequality(phi, 1, q, Deadline::Infinite());
+      ASSERT_TRUE(sum.ok());
+      ASSERT_TRUE(scan_sum.ok());
+      EXPECT_TRUE(sum->exact);
+      EXPECT_EQ(sum->sum, scan_sum->sum);
+      EXPECT_EQ(sum->sum_lower, scan_sum->sum_lower);
+      EXPECT_EQ(sum->sum_upper, scan_sum->sum_upper);
+      EXPECT_EQ(sum->count.estimate, scan_sum->count.estimate);
+      EXPECT_EQ(sum->count.stats.verified, 0u);
+      EXPECT_FALSE(sum->refined);
+    }
+  }
 }
 
 TEST(PlanarIndexTest, TopKMatchesScan) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "geometry/octant.h"
+
 namespace planar {
 namespace {
 
@@ -85,9 +87,10 @@ TEST(NormalizedQueryTest, FlipPreservesPredicate) {
 TEST(NormalizedQueryTest, OctantFollowsSigns) {
   const NormalizedQuery n =
       NormalizedQuery::From({{1.0, -2.0, 0.0}, 1.0, Comparison::kLessEqual});
-  EXPECT_EQ(n.octant.sign(0), 1.0);
-  EXPECT_EQ(n.octant.sign(1), -1.0);
-  EXPECT_EQ(n.octant.sign(2), 1.0);  // zero maps to +
+  const Octant octant = Octant::FromNormal(n.a);
+  EXPECT_EQ(octant.sign(0), 1.0);
+  EXPECT_EQ(octant.sign(1), -1.0);
+  EXPECT_EQ(octant.sign(2), 1.0);  // zero maps to +
 }
 
 TEST(NormalizedQueryTest, Degenerate) {

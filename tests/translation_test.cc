@@ -101,7 +101,7 @@ TEST(TranslatorTest, MirroredOffsetPreservesResidual) {
   }
   const ScalarProductQuery q{{2.0, -3.0, 0.5}, 1.0, Comparison::kLessEqual};
   const NormalizedQuery n = NormalizedQuery::From(q);
-  Translator t = Translator::Create(phi, n.octant, NoMargin());
+  Translator t = Translator::Create(phi, Octant::FromNormal(n.a), NoMargin());
   const double b_prime = t.MirroredOffset(n);
   EXPECT_GE(b_prime, n.b);
   for (size_t r = 0; r < phi.size(); ++r) {

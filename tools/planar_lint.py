@@ -113,6 +113,16 @@ Rules (library code under src/ unless stated otherwise):
                     test, EXPLAIN and the serve call read that plan.
                     Re-planning the winner repeats its Prepare and two
                     boundary searches on every request.
+  one-verify-loop   `dot_gather(`, `CompressAccept(` and
+                    `CompressAcceptRange(` calls are forbidden in src/
+                    outside src/core/kernels and src/core/scan.h, the
+                    home of VerifyRows: every single-query verification
+                    (index II, full scan, ingest delta) runs through that
+                    one block loop and feeds one of its sinks, so the
+                    deadline cadence and the accept predicate live in one
+                    place. The multi-query `dot_block_many` /
+                    `CompressAcceptMany` kernels of core/batch.cc are
+                    other names and never fire.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
@@ -196,6 +206,12 @@ AGG_EXEMPT_FILES = {Path("src/core/aggregate.cc")}
 RE_REPLAN = re.compile(
     r"(?<![A-Za-z0-9_])(?:ComputeIntervals|Prepare)\s*\(")
 PLAN_ONCE_FILES = {Path("src/core/index_set.cc"), Path("src/core/batch.cc")}
+# Single-query verify kernels (one-verify-loop) and the one file outside
+# src/core/kernels that may call them.
+RE_VERIFY_KERNEL = re.compile(
+    r"(?<![A-Za-z0-9_])(?:dot_gather|CompressAccept|CompressAcceptRange)"
+    r"\s*\(")
+VERIFY_LOOP_FILE = Path("src/core/scan.h")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -319,6 +335,13 @@ def findings_for_file(root: Path, path: Path):
                        "serve from the plan index selection built "
                        "(PlanarIndexSet::Select); re-planning repeats "
                        "Prepare and two boundary searches per request")
+            if (rel != VERIFY_LOOP_FILE and rel.parts[:3] != (
+                    "src", "core", "kernels")
+                    and RE_VERIFY_KERNEL.search(line)):
+                yield (rel, lineno, "one-verify-loop",
+                       "single-query verification runs through VerifyRows "
+                       "(core/scan.h) with a sink; do not write another "
+                       "block loop over the verify kernels")
             if rel not in AGG_EXEMPT_FILES and RE_AGG_MUTATION.search(line):
                 if lineno - last_agg_ok <= AGG_COMMENT_WINDOW:
                     last_agg_ok = lineno  # consecutive uses chain
@@ -628,6 +651,30 @@ def self_test() -> int:
         ("src/core/band.cc",
          "const auto upper_iv = index.ComputeIntervals(upper_norm);\n",
          "serve-from-plan", 0),
+        # one-verify-loop: a second block loop over the verify kernels
+        # fires wherever it is written,
+        ("src/core/planar_index.cc",
+         "ops.dot_gather(a, dim, rows, stride, ids, blk, -b, res);\n"
+         "kept = kernels::CompressAccept(res, ids, blk, le, out);\n"
+         "kept = kernels::CompressAcceptRange (res, 0, blk, le, out);\n",
+         "one-verify-loop", 3),
+        ("src/ingest/ingest.cc",
+         "kernels::CompressAcceptRange(res, first, blk, le, out);\n",
+         "one-verify-loop", 1),
+        # but not in the loop's home or the kernels themselves,
+        ("src/core/scan.h",
+         "ops.dot_gather(a, dim, rows, stride, ids, blk, -b, res);\n",
+         "one-verify-loop", 0),
+        ("src/core/kernels/kernels.cc",
+         "size_t CompressAccept(const double* r, const uint32_t* ids) {\n",
+         "one-verify-loop", 0),
+        # and the multi-query kernels, comments and strings never fire.
+        ("src/core/batch.cc",
+         "ops.dot_block_many(qs, biases, na, dim, rows, dim, ids, blk);\n"
+         "kernels::CompressAcceptMany(res, kBlockRows, na, ids);\n"
+         "// no dot_gather( here\n"
+         "const char* s = \"CompressAccept(\";\n",
+         "one-verify-loop", 0),
     ]
     for i, (rel_path, content, rule, want) in enumerate(file_cases):
         root = write_source(rel_path, content)
