@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -85,9 +86,9 @@ void RunReaders(const IngestManager& manager, size_t readers, int queries,
         }
         const ScalarProductQuery q = RandomQuery(&rng);
         WallTimer timer;
-        Result<InequalityResult> result = Status::Internal("unset");
-        if (!manager.Inequality(kTarget, q, Deadline::Infinite(), &result) ||
-            !result.ok()) {
+        const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+        if (view == nullptr ||
+            !view->Inequality(q, Deadline::Infinite()).ok()) {
           std::fprintf(stderr, "bench_ingest: query failed\n");
           std::abort();
         }
@@ -215,17 +216,14 @@ bool SmokeBitIdentity(const PhiMatrix& all) {
   Rng rng(29);
   for (int trial = 0; trial < 40; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    Result<InequalityResult> got = Status::Internal("unset");
-    if (!manager.Inequality(kTarget, q, Deadline::Infinite(), &got) ||
-        !got.ok()) {
-      return false;
-    }
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    if (view == nullptr) return false;
+    const Result<InequalityResult> got =
+        view->Inequality(q, Deadline::Infinite());
+    if (!got.ok()) return false;
     if (Sorted(got->ids) != Sorted(fresh->Inequality(q).ids)) return false;
-    Result<TopKResult> topk = Status::Internal("unset");
-    if (!manager.TopK(kTarget, q, 10, Deadline::Infinite(), &topk) ||
-        !topk.ok()) {
-      return false;
-    }
+    const Result<TopKResult> topk = view->TopK(q, 10, Deadline::Infinite());
+    if (!topk.ok()) return false;
     auto want = fresh->TopK(q, 10);
     if (!want.ok() || topk->neighbors.size() != want->neighbors.size()) {
       return false;
@@ -238,11 +236,11 @@ bool SmokeBitIdentity(const PhiMatrix& all) {
   PLANAR_CHECK(flushed.ok());
   for (int trial = 0; trial < 10; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    Result<InequalityResult> got = Status::Internal("unset");
-    if (!manager.Inequality(kTarget, q, Deadline::Infinite(), &got) ||
-        !got.ok()) {
-      return false;
-    }
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    if (view == nullptr) return false;
+    const Result<InequalityResult> got =
+        view->Inequality(q, Deadline::Infinite());
+    if (!got.ok()) return false;
     if (Sorted(got->ids) != Sorted(fresh->Inequality(q).ids)) return false;
   }
   return true;

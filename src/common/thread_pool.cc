@@ -10,7 +10,6 @@
 #include "common/macros.h"
 
 #if defined(__linux__)
-#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -70,27 +69,6 @@ struct ParallelJob {
 
 }  // namespace
 
-bool ThreadAffinitySupported() {
-#if defined(__linux__)
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool PinCurrentThreadToCore(size_t core) {
-#if defined(__linux__)
-  const size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core % hw), &set);
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
-#else
-  (void)core;
-  return false;
-#endif
-}
-
 size_t UsableCpus() {
 #if defined(__linux__)
   cpu_set_t set;
@@ -102,14 +80,12 @@ size_t UsableCpus() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-ThreadPool::ThreadPool(const ThreadPoolOptions& options)
-    : pin_threads_(options.pin_threads) {
+ThreadPool::ThreadPool(const ThreadPoolOptions& options) {
   const size_t count =
       options.threads == 0 ? DefaultThreads() : options.threads;
-  pinned_ = pin_threads_ && ThreadAffinitySupported();
   workers_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -168,8 +144,7 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  if (pinned_) PinCurrentThreadToCore(worker_index);
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -185,9 +160,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
 
 ThreadPool& ThreadPool::Shared() {
   // Function-local static: constructed on first use and joined (not
-  // leaked) at static destruction, keeping LeakSanitizer clean. Unpinned
-  // by design — pinning is an opt-in serving decision (EngineOptions),
-  // not something a library-level helper should impose process-wide.
+  // leaked) at static destruction, keeping LeakSanitizer clean.
   static ThreadPool pool;
   return pool;
 }

@@ -1,10 +1,10 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
-// A reusable worker pool with optional per-core pinning — the execution
-// substrate for every fan-out path in the tree (parallel index builds
-// and sorts, ShardedIndexSet scatter-gather, engine workers). Before this existed, a parallel-for
-// constructed and joined fresh std::threads on every call,
-// paying spawn latency even for tiny batches; the pool amortizes that
+// A reusable worker pool — the execution substrate for every fan-out
+// path in the tree (parallel index builds and sorts, ShardedIndexSet
+// scatter-gather, engine workers). Before this existed, a parallel-for
+// constructed and joined fresh std::threads on every call, paying spawn
+// latency even for tiny batches; the pool amortizes that
 // cost across the process lifetime and is the one place allowed to
 // construct std::thread in src/ (planar_lint rule `threads-via-pool`).
 //
@@ -32,30 +32,18 @@
 
 namespace planar {
 
-/// Pool sizing/placement knobs.
+/// Pool sizing knobs.
 struct ThreadPoolOptions {
   /// Worker threads owned by the pool. 0 = default sizing: one thread
   /// per hardware core, floored at kThreadPoolMinDefaultThreads so
   /// concurrency tests still interleave on single-core CI runners.
   size_t threads = 0;
-  /// Pin worker i to core (i % hardware cores) via
-  /// pthread_setaffinity_np. Linux-only; silently a no-op elsewhere
-  /// (see ThreadAffinitySupported).
-  bool pin_threads = false;
 };
 
 /// Floor applied to default-sized pools (ThreadPoolOptions::threads == 0).
 /// A 1-core host would otherwise get a 1-thread pool and every
 /// "concurrent" tsan/stress schedule would quietly serialize.
 inline constexpr size_t kThreadPoolMinDefaultThreads = 4;
-
-/// True when this build can pin threads to cores (Linux).
-bool ThreadAffinitySupported();
-
-/// Pins the calling thread to core (core % hardware cores). Returns
-/// false when unsupported on this platform or the syscall failed;
-/// callers treat pinning as best-effort.
-bool PinCurrentThreadToCore(size_t core);
 
 /// CPUs the calling thread may run on: the size of its affinity mask on
 /// Linux (so taskset and cpuset limits count), the hardware thread count
@@ -98,20 +86,14 @@ class ThreadPool {
   /// Worker threads owned by the pool (0 after Shutdown()).
   size_t threads() const { return workers_.size(); }
 
-  /// True when the constructor pinned the workers (requested and
-  /// supported on this platform).
-  bool pinned() const { return pinned_; }
-
   /// Process-wide shared pool used by every library fan-out and any
-  /// caller without an explicit pool. Default-sized, unpinned,
-  /// constructed on first use and joined at static destruction.
+  /// caller without an explicit pool. Default-sized, constructed on
+  /// first use and joined at static destruction.
   static ThreadPool& Shared();
 
  private:
-  void WorkerLoop(size_t worker_index);
+  void WorkerLoop();
 
-  const bool pin_threads_;
-  bool pinned_ = false;
   mutable Mutex mu_{kLockRankThreadPool};
   /// Signaled on every enqueue and on close.
   CondVar work_;

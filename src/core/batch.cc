@@ -18,8 +18,9 @@
 //      matrix per block covering every query whose interval overlaps it —
 //      and CompressAcceptMany scatters the accepted ids into the
 //      per-query result tails without per-row branches.
-//   3. Queries with no usable index (or fallen back) run as one batched
-//      scan over the full row range, sharing the row stream the same way.
+//   3. Queries with no usable index (or fallen back) form one more group,
+//      the scan group, streamed by the same loop: its ids are row ids and
+//      every interval is the full row range [0, n).
 //
 // Determinism: a query's intermediate interval is one contiguous rank
 // range, so it is wholly contained in exactly one merged range; blocks
@@ -139,10 +140,14 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
   };
 
   // ---- Plan: route every query to an index group or the scan group,
-  // replicating the serial Inequality() decision sequence exactly.
+  // replicating the serial Inequality() decision sequence exactly. The
+  // scan group comes last; its "ranks" are row ids and every interval is
+  // [0, n).
   norms.reserve(m);
-  std::vector<std::vector<IntervalQuery>> groups(indices_.size());
-  std::vector<size_t> scan_slots;
+  const size_t scan_group = indices_.size();
+  std::vector<std::vector<IntervalQuery>> groups(indices_.size() + 1);
+  PlanarIndex::Plan scan_plan;
+  scan_plan.intervals.larger_begin = n;
   for (size_t qi = 0; qi < m; ++qi) {
     norms.push_back(NormalizedQuery::From(queries[qi]));
     const NormalizedQuery& norm = norms.back();
@@ -153,7 +158,7 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     }
     const Selection best = Select(norm);
     if (best.index < 0 || PrefersScan(best.plan.intervals)) {
-      scan_slots.push_back(qi);
+      groups[scan_group].push_back({qi, scan_plan});
       continue;
     }
     if (norm.IsDegenerate()) {
@@ -163,18 +168,28 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     groups[static_cast<size_t>(best.index)].push_back({qi, best.plan});
   }
 
-  // ---- Index groups.
+  // ---- Groups: every index group, then the scan group.
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     const std::vector<IntervalQuery>& group = groups[gi];
     if (group.empty()) continue;
-    const PlanarIndex& index = indices_[gi];
-    ++stats.index_groups;
+    const bool scan = gi == scan_group;
+    const PlanarIndex* index = scan ? nullptr : &indices_[gi];
+    if (scan) {
+      stats.scan_queries = group.size();
+    } else {
+      ++stats.index_groups;
+    }
 
     if (group.size() == 1) {
       // Nothing to share: the serial path is exactly right, and keeps a
       // batch of one at serial latency.
-      const size_t ii = group[0].plan.intervals.intermediate();
-      serve_alone(group[0].slot, gi, group[0].plan);
+      const size_t slot = group[0].slot;
+      const size_t ii = group[0].end() - group[0].begin();
+      if (scan) {
+        results[slot] = ScanInequality(*phi_, queries[slot], deadline_of(slot));
+      } else {
+        serve_alone(slot, gi, group[0].plan);
+      }
       stats.rows_demanded += ii;
       stats.rows_streamed += ii;
       if (ii > 0) ++stats.merged_ranges;
@@ -182,11 +197,18 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     }
 
     // Accept regions first (same emission order as serial), reserving the
-    // worst case so the block appends below never reallocate.
+    // worst case so the block appends below never reallocate. A scan
+    // query accepts nothing outright and verifies every row.
     for (const IntervalQuery& iq : group) {
-      InequalityResult r =
-          index.AcceptRegion(index.Split(norms[iq.slot], iq.plan).value());
-      r.stats.index_used = static_cast<int>(gi);
+      InequalityResult r;
+      if (scan) {
+        r.stats.num_points = n;
+        r.stats.verified = n;
+        r.ids.reserve(n);
+      } else {
+        r = index->AcceptRegion(index->Split(norms[iq.slot], iq.plan).value());
+      }
+      r.stats.index_used = scan ? -1 : static_cast<int>(gi);
       results[iq.slot] = std::move(r);
       stats.rows_demanded += iq.end() - iq.begin();
     }
@@ -221,12 +243,24 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     // Stream each merged range once. Because every query's interval is
     // contiguous in rank space, a block's active set is a window over the
     // begin-sorted interval list.
+    const char* const deadline_message =
+        scan ? "sequential scan exceeded its deadline"
+             : "inequality query exceeded its deadline during II "
+               "verification";
     BlockArgs args(intervals.size());
-    const uint32_t* rank_ids = index.RankIds();
+    // A scan query verifies against the caller's original query, as
+    // ScanInequality does (bit-identical residuals either way — the
+    // normalization negates both sides).
+    const auto bind = [&args](size_t ai, const auto& q) {
+      args.q_ptrs[ai] = q.a.data();
+      args.biases[ai] = -q.b;
+      args.less_equal[ai] = q.cmp == Comparison::kLessEqual;
+    };
+    const uint32_t* rank_ids = scan ? nullptr : index->RankIds();
+    uint32_t row_ids[kBlockRows];
     std::vector<size_t> active;
     active.reserve(intervals.size());
     for (const MergedRange& range : ranges) {
-      const uint32_t* ids_base = rank_ids + range.begin;
       stats.rows_streamed += range.end - range.begin;
       active.clear();
       size_t next = range.first;
@@ -244,24 +278,31 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
           const IntervalQuery& iq = intervals[idx];
           if (iq.end() <= r0) continue;
           if (deadline_of(iq.slot).Expired()) {
-            results[iq.slot] = Status::DeadlineExceeded(
-                "inequality query exceeded its deadline during II "
-                "verification");
+            results[iq.slot] = Status::DeadlineExceeded(deadline_message);
             continue;
           }
           active[na++] = idx;
         }
         active.resize(na);
-        if (na == 0) continue;
+        if (na == 0) {
+          if (next == range.last) break;
+          continue;
+        }
 
         const size_t blk = r1 - r0;
-        const uint32_t* block_ids = ids_base + (r0 - range.begin);
+        if (scan) {
+          for (size_t i = 0; i < blk; ++i) {
+            row_ids[i] = static_cast<uint32_t>(r0 + i);
+          }
+        }
+        const uint32_t* block_ids = scan ? row_ids : rank_ids + r0;
         for (size_t ai = 0; ai < na; ++ai) {
           const IntervalQuery& iq = intervals[active[ai]];
-          const NormalizedQuery& nq = norms[iq.slot];
-          args.q_ptrs[ai] = nq.a.data();
-          args.biases[ai] = -nq.b;
-          args.less_equal[ai] = nq.cmp == Comparison::kLessEqual;
+          if (scan) {
+            bind(ai, queries[iq.slot]);
+          } else {
+            bind(ai, norms[iq.slot]);
+          }
           args.slice_begin[ai] = std::max(iq.begin(), r0) - r0;
           args.slice_end[ai] = std::min(iq.end(), r1) - r0;
           std::vector<uint32_t>& out_ids = results[iq.slot]->ids;
@@ -286,83 +327,6 @@ std::vector<Result<InequalityResult>> PlanarIndexSet::BatchInequality(
     for (const IntervalQuery& iq : group) {
       if (results[iq.slot].ok()) {
         results[iq.slot]->stats.result_size = results[iq.slot]->ids.size();
-      }
-    }
-  }
-
-  // ---- Scan group: every query needs every row, so the whole matrix is
-  // the one shared range.
-  stats.scan_queries = scan_slots.size();
-  if (scan_slots.size() == 1) {
-    const size_t slot = scan_slots[0];
-    results[slot] = ScanInequality(*phi_, queries[slot], deadline_of(slot));
-    stats.rows_demanded += n;
-    stats.rows_streamed += n;
-    ++stats.merged_ranges;
-  } else if (scan_slots.size() > 1) {
-    for (const size_t slot : scan_slots) {
-      PLANAR_CHECK_EQ(dim, queries[slot].a.size());
-      InequalityResult r;
-      r.stats.num_points = n;
-      r.stats.verified = n;
-      r.stats.index_used = -1;
-      r.ids.reserve(n);
-      results[slot] = std::move(r);
-      stats.rows_demanded += n;
-    }
-    stats.rows_streamed += n;
-    ++stats.merged_ranges;
-
-    BlockArgs args(scan_slots.size());
-    uint32_t block_ids[kBlockRows];
-    std::vector<size_t> active = scan_slots;
-    for (size_t row = 0; row < n; row += kBlockRows) {
-      size_t na = 0;
-      for (const size_t slot : active) {
-        if (deadline_of(slot).Expired()) {
-          results[slot] = Status::DeadlineExceeded(
-              "sequential scan exceeded its deadline");
-          continue;
-        }
-        active[na++] = slot;
-      }
-      active.resize(na);
-      if (na == 0) break;
-
-      const size_t blk = std::min(kBlockRows, n - row);
-      for (size_t i = 0; i < blk; ++i) {
-        block_ids[i] = static_cast<uint32_t>(row + i);
-      }
-      // The scan path verifies against the caller's original query, as
-      // ScanInequality does (bit-identical residuals either way — the
-      // normalization negates both sides).
-      for (size_t ai = 0; ai < na; ++ai) {
-        const size_t slot = active[ai];
-        const ScalarProductQuery& q = queries[slot];
-        args.q_ptrs[ai] = q.a.data();
-        args.biases[ai] = -q.b;
-        args.less_equal[ai] = q.cmp == Comparison::kLessEqual;
-        args.slice_begin[ai] = 0;
-        args.slice_end[ai] = blk;
-        std::vector<uint32_t>& out_ids = results[slot]->ids;
-        args.old_size[ai] = out_ids.size();
-        out_ids.resize(args.old_size[ai] + blk);
-        args.outs[ai] = out_ids.data() + args.old_size[ai];
-      }
-      ops.dot_block_many(args.q_ptrs.data(), args.biases.data(), na, dim,
-                         phi_->data(), dim, block_ids, blk,
-                         args.residuals.data(), kBlockRows);
-      kernels::CompressAcceptMany(
-          args.residuals.data(), kBlockRows, na, block_ids,
-          args.slice_begin.data(), args.slice_end.data(),
-          args.less_equal.get(), args.outs.data(), args.kept.data());
-      for (size_t ai = 0; ai < na; ++ai) {
-        results[active[ai]]->ids.resize(args.old_size[ai] + args.kept[ai]);
-      }
-    }
-    for (const size_t slot : scan_slots) {
-      if (results[slot].ok()) {
-        results[slot]->stats.result_size = results[slot]->ids.size();
       }
     }
   }

@@ -2,7 +2,7 @@
 //
 // Result folds for one query answered over disjoint row partitions: the
 // shards of a ShardedIndexSet (core/sharded.cc) and the base plus
-// unmerged delta of an ingest-managed target (ingest/ingest.cc). The
+// unmerged delta of an ingest epoch (OverlaySet, core/overlay.cc). The
 // partitions hold disjoint rows, so COUNT and SUM bounds add, and the
 // global top-k is the top-k of the union of the partial top-ks — the
 // same aggregate in different semirings (id union, sum of 1, sum of

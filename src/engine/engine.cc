@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,6 +23,21 @@ EngineOptions ClampOptions(EngineOptions options) {
   return options;
 }
 
+// Rows the exact scalar product verified for one answer, or for every OK
+// answer of a batch: what the shard-fanout metrics account.
+template <typename T>
+uint64_t RowsVerifiedBy(const Result<T>& result) {
+  return result.ok() ? RowsVerified(result.value()) : 0;
+}
+
+uint64_t RowsVerifiedBy(const std::vector<Result<InequalityResult>>& results) {
+  uint64_t verified = 0;
+  for (const Result<InequalityResult>& result : results) {
+    verified += RowsVerifiedBy(result);
+  }
+  return verified;
+}
+
 }  // namespace
 
 Engine::Engine(Catalog* catalog, const EngineOptions& options)
@@ -34,7 +47,6 @@ Engine::Engine(Catalog* catalog, const EngineOptions& options)
   if (options_.num_workers > 0) {
     ThreadPoolOptions pool_options;
     pool_options.threads = options_.num_workers;
-    pool_options.pin_threads = options_.pin_workers;
     pool_ = std::make_unique<ThreadPool>(pool_options);
     // Each worker occupies one pool thread with its serving loop until
     // the queue closes at Drain().
@@ -123,12 +135,40 @@ Result<Catalog::ShardedPtr> Engine::BuildAndInstallSharded(
                                           options);
 }
 
+Status Engine::Resolve(const std::string& name, Target* target) const {
+  // A name resolves to a monolithic entry or a sharded one, never both
+  // (Catalog exclusivity); only a monolithic entry can be ingest-managed,
+  // and then its pinned epoch serves instead of the catalog snapshot.
+  target->set = catalog_->Find(name);
+  if (target->set == nullptr) {
+    target->sharded = catalog_->FindSharded(name);
+    if (target->sharded == nullptr) {
+      return Status::NotFound("no catalog entry named '" + name + "'");
+    }
+  } else if (IngestBackend* ingest = ingest_.load(std::memory_order_acquire)) {
+    target->overlay = ingest->Pin(name);
+  }
+  return Status::OK();
+}
+
+template <typename ReadFn>
+auto Engine::Read(const Target& target, const ReadFn& read) {
+  if (target.sharded != nullptr) {
+    auto result = read(*target.sharded);
+    metrics_.OnShardedExecuted(target.sharded->num_shards(),
+                               RowsVerifiedBy(result));
+    return result;
+  }
+  if (target.overlay != nullptr) return read(*target.overlay);
+  return read(*target.set);
+}
+
 EngineResponse Engine::Execute(const EngineRequest& request) {
   EngineResponse response;
-  IngestBackend* const ingest = ingest_.load(std::memory_order_acquire);
   // Writes never touch the catalog read path: they go to the ingest
   // backend or nowhere.
   if (request.kind == QueryKind::kAppend) {
+    IngestBackend* const ingest = ingest_.load(std::memory_order_acquire);
     if (ingest == nullptr) {
       response.status = Status::FailedPrecondition(
           "kAppend requires an ingest backend (Engine::AttachIngest)");
@@ -147,19 +187,12 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
     }
     return response;
   }
-  // A name resolves to a monolithic entry or a sharded one, never both
-  // (Catalog exclusivity); sharded targets are never ingest-managed.
-  // NotFound keeps precedence over an expired deadline, as on the
-  // pre-ingest path.
-  const Catalog::SetPtr set = catalog_->Find(request.target);
-  Catalog::ShardedPtr sharded;
-  if (set == nullptr) {
-    sharded = catalog_->FindSharded(request.target);
-    if (sharded == nullptr) {
-      response.status =
-          Status::NotFound("no catalog entry named '" + request.target + "'");
-      return response;
-    }
+  // NotFound keeps precedence over an expired deadline.
+  Target target;
+  const Status resolved = Resolve(request.target, &target);
+  if (!resolved.ok()) {
+    response.status = resolved;
+    return response;
   }
   if (request.deadline.Expired()) {
     response.status = Status::DeadlineExceeded(
@@ -169,23 +202,11 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
   const ScalarProductQuery& q = request.query;
   const Deadline& deadline = request.deadline;
   const CountTolerance& tolerance = request.tolerance;
-  // One triage for every read kind: a sharded entry fans out, an
-  // ingest-managed target overlays its delta inside the backend, and
-  // everything else serves from the catalog snapshot. `read` runs the
-  // query on a sharded or monolithic set (they share method names);
-  // `overlay` asks the ingest backend, which declines unmanaged targets.
-  // The answer lands in `*slot`, an error in the response status.
-  const auto serve = [&](auto* slot, const auto& read, const auto& overlay) {
-    Result<std::remove_pointer_t<decltype(slot)>> result =
-        Status::Internal("unset");
-    if (sharded != nullptr) {
-      result = read(*sharded);
-      metrics_.OnShardedExecuted(
-          sharded->num_shards(),
-          result.ok() ? RowsVerified(result.value()) : 0);
-    } else if (ingest == nullptr || !overlay(ingest, &result)) {
-      result = read(*set);
-    }
+  // `read` runs the query on whichever set the target resolved to (they
+  // share method names); the answer lands in `*slot`, an error in the
+  // response status.
+  const auto serve = [&](auto* slot, const auto& read) {
+    auto result = Read(target, read);
     if (!result.ok()) {
       response.status = result.status();
       return false;
@@ -196,39 +217,23 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
   switch (request.kind) {
     case QueryKind::kInequality:
       serve(&response.inequality,
-            [&](const auto& s) { return s.Inequality(q, deadline); },
-            [&](IngestBackend* in, auto* out) {
-              return in->Inequality(request.target, q, deadline, out);
-            });
+            [&](const auto& s) { return s.Inequality(q, deadline); });
       break;
     case QueryKind::kTopK:
       serve(&response.topk,
-            [&](const auto& s) { return s.TopK(q, request.k, deadline); },
-            [&](IngestBackend* in, auto* out) {
-              return in->TopK(request.target, q, request.k, deadline, out);
-            });
+            [&](const auto& s) { return s.TopK(q, request.k, deadline); });
       break;
     case QueryKind::kCount:
-      if (serve(&response.count,
-                [&](const auto& s) {
-                  return s.CountInequality(q, tolerance, deadline);
-                },
-                [&](IngestBackend* in, auto* out) {
-                  return in->Count(request.target, q, tolerance, deadline,
-                                   out);
-                })) {
+      if (serve(&response.count, [&](const auto& s) {
+            return s.CountInequality(q, tolerance, deadline);
+          })) {
         metrics_.OnCountExecuted(response.count.refined, response.count.gap());
       }
       break;
     case QueryKind::kAggregate:
-      if (serve(&response.aggregate,
-                [&](const auto& s) {
-                  return s.AggregateInequality(q, tolerance, deadline);
-                },
-                [&](IngestBackend* in, auto* out) {
-                  return in->Aggregate(request.target, q, tolerance, deadline,
-                                       out);
-                })) {
+      if (serve(&response.aggregate, [&](const auto& s) {
+            return s.AggregateInequality(q, tolerance, deadline);
+          })) {
         metrics_.OnCountExecuted(response.aggregate.count.refined,
                                  response.aggregate.count.gap());
       }
@@ -294,11 +299,8 @@ void Engine::RunGroup(std::vector<Pending>& batch,
   for (size_t m = 0; m < members.size(); ++m) {
     queue_millis[m] = batch[members[m]].queued.ElapsedMillis();
   }
-  const Catalog::SetPtr set = catalog_->Find(batch[members[0]].request.target);
-  const Catalog::ShardedPtr sharded =
-      set == nullptr
-          ? catalog_->FindSharded(batch[members[0]].request.target)
-          : nullptr;
+  Target target;
+  const Status resolved = Resolve(batch[members[0]].request.target, &target);
   // Requests that cannot execute — unknown target, or a deadline already
   // spent in the queue — are answered up front with the same statuses the
   // serial path produces; the rest form the live group.
@@ -307,9 +309,8 @@ void Engine::RunGroup(std::vector<Pending>& batch,
   for (size_t m = 0; m < members.size(); ++m) {
     Pending& pending = batch[members[m]];
     EngineResponse response;
-    if (set == nullptr && sharded == nullptr) {
-      response.status = Status::NotFound("no catalog entry named '" +
-                                         pending.request.target + "'");
+    if (!resolved.ok()) {
+      response.status = resolved;
     } else if (pending.request.deadline.Expired()) {
       response.status = Status::DeadlineExceeded(
           "deadline expired before execution started");
@@ -332,32 +333,13 @@ void Engine::RunGroup(std::vector<Pending>& batch,
     }
     BatchExecStats exec_stats;
     WallTimer execute_timer;
-    // The coalesced path also overlays the delta for ingest-managed
-    // targets; the backend produces per-query results bit-identical to
-    // the serial overlay path.
-    std::vector<Result<InequalityResult>> results;
-    IngestBackend* const ingest = ingest_.load(std::memory_order_acquire);
-    if (sharded != nullptr) {
-      // The whole group fans to every shard, so each shard's cross-query
-      // coalescing still applies within its slice.
-      results = sharded->BatchInequality(
-          std::span<const ScalarProductQuery>(queries),
-          std::span<const Deadline>(deadlines), &exec_stats);
-      uint64_t verified = 0;
-      for (const Result<InequalityResult>& result : results) {
-        if (result.ok()) verified += RowsVerified(result.value());
-      }
-      metrics_.OnShardedExecuted(sharded->num_shards(), verified);
-    } else if (ingest == nullptr ||
-               !ingest->BatchInequality(
-                   batch[members[0]].request.target,
-                   std::span<const ScalarProductQuery>(queries),
-                   std::span<const Deadline>(deadlines), &exec_stats,
-                   &results)) {
-      results = set->BatchInequality(
-          std::span<const ScalarProductQuery>(queries),
-          std::span<const Deadline>(deadlines), &exec_stats);
-    }
+    // A sharded group fans to every shard, so each shard's cross-query
+    // coalescing still applies within its slice; an overlay folds its
+    // delta into each answer of the base's coalesced batch.
+    std::vector<Result<InequalityResult>> results =
+        Read(target, [&](const auto& s) {
+          return s.BatchInequality(queries, deadlines, &exec_stats);
+        });
     const double execute_millis = execute_timer.ElapsedMillis();
     metrics_.OnBatchExecuted(live.size(), exec_stats.RowsSharedPerQuery());
     for (size_t li = 0; li < live.size(); ++li) {

@@ -19,12 +19,14 @@
 #include <cstddef>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "core/overlay.h"
 #include "engine/bounded_queue.h"
 #include "engine/catalog.h"
 #include "engine/ingest_hook.h"
@@ -65,10 +67,6 @@ struct EngineOptions {
   /// ShardedIndexSetOptions leave shards == 0. 0 = one shard per
   /// hardware core (the shard-per-core serving layout).
   size_t shards = 0;
-  /// Pin each worker thread to a core (worker i -> core i mod cores) so
-  /// shard fan-outs run on a stable core set. Linux only; silently a
-  /// no-op elsewhere.
-  bool pin_workers = false;
 };
 
 /// A serving runtime bound to one (not owned) catalog.
@@ -116,8 +114,9 @@ class Engine {
       ShardedIndexSetOptions options = ShardedIndexSetOptions());
 
   /// Attaches the write-path backend (see engine/ingest_hook.h): kAppend
-  /// requests route to it, reads against targets it manages overlay the
-  /// delta, and its counters flow into this engine's metrics. `backend`
+  /// requests route to it, reads against targets it manages are served
+  /// from the epoch it pins (base plus delta), and its counters flow
+  /// into this engine's metrics. `backend`
   /// must outlive the engine (or be detached with nullptr after its own
   /// Stop()). Not thread-safe against in-flight requests — attach before
   /// serving, as part of engine setup.
@@ -132,10 +131,27 @@ class Engine {
     WallTimer queued;  // started on admission; read when execution begins
   };
 
-  /// Runs one request to completion: catalog lookup (monolithic entry,
-  /// else sharded scatter-gather), pre-execution deadline check,
-  /// deadline-aware core query call. Non-const: sharded executions feed
-  /// the shard-fanout metrics.
+  /// What a read request's target name resolved to. Read serves
+  /// `sharded` when set, else `overlay` when set, else `set`.
+  struct Target {
+    Catalog::SetPtr set;
+    Catalog::ShardedPtr sharded;
+    std::shared_ptr<const OverlaySet> overlay;  ///< ingest-managed `set`
+  };
+
+  /// Resolves `name`: the catalog's monolithic entry, else its sharded
+  /// one, else kNotFound; a monolithic entry the attached ingest backend
+  /// manages also gets its pinned epoch.
+  Status Resolve(const std::string& name, Target* target) const;
+
+  /// Runs `read(s)` on the set `target` resolved to — PlanarIndexSet,
+  /// ShardedIndexSet and OverlaySet share method names — and feeds a
+  /// sharded answer's fan-out into the metrics.
+  template <typename ReadFn>
+  auto Read(const Target& target, const ReadFn& read);
+
+  /// Runs one request to completion: target resolution, pre-execution
+  /// deadline check, deadline-aware query call through Read.
   EngineResponse Execute(const EngineRequest& request);
 
   /// Executes one popped batch, fulfilling promises and recording
@@ -160,9 +176,9 @@ class Engine {
   // before serving; the atomic is belt-and-suspenders for snapshots).
   std::atomic<IngestBackend*> ingest_{nullptr};
   EngineMetrics metrics_;
-  /// Worker threads live on a dedicated pool (optionally pinned); null
-  /// in 0-worker mode. Each worker occupies one pool thread with
-  /// WorkerLoop until the queue closes.
+  /// Worker threads live on a dedicated pool; null in 0-worker mode.
+  /// Each worker occupies one pool thread with WorkerLoop until the
+  /// queue closes.
   std::unique_ptr<ThreadPool> pool_;
   std::atomic<bool> draining_{false};
   std::atomic<bool> drained_{false};

@@ -2,35 +2,33 @@
 //
 // The engine-side seam of the ingest subsystem (src/ingest). The engine
 // cannot depend on src/ingest (ingest depends on the engine's Catalog for
-// MVCC installs), so writes and delta-aware reads route through this
-// abstract backend: the engine holds a borrowed IngestBackend* and asks it
-// first; a `false` return means "target not managed — serve from the
-// catalog snapshot as before". Query methods must answer with exactly the
-// ids a quiesced merge would produce (CONTRIBUTING: every new read path
-// scan-verifies the delta).
+// MVCC installs), so writes and epoch pins route through this abstract
+// backend, which the engine holds as a borrowed IngestBackend*. The
+// backend answers no queries: a read against a managed target pins the
+// target's current epoch, an OverlaySet (core/overlay.h), and the engine
+// reads it like any other set (CONTRIBUTING: pin the overlay and read it
+// like a set).
 
 #ifndef PLANAR_ENGINE_INGEST_HOOK_H_
 #define PLANAR_ENGINE_INGEST_HOOK_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/result.h"
-#include "core/batch.h"
-#include "core/planar_index.h"
-#include "core/query.h"
+#include "core/overlay.h"
 
 namespace planar {
 
 class EngineMetrics;
 
-/// Write-path backend the engine consults before its catalog read path.
-/// Implemented by ingest::IngestManager; the interface lives here so
-/// planar_engine stays free of a planar_ingest dependency.
+/// Write-path backend the engine consults for appends and for the
+/// epoch of an ingest-managed target. Implemented by
+/// ingest::IngestManager; the interface lives here so planar_engine stays
+/// free of a planar_ingest dependency.
 class IngestBackend {
  public:
   virtual ~IngestBackend() = default;
@@ -42,44 +40,19 @@ class IngestBackend {
     uint64_t merges = 0;    ///< background merges installed so far
   };
 
-  /// True when `target` takes writes through this backend, meaning its
-  /// reads must overlay the delta.
-  virtual bool Manages(const std::string& target) const = 0;
-
   /// Appends `rows.size() / dim` rows (row-major) to `target`'s delta.
   /// Returns the first global row id assigned, kResourceExhausted when
   /// the delta is at capacity (admission control: shed, never block),
-  /// kNotFound for an unmanaged target.
+  /// kInvalidArgument for a malformed or non-finite payload, kNotFound
+  /// for an unmanaged target.
   virtual Result<uint32_t> Append(const std::string& target,
                                   const std::vector<double>& rows) = 0;
 
-  /// Delta-overlay reads. Each returns false when `target` is not
-  /// managed (caller falls back to the plain catalog path) and true with
-  /// `*out` filled otherwise.
-  virtual bool Inequality(const std::string& target,
-                          const ScalarProductQuery& q,
-                          const Deadline& deadline,
-                          Result<InequalityResult>* out) const = 0;
-  virtual bool TopK(const std::string& target, const ScalarProductQuery& q,
-                    size_t k, const Deadline& deadline,
-                    Result<TopKResult>* out) const = 0;
-  virtual bool BatchInequality(
-      const std::string& target, std::span<const ScalarProductQuery> queries,
-      std::span<const Deadline> deadlines, BatchExecStats* exec_stats,
-      std::vector<Result<InequalityResult>>* out) const = 0;
-  /// COUNT with the delta overlaid: base bounds/refinement plus an exact
-  /// scan-count of the unmerged rows, so tolerance-0 counts stay
-  /// bit-equal to a quiesced merge.
-  virtual bool Count(const std::string& target, const ScalarProductQuery& q,
-                     const CountTolerance& tolerance, const Deadline& deadline,
-                     Result<CountResult>* out) const = 0;
-  /// SUM/AVG with the delta overlaid (exact payload accumulation over
-  /// the unmerged rows, same canonical blocked summation as the base).
-  virtual bool Aggregate(const std::string& target,
-                         const ScalarProductQuery& q,
-                         const CountTolerance& tolerance,
-                         const Deadline& deadline,
-                         Result<AggregateResult>* out) const = 0;
+  /// Pins `target`'s current epoch — its base snapshot and the delta
+  /// appended on top of it — or returns nullptr when `target` takes no
+  /// writes through this backend (serve it from the catalog as is).
+  virtual std::shared_ptr<const OverlaySet> Pin(
+      const std::string& target) const = 0;
 
   /// Routes the backend's counters (appends, sheds, merges, merge
   /// latency) into the engine's metrics sink. Called by

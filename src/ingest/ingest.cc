@@ -2,34 +2,14 @@
 
 #include "ingest/ingest.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/macros.h"
 #include "common/timer.h"
-#include "core/fold.h"
-#include "core/scan.h"
 #include "engine/metrics.h"
 
 namespace planar {
-
-namespace {
-
-// Scan-verifies `delta_rows` published delta rows and appends the matches
-// (ids from `id_offset` on).
-Status FoldDeltaInequality(const DeltaBuffer& delta, size_t delta_rows,
-                           uint32_t id_offset, const ScalarProductQuery& q,
-                           const Deadline& deadline, InequalityResult* result) {
-  const Result<size_t> appended =
-      ScanRowsInequality(delta.data(), delta.dim(), delta_rows, id_offset, q,
-                         deadline, &result->ids);
-  PLANAR_RETURN_IF_ERROR(appended.status());
-  result->stats.num_points += delta_rows;
-  result->stats.verified += delta_rows;
-  result->stats.result_size = result->ids.size();
-  return Status::OK();
-}
-
-}  // namespace
 
 IngestManager::IngestManager(Catalog* catalog, const IngestOptions& options)
     : catalog_(catalog), options_(options) {
@@ -62,7 +42,7 @@ Status IngestManager::Manage(const std::string& target) {
       MutexLock shard_lock(&raw->mu);
       raw->delta =
           std::make_shared<DeltaBuffer>(raw->dim, options_.delta_capacity);
-      raw->view = std::make_shared<const View>(View{base, raw->delta});
+      raw->view = std::make_shared<const OverlaySet>(base, raw->delta);
     }
     // threads-ok: dedicated merger thread (see Shard::merger in
     // ingest.h); joined in Stop(), never pooled.
@@ -79,7 +59,7 @@ IngestManager::Shard* IngestManager::FindShard(
   return it == shards_.end() ? nullptr : it->second.get();
 }
 
-std::shared_ptr<const IngestManager::View> IngestManager::PinView(
+std::shared_ptr<const OverlaySet> IngestManager::Pin(
     const std::string& target) const {
   Shard* shard = FindShard(target);
   if (shard == nullptr) return nullptr;
@@ -87,8 +67,14 @@ std::shared_ptr<const IngestManager::View> IngestManager::PinView(
   return shard->view;
 }
 
-bool IngestManager::Manages(const std::string& target) const {
-  return FindShard(target) != nullptr;
+bool IngestManager::Inequality(const std::string& target,
+                               const ScalarProductQuery& q,
+                               const Deadline& deadline,
+                               Result<InequalityResult>* out) const {
+  const std::shared_ptr<const OverlaySet> view = Pin(target);
+  if (view == nullptr) return false;
+  *out = view->Inequality(q, deadline);
+  return true;
 }
 
 Result<uint32_t> IngestManager::Append(const std::string& target,
@@ -102,14 +88,25 @@ Result<uint32_t> IngestManager::Append(const std::string& target,
         "append payload must be a non-empty multiple of " +
         std::to_string(shard->dim) + " doubles (row-major phi rows)");
   }
+  // A NaN or infinite value would poison the merged index: its keys break
+  // the rank order the boundary search relies on, so answers stop
+  // matching the scan.
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!std::isfinite(rows[i])) {
+      return Status::InvalidArgument(
+          "append payload row " + std::to_string(i / shard->dim) +
+          " holds a non-finite value in column " +
+          std::to_string(i % shard->dim));
+    }
+  }
   const size_t count = rows.size() / shard->dim;
   EngineMetrics* const metrics = metrics_.load(std::memory_order_acquire);
   MutexLock lock(&shard->mu);
   if (shard->stop) {
     return Status::Unavailable("ingest manager is stopped");
   }
-  const uint32_t first =
-      static_cast<uint32_t>(shard->view->base->size() + shard->delta->size());
+  const uint32_t first = static_cast<uint32_t>(shard->view->base()->size() +
+                                               shard->delta->size());
   if (!shard->delta->Append(rows.data(), count)) {
     // Shed, never block: the caller retries after the merge the full
     // delta has already triggered.
@@ -128,151 +125,6 @@ Result<uint32_t> IngestManager::Append(const std::string& target,
   return first;
 }
 
-template <typename T, typename Base, typename Fold>
-bool IngestManager::Overlay(const std::string& target, const Base& base,
-                            const Fold& fold, Result<T>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  // Snapshot the published delta length first: rows appended after this
-  // point belong to a later read.
-  const size_t delta_rows = view->delta->size();
-  // The base call also validates the query (and k, and the payload
-  // configuration); an error passes through untouched, exactly as on
-  // the unmanaged path.
-  *out = base(*view->base);
-  if (out->ok() && delta_rows > 0) {
-    const Status folded = fold(*view, delta_rows, &out->value());
-    if (!folded.ok()) *out = folded;
-  }
-  return true;
-}
-
-bool IngestManager::Inequality(const std::string& target,
-                               const ScalarProductQuery& q,
-                               const Deadline& deadline,
-                               Result<InequalityResult>* out) const {
-  return Overlay(
-      target,
-      [&](const PlanarIndexSet& base) { return base.Inequality(q, deadline); },
-      [&](const View& view, size_t delta_rows, InequalityResult* result) {
-        return FoldDeltaInequality(*view.delta, delta_rows,
-                                   static_cast<uint32_t>(view.base->size()),
-                                   q, deadline, result);
-      },
-      out);
-}
-
-bool IngestManager::TopK(const std::string& target,
-                         const ScalarProductQuery& q, size_t k,
-                         const Deadline& deadline,
-                         Result<TopKResult>* out) const {
-  return Overlay(
-      target,
-      [&](const PlanarIndexSet& base) { return base.TopK(q, k, deadline); },
-      [&](const View& view, size_t delta_rows, TopKResult* result) {
-        // Re-seeding the merge with the base's k nearest and offering
-        // every delta row reproduces the k nearest of the union: any
-        // point in the merged top-k is either a delta row or already
-        // among the base's top-k.
-        Result<std::vector<Neighbor>> merged = MergeTopK(
-            k, result->neighbors.size() + delta_rows, [&](TopKBuffer* buffer) {
-              for (const Neighbor& n : result->neighbors) {
-                buffer->Insert(n.id, n.distance);
-              }
-              return ScanRowsTopK(view.delta->data(), view.delta->dim(),
-                                  delta_rows,
-                                  static_cast<uint32_t>(view.base->size()), q,
-                                  deadline, buffer);
-            });
-        PLANAR_RETURN_IF_ERROR(merged.status());
-        result->neighbors = std::move(merged).value();
-        result->stats.num_points += delta_rows;
-        result->stats.verified_intermediate += delta_rows;
-        return Status::OK();
-      },
-      out);
-}
-
-bool IngestManager::BatchInequality(
-    const std::string& target, std::span<const ScalarProductQuery> queries,
-    std::span<const Deadline> deadlines, BatchExecStats* exec_stats,
-    std::vector<Result<InequalityResult>>* out) const {
-  const std::shared_ptr<const View> view = PinView(target);
-  if (view == nullptr) return false;
-  const size_t delta_rows = view->delta->size();
-  *out = view->base->BatchInequality(queries, deadlines, exec_stats);
-  if (delta_rows == 0) return true;
-  for (size_t i = 0; i < out->size(); ++i) {
-    Result<InequalityResult>& result = (*out)[i];
-    if (!result.ok()) continue;
-    const Status folded = FoldDeltaInequality(
-        *view->delta, delta_rows, static_cast<uint32_t>(view->base->size()),
-        queries[i], deadlines.empty() ? Deadline() : deadlines[i],
-        &result.value());
-    if (!folded.ok()) result = folded;
-  }
-  return true;
-}
-
-bool IngestManager::Count(const std::string& target,
-                          const ScalarProductQuery& q,
-                          const CountTolerance& tolerance,
-                          const Deadline& deadline,
-                          Result<CountResult>* out) const {
-  return Overlay(
-      target,
-      [&](const PlanarIndexSet& base) {
-        return base.CountInequality(q, tolerance, deadline);
-      },
-      [&](const View& view, size_t delta_rows, CountResult* result) {
-        // The unmerged rows are counted exactly (they are few by the
-        // merge threshold), so the overlay widens nothing: the bounds
-        // shift by the exact delta match count, and a tolerance-0 answer
-        // stays bit-equal to a quiesced merge.
-        Result<size_t> matched = ScanRowsCountInequality(
-            view.delta->data(), view.delta->dim(), delta_rows, q, deadline);
-        PLANAR_RETURN_IF_ERROR(matched.status());
-        CountResult delta;
-        delta.lower = delta.upper = delta.estimate = matched.value();
-        delta.exact = true;
-        FoldCount(delta, result);
-        result->stats.num_points += delta_rows;
-        result->stats.verified += delta_rows;
-        result->stats.result_size = result->estimate;
-        return Status::OK();
-      },
-      out);
-}
-
-bool IngestManager::Aggregate(const std::string& target,
-                              const ScalarProductQuery& q,
-                              const CountTolerance& tolerance,
-                              const Deadline& deadline,
-                              Result<AggregateResult>* out) const {
-  return Overlay(
-      target,
-      [&](const PlanarIndexSet& base) {
-        return base.AggregateInequality(q, tolerance, deadline);
-      },
-      [&](const View& view, size_t delta_rows, AggregateResult* result) {
-        // Exact shift of every bound by the delta's exact contribution.
-        AggregateResult delta;
-        PLANAR_RETURN_IF_ERROR(ScanRowsAggregateInequality(
-            view.delta->data(), view.delta->dim(), delta_rows,
-            view.base->options().index_options.payload_column, q, deadline,
-            &delta.count.estimate, &delta.sum));
-        delta.sum_lower = delta.sum_upper = delta.sum;
-        delta.count.lower = delta.count.upper = delta.count.estimate;
-        delta.exact = delta.count.exact = true;
-        FoldAggregate(delta, result);
-        result->count.stats.num_points += delta_rows;
-        result->count.stats.verified += delta_rows;
-        result->count.stats.result_size = result->count.estimate;
-        return Status::OK();
-      },
-      out);
-}
-
 void IngestManager::BindMetrics(EngineMetrics* metrics) {
   metrics_.store(metrics, std::memory_order_release);
 }
@@ -285,7 +137,7 @@ IngestBackend::Gauges IngestManager::gauges() const {
   gauges.targets = shards_.size();
   for (const auto& [name, shard] : shards_) {
     ReaderMutexLock epoch(&shard->mu);
-    gauges.delta_rows += shard->view->delta->size();
+    gauges.delta_rows += shard->view->delta()->size();
   }
   return gauges;
 }
@@ -340,7 +192,7 @@ void IngestManager::Stop() {
 
 void IngestManager::MergerLoop(Shard* shard) {
   for (;;) {
-    std::shared_ptr<const View> view;
+    std::shared_ptr<const OverlaySet> view;
     size_t drain = 0;
     {
       MutexLock lock(&shard->mu);
@@ -366,8 +218,8 @@ void IngestManager::MergerLoop(Shard* shard) {
     // snapshotted under the lock, so concurrent appends (which only
     // extend past `drain`) cannot race this read.
     WallTimer merge_timer;
-    PlanarIndexSet merged = view->base->Clone();
-    const Status appended = merged.AppendRows(view->delta->data(), drain);
+    PlanarIndexSet merged = view->base()->Clone();
+    const Status appended = merged.AppendRows(view->delta()->data(), drain);
     PLANAR_CHECK(appended.ok());
     const Catalog::SetPtr installed =
         catalog_->Install(shard->name, std::move(merged));
@@ -392,7 +244,7 @@ void IngestManager::MergerLoop(Shard* shard) {
                                    now - drain));
       }
       shard->delta = fresh;
-      shard->view = std::make_shared<const View>(View{installed, fresh});
+      shard->view = std::make_shared<const OverlaySet>(installed, fresh);
       shard->merged_total += drain;
       if (shard->flush_requested && shard->delta->size() == 0) {
         shard->flush_requested = false;

@@ -10,13 +10,13 @@
 // the result atomically through Catalog::Install — readers are never
 // blocked and never see a partial merge.
 //
-// Reads overlay the delta: a query pins an epoch — a {base snapshot,
-// delta} pair swapped atomically at merge install — and scan-verifies
-// the not-yet-merged rows through the verify loop the base paths use
-// (core/scan.h ScanRows* over VerifyRows), so the ids returned are
-// exactly the ids a quiesced from-scratch Rebuild over the same rows
-// would return (machine-checked by tests/ingest_test.cc, under tsan by
-// tests/ingest_stress_test.cc).
+// Ingest answers no queries. Its read job is to hand out epochs: Pin
+// returns the target's current OverlaySet (core/overlay.h) — a {base
+// snapshot, delta} pair swapped atomically at merge install — and the
+// caller reads it like a set. The overlay scan-verifies the unmerged rows,
+// so the ids returned are exactly the ids a quiesced from-scratch Rebuild
+// over the same rows would return (machine-checked by
+// tests/ingest_test.cc, under tsan by tests/ingest_stress_test.cc).
 //
 // Row ids are stable across merges by construction: delta row j of an
 // epoch has global id base->size() + j, and a merge of the first k delta
@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,8 +40,9 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "engine/catalog.h"
+#include "core/delta_buffer.h"
+#include "core/overlay.h"
 #include "engine/ingest_hook.h"
-#include "ingest/delta_buffer.h"
 
 namespace planar {
 
@@ -95,44 +95,26 @@ class IngestManager final : public IngestBackend {
   void Stop() PLANAR_EXCLUDES(mu_);
 
   // IngestBackend:
-  bool Manages(const std::string& target) const override PLANAR_EXCLUDES(mu_);
+  /// Rejects a payload that is not a whole number of rows or holds a
+  /// NaN or infinite value (kInvalidArgument, nothing appended): the
+  /// index's keys and boundary search assume finite rows.
   Result<uint32_t> Append(const std::string& target,
                           const std::vector<double>& rows) override
       PLANAR_EXCLUDES(mu_);
-  bool Inequality(const std::string& target, const ScalarProductQuery& q,
-                  const Deadline& deadline,
-                  Result<InequalityResult>* out) const override
-      PLANAR_EXCLUDES(mu_);
-  bool TopK(const std::string& target, const ScalarProductQuery& q, size_t k,
-            const Deadline& deadline, Result<TopKResult>* out) const override
-      PLANAR_EXCLUDES(mu_);
-  bool BatchInequality(const std::string& target,
-                       std::span<const ScalarProductQuery> queries,
-                       std::span<const Deadline> deadlines,
-                       BatchExecStats* exec_stats,
-                       std::vector<Result<InequalityResult>>* out)
-      const override PLANAR_EXCLUDES(mu_);
-  bool Count(const std::string& target, const ScalarProductQuery& q,
-             const CountTolerance& tolerance, const Deadline& deadline,
-             Result<CountResult>* out) const override PLANAR_EXCLUDES(mu_);
-  bool Aggregate(const std::string& target, const ScalarProductQuery& q,
-                 const CountTolerance& tolerance, const Deadline& deadline,
-                 Result<AggregateResult>* out) const override
-      PLANAR_EXCLUDES(mu_);
+  std::shared_ptr<const OverlaySet> Pin(const std::string& target) const
+      override PLANAR_EXCLUDES(mu_);
   void BindMetrics(EngineMetrics* metrics) override;
   Gauges gauges() const override PLANAR_EXCLUDES(mu_);
 
   const IngestOptions& options() const { return options_; }
 
- private:
-  /// One epoch: the installed base snapshot plus the delta rows appended
-  /// on top of it. Swapped as a unit at merge install, so a reader that
-  /// pinned a view always sees a consistent (base, delta) pair.
-  struct View {
-    Catalog::SetPtr base;
-    std::shared_ptr<const DeltaBuffer> delta;
-  };
+  /// Pin(target)->Inequality(q, deadline) into `*out`; false (and `*out`
+  /// untouched) when `target` is unmanaged.
+  bool Inequality(const std::string& target, const ScalarProductQuery& q,
+                  const Deadline& deadline,
+                  Result<InequalityResult>* out) const PLANAR_EXCLUDES(mu_);
 
+ private:
   struct Shard {
     explicit Shard(std::string target) : name(std::move(target)) {}
 
@@ -143,8 +125,10 @@ class IngestManager final : public IngestBackend {
     CondVar wake;
     /// Signaled after every install; Flush waits on it.
     CondVar merged;
-    std::shared_ptr<const View> view PLANAR_GUARDED_BY(mu);
-    /// Writer handle to the same buffer view->delta points at.
+    /// The current epoch: swapped as a unit at merge install, so a reader
+    /// that pinned it always sees a consistent (base, delta) pair.
+    std::shared_ptr<const OverlaySet> view PLANAR_GUARDED_BY(mu);
+    /// Writer handle to the same buffer view->delta() points at.
     std::shared_ptr<DeltaBuffer> delta PLANAR_GUARDED_BY(mu);
     /// Monotone row counters; Flush waits for merged_total to catch up
     /// to the appended_total it observed.
@@ -162,18 +146,6 @@ class IngestManager final : public IngestBackend {
   /// Registry lookup; the returned shard is stable (shards are only
   /// destroyed by the destructor, after every merger joined).
   Shard* FindShard(const std::string& target) const PLANAR_EXCLUDES(mu_);
-
-  /// Pins the target's current epoch, or nullptr when unmanaged.
-  std::shared_ptr<const View> PinView(const std::string& target) const
-      PLANAR_EXCLUDES(mu_);
-
-  /// The delta overlay every single-query read shares: pins the
-  /// target's epoch, answers `base(set)` on its base snapshot, and lets
-  /// `fold(view, delta_rows, &answer)` scan the unmerged rows into the
-  /// answer. Returns false when `target` is unmanaged (see ingest.cc).
-  template <typename T, typename Base, typename Fold>
-  bool Overlay(const std::string& target, const Base& base, const Fold& fold,
-               Result<T>* out) const PLANAR_EXCLUDES(mu_);
 
   void MergerLoop(Shard* shard);
 

@@ -1,6 +1,6 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 
-#include "ingest/delta_buffer.h"
+#include "core/delta_buffer.h"
 
 #include <vector>
 

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -136,10 +137,14 @@ TEST(IngestStressTest, ConcurrentReadsStayConsistentAcrossMerges) {
         const size_t qi = rng.UniformInt(f.queries.size());
         const size_t completed_before =
             completed.load(std::memory_order_acquire);
-        Result<InequalityResult> got = Status::Internal("unset");
-        if (!manager.Inequality(kTarget, f.queries[qi], Deadline::Infinite(),
-                                &got) ||
-            !got.ok()) {
+        const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+        if (view == nullptr) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+          break;
+        }
+        const Result<InequalityResult> got =
+            view->Inequality(f.queries[qi], Deadline::Infinite());
+        if (!got.ok()) {
           failures.fetch_add(1, std::memory_order_relaxed);
           break;
         }
@@ -189,9 +194,10 @@ TEST(IngestStressTest, ConcurrentReadsStayConsistentAcrossMerges) {
     auto fresh = PlanarIndexSet::Build(std::move(full), Domains(), set_options);
     ASSERT_TRUE(fresh.ok());
     for (size_t qi = 0; qi < f.queries.size(); ++qi) {
-      Result<InequalityResult> got = Status::Internal("unset");
-      ASSERT_TRUE(manager.Inequality(kTarget, f.queries[qi],
-                                     Deadline::Infinite(), &got));
+      const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+      ASSERT_NE(view, nullptr);
+      const Result<InequalityResult> got =
+          view->Inequality(f.queries[qi], Deadline::Infinite());
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(Sorted(got->ids), Sorted(fresh->Inequality(f.queries[qi]).ids))
           << qi;

@@ -1,8 +1,9 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Ingest subsystem tests: manage/append/flush lifecycle, delta-overlay
-// reads (Inequality / TopK / BatchInequality), admission control, engine
-// integration (kAppend requests, snapshot gauges), and the randomized
+// reads on the pinned OverlaySet (every read kind), admission control,
+// engine integration (kAppend requests, every read kind through the
+// engine, snapshot gauges), and the randomized
 // bit-identity guarantee — queries through the ingest path answer
 // exactly like a serial quiesced from-scratch build over the same rows,
 // before, during, and after background merges.
@@ -10,6 +11,7 @@
 #include "ingest/ingest.h"
 
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -81,7 +83,7 @@ TEST(IngestManageTest, ValidatesTarget) {
 
   InstallBase(&catalog, 100, 8, nullptr);
   ASSERT_TRUE(manager.Manage(kTarget).ok());
-  EXPECT_TRUE(manager.Manages(kTarget));
+  EXPECT_NE(manager.Pin(kTarget), nullptr);
   // Double-manage is refused.
   EXPECT_EQ(manager.Manage(kTarget).code(), StatusCode::kFailedPrecondition);
 }
@@ -105,8 +107,10 @@ TEST(IngestOverlayTest, InequalitySeesUnmergedRows) {
 
   for (int trial = 0; trial < 20; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    Result<InequalityResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<InequalityResult> got =
+        view->Inequality(q, Deadline::Infinite());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->stats.num_points, 550u);
     EXPECT_EQ(Sorted(got->ids), BruteForceMatches(all, q)) << trial;
@@ -134,8 +138,9 @@ TEST(IngestOverlayTest, TopKMatchesQuiescedRebuild) {
   for (int trial = 0; trial < 16; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
     const size_t k = trial == 15 ? size_t{1} << 62 : 1 + rng.UniformInt(20);
-    Result<TopKResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.TopK(kTarget, q, k, Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<TopKResult> got = view->TopK(q, k, Deadline::Infinite());
     ASSERT_TRUE(got.ok());
     auto want = reference.TopK(q, k);
     ASSERT_TRUE(want.ok());
@@ -170,14 +175,17 @@ TEST(IngestOverlayTest, BatchInequalityMatchesSerialOverlay) {
     q.cmp = Comparison::kLessEqual;  // one coalescible group
     queries.push_back(q);
   }
-  std::vector<Result<InequalityResult>> batch;
-  ASSERT_TRUE(manager.BatchInequality(kTarget, queries, {}, nullptr, &batch));
+  const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+  ASSERT_NE(view, nullptr);
+  const std::vector<Result<InequalityResult>> batch =
+      view->BatchInequality(queries, {}, nullptr);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << i;
-    Result<InequalityResult> serial = Status::Internal("unset");
-    ASSERT_TRUE(manager.Inequality(kTarget, queries[i], Deadline::Infinite(),
-                                   &serial));
+    const std::shared_ptr<const OverlaySet> serial_view = manager.Pin(kTarget);
+    ASSERT_NE(serial_view, nullptr);
+    const Result<InequalityResult> serial =
+        serial_view->Inequality(queries[i], Deadline::Infinite());
     ASSERT_TRUE(serial.ok());
     // Bit-identical to the serial overlay, which matches brute force.
     EXPECT_EQ(batch[i]->ids, serial->ids) << i;
@@ -205,9 +213,10 @@ TEST(IngestOverlayTest, CountOverlayIsBitExactAcrossMerge) {
 
   // Unmerged: base bounds plus an exact delta scan-count.
   for (const ScalarProductQuery& q : queries) {
-    Result<CountResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.Count(kTarget, q, CountTolerance(),
-                              Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<CountResult> got =
+        view->CountInequality(q, CountTolerance(), Deadline::Infinite());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     EXPECT_TRUE(got->exact);
     EXPECT_EQ(got->estimate, BruteForceMatches(all, q).size());
@@ -216,9 +225,10 @@ TEST(IngestOverlayTest, CountOverlayIsBitExactAcrossMerge) {
   // Quiesced: after Flush the same counts come from the merged base.
   ASSERT_TRUE(manager.Flush(kTarget).ok());
   for (const ScalarProductQuery& q : queries) {
-    Result<CountResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.Count(kTarget, q, CountTolerance(),
-                              Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<CountResult> got =
+        view->CountInequality(q, CountTolerance(), Deadline::Infinite());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->estimate, BruteForceMatches(all, q).size());
   }
@@ -265,9 +275,10 @@ TEST(IngestOverlayTest, AggregateOverlayMatchesBruteForce) {
 
   for (int trial = 0; trial < 20; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    Result<AggregateResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.Aggregate(kTarget, q, CountTolerance(),
-                                  Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<AggregateResult> got =
+        view->AggregateInequality(q, CountTolerance(), Deadline::Infinite());
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     double want_sum = 0.0;
     size_t want_count = 0;
@@ -300,8 +311,10 @@ TEST(IngestFlushTest, FlushMergesIntoTheCatalogWithStableIds) {
   for (size_t i = 0; i < 130; ++i) all.AppendRow(rows.data() + i * 3);
 
   const ScalarProductQuery q = RandomQuery(&rng);
-  Result<InequalityResult> before = Status::Internal("unset");
-  ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &before));
+  const std::shared_ptr<const OverlaySet> before_view = manager.Pin(kTarget);
+  ASSERT_NE(before_view, nullptr);
+  const Result<InequalityResult> before =
+      before_view->Inequality(q, Deadline::Infinite());
   ASSERT_TRUE(before.ok());
 
   const uint64_t version_before = catalog.version();
@@ -313,8 +326,10 @@ TEST(IngestFlushTest, FlushMergesIntoTheCatalogWithStableIds) {
   EXPECT_EQ(manager.gauges().merges, 1u);
 
   // Ids are stable across the merge: the same query answers the same.
-  Result<InequalityResult> after = Status::Internal("unset");
-  ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &after));
+  const std::shared_ptr<const OverlaySet> after_view = manager.Pin(kTarget);
+  ASSERT_NE(after_view, nullptr);
+  const Result<InequalityResult> after =
+      after_view->Inequality(q, Deadline::Infinite());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(Sorted(after->ids), Sorted(before->ids));
   EXPECT_EQ(Sorted(after->ids), BruteForceMatches(all, q));
@@ -374,8 +389,10 @@ TEST(IngestStopTest, StopDrainsAndRejectsFurtherAppends) {
   EXPECT_EQ(manager.Manage(kTarget).code(), StatusCode::kUnavailable);
   // Reads keep serving after Stop.
   const ScalarProductQuery q = RandomQuery(&rng);
-  Result<InequalityResult> got = Status::Internal("unset");
-  ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &got));
+  const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+  ASSERT_NE(view, nullptr);
+  const Result<InequalityResult> got =
+      view->Inequality(q, Deadline::Infinite());
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(Sorted(got->ids), BruteForceMatches(all, q));
 }
@@ -408,15 +425,19 @@ TEST(IngestRandomizedTest, BitIdenticalToQuiescedRebuildAcrossMerges) {
     const PlanarIndexSet reference = FreshBuild(all);
     for (int trial = 0; trial < 4; ++trial) {
       const ScalarProductQuery q = RandomQuery(&rng);
-      Result<InequalityResult> got = Status::Internal("unset");
-      ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &got));
+      const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+      ASSERT_NE(view, nullptr);
+      const Result<InequalityResult> got =
+          view->Inequality(q, Deadline::Infinite());
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(Sorted(got->ids), Sorted(reference.Inequality(q).ids))
           << "round " << round << " trial " << trial;
 
       const size_t k = 1 + rng.UniformInt(15);
-      Result<TopKResult> topk = Status::Internal("unset");
-      ASSERT_TRUE(manager.TopK(kTarget, q, k, Deadline::Infinite(), &topk));
+      const std::shared_ptr<const OverlaySet> topk_view = manager.Pin(kTarget);
+      ASSERT_NE(topk_view, nullptr);
+      const Result<TopKResult> topk =
+          topk_view->TopK(q, k, Deadline::Infinite());
       ASSERT_TRUE(topk.ok());
       auto want = reference.TopK(q, k);
       ASSERT_TRUE(want.ok());
@@ -435,8 +456,10 @@ TEST(IngestRandomizedTest, BitIdenticalToQuiescedRebuildAcrossMerges) {
   const PlanarIndexSet reference = FreshBuild(all);
   for (int trial = 0; trial < 10; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    Result<InequalityResult> got = Status::Internal("unset");
-    ASSERT_TRUE(manager.Inequality(kTarget, q, Deadline::Infinite(), &got));
+    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    ASSERT_NE(view, nullptr);
+    const Result<InequalityResult> got =
+        view->Inequality(q, Deadline::Infinite());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(Sorted(got->ids), Sorted(reference.Inequality(q).ids)) << trial;
   }
@@ -516,6 +539,179 @@ TEST(IngestEngineTest, AppendRequestsAndOverlayReadsThroughTheEngine) {
 
   manager.Stop();
   EXPECT_EQ(engine.Snapshot().counters.merges, 1u);  // final drain
+}
+
+// Every read kind the engine serves on an ingest-managed target, with
+// the delta unmerged, answers exactly what the same read answers after
+// Flush merged the delta into the base.
+TEST(IngestEngineTest, EveryReadKindOnTheOverlayMatchesTheFlushedAnswer) {
+  // Integer-valued rows so payload sums are exact in double arithmetic.
+  Catalog catalog;
+  Rng rng(31);
+  const auto integer_rows = [&rng](size_t count) {
+    std::vector<double> rows(count * 3);
+    for (size_t i = 0; i < rows.size(); i += 3) {
+      rows[i] = static_cast<double>(1 + rng.NextUint64() % 60);
+      rows[i + 1] = -static_cast<double>(1 + rng.NextUint64() % 60);
+      rows[i + 2] = static_cast<double>(1 + rng.NextUint64() % 60);
+    }
+    return rows;
+  };
+  {
+    const std::vector<double> base = integer_rows(300);
+    PhiMatrix phi(3);
+    for (size_t i = 0; i < 300; ++i) phi.AppendRow(base.data() + i * 3);
+    IndexSetOptions with_payload = SmallBudget();
+    with_payload.index_options.payload_column = 2;
+    auto set = PlanarIndexSet::Build(std::move(phi), Domains(), with_payload);
+    ASSERT_TRUE(set.ok()) << set.status().ToString();
+    catalog.Install(kTarget, std::move(set).value());
+  }
+  IngestOptions ingest_options;
+  ingest_options.merge_threshold = 1 << 20;  // merge only on Flush
+  ingest_options.delta_capacity = 1 << 20;
+  IngestManager manager(&catalog, ingest_options);
+  ASSERT_TRUE(manager.Manage(kTarget).ok());
+  ASSERT_TRUE(manager.Append(kTarget, integer_rows(90)).ok());
+
+  EngineOptions engine_options;
+  engine_options.num_workers = 0;  // deterministic: RunPending drives
+  Engine engine(&catalog, engine_options);
+  engine.AttachIngest(&manager);
+
+  std::vector<ScalarProductQuery> queries;
+  for (int i = 0; i < 6; ++i) queries.push_back(RandomQuery(&rng));
+  const size_t k = 7;
+  // One round: per query, an inequality, a top-k, a count and an
+  // aggregate, each run alone; then two same-cmp inequalities submitted
+  // together, which RunPending serves through the grouped path.
+  struct Answers {
+    std::vector<EngineResponse> single;
+    std::vector<EngineResponse> grouped;
+  };
+  const auto run = [&](Answers* answers) {
+    for (const ScalarProductQuery& q : queries) {
+      for (QueryKind kind : {QueryKind::kInequality, QueryKind::kTopK,
+                             QueryKind::kCount, QueryKind::kAggregate}) {
+        EngineRequest request;
+        request.target = kTarget;
+        request.kind = kind;
+        request.query = q;
+        request.k = k;
+        auto future = engine.Submit(std::move(request));
+        ASSERT_TRUE(future.ok());
+        ASSERT_EQ(engine.RunPending(), 1u);
+        answers->single.push_back(future.value().get());
+        ASSERT_TRUE(answers->single.back().status.ok())
+            << answers->single.back().status.ToString();
+      }
+    }
+    std::vector<std::future<EngineResponse>> futures;
+    for (int i = 0; i < 2; ++i) {
+      EngineRequest request;
+      request.target = kTarget;
+      request.kind = QueryKind::kInequality;
+      request.query = queries[static_cast<size_t>(i)];
+      request.query.cmp = Comparison::kGreaterEqual;
+      auto future = engine.Submit(std::move(request));
+      ASSERT_TRUE(future.ok());
+      futures.push_back(std::move(future).value());
+    }
+    ASSERT_EQ(engine.RunPending(), 2u);
+    for (std::future<EngineResponse>& future : futures) {
+      answers->grouped.push_back(future.get());
+      ASSERT_TRUE(answers->grouped.back().status.ok());
+    }
+  };
+
+  Answers overlaid;
+  run(&overlaid);
+  EXPECT_EQ(engine.Snapshot().delta_rows, 90u);
+  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 1u);
+  ASSERT_TRUE(manager.Flush(kTarget).ok());
+  EXPECT_EQ(engine.Snapshot().delta_rows, 0u);
+  Answers flushed;
+  run(&flushed);
+  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 2u);
+
+  ASSERT_EQ(overlaid.single.size(), flushed.single.size());
+  for (size_t i = 0; i < overlaid.single.size(); ++i) {
+    const EngineResponse& got = overlaid.single[i];
+    const EngineResponse& want = flushed.single[i];
+    EXPECT_EQ(Sorted(got.inequality.ids), Sorted(want.inequality.ids)) << i;
+    ASSERT_EQ(got.topk.neighbors.size(), want.topk.neighbors.size()) << i;
+    for (size_t j = 0; j < want.topk.neighbors.size(); ++j) {
+      EXPECT_EQ(got.topk.neighbors[j].id, want.topk.neighbors[j].id) << i;
+      EXPECT_EQ(got.topk.neighbors[j].distance,
+                want.topk.neighbors[j].distance)
+          << i;
+    }
+    EXPECT_EQ(got.count.estimate, want.count.estimate) << i;
+    EXPECT_EQ(got.count.lower, want.count.lower) << i;
+    EXPECT_EQ(got.count.upper, want.count.upper) << i;
+    EXPECT_EQ(got.count.exact, want.count.exact) << i;
+    EXPECT_EQ(got.aggregate.sum, want.aggregate.sum) << i;
+    EXPECT_EQ(got.aggregate.count.estimate, want.aggregate.count.estimate)
+        << i;
+  }
+  ASSERT_EQ(overlaid.grouped.size(), 2u);
+  ASSERT_EQ(flushed.grouped.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(Sorted(overlaid.grouped[i].inequality.ids),
+              Sorted(flushed.grouped[i].inequality.ids))
+        << i;
+  }
+  manager.Stop();
+}
+
+// A NaN or infinite value in an appended row is refused with
+// kInvalidArgument and appends nothing, so the merged index keeps
+// answering exactly like the scan over its rows.
+TEST(IngestEngineTest, NonFiniteAppendIsRejectedAndAnswersMatchTheScan) {
+  Catalog catalog;
+  InstallBase(&catalog, 2000, 33, nullptr);
+  IngestManager manager(&catalog);
+  ASSERT_TRUE(manager.Manage(kTarget).ok());
+  EngineOptions engine_options;
+  engine_options.num_workers = 0;
+  Engine engine(&catalog, engine_options);
+  engine.AttachIngest(&manager);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> payloads = {
+      {1.0, -inf, 2.0},
+      {nan, 3.0, 4.0},
+      {1.0, 2.0, inf},
+      // A good row ahead of a bad one: the whole payload is refused.
+      {1.0, 2.0, 3.0, 4.0, 5.0, nan},
+  };
+  for (const std::vector<double>& rows : payloads) {
+    EngineRequest append;
+    append.target = kTarget;
+    append.kind = QueryKind::kAppend;
+    append.rows = rows;
+    auto future = engine.Submit(std::move(append));
+    ASSERT_TRUE(future.ok());
+    ASSERT_EQ(engine.RunPending(), 1u);
+    EXPECT_EQ(future.value().get().status.code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(manager.gauges().delta_rows, 0u);
+  ASSERT_TRUE(manager.Flush(kTarget).ok());
+
+  const Catalog::SetPtr set = catalog.Find(kTarget);
+  ASSERT_NE(set, nullptr);
+  EXPECT_EQ(set->size(), 2000u);
+  Rng rng(34);
+  for (int trial = 0; trial < 16; ++trial) {
+    ScalarProductQuery q = RandomQuery(&rng);
+    q.cmp = trial % 2 == 0 ? Comparison::kLessEqual : Comparison::kGreaterEqual;
+    EXPECT_EQ(Sorted(set->Inequality(q).ids),
+              Sorted(ScanInequality(set->phi(), q).ids))
+        << trial;
+  }
+  manager.Stop();
 }
 
 TEST(IngestEngineTest, AppendWithoutBackendFailsPrecondition) {

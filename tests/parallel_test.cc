@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 namespace planar {
 namespace {
 
@@ -66,19 +71,31 @@ TEST(ParallelForTest, ZeroItemsNeverInvokesWithAnyThreadCount) {
 
 TEST(UsableCpusTest, CountsTheCallersAffinityMask) {
   EXPECT_GE(UsableCpus(), 1u);
-  if (!ThreadAffinitySupported()) GTEST_SKIP() << "no thread affinity here";
+#if defined(__linux__)
   // A thread pinned to one core may run on exactly one CPU; this is what
   // makes BoundedQueue skip its spin phase under taskset or a one-CPU
-  // cpuset.
+  // cpuset. Pin to the first CPU the caller may run on.
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int first = 0;
+  while (first < CPU_SETSIZE && !CPU_ISSET(first, &allowed)) ++first;
+  ASSERT_LT(first, CPU_SETSIZE);
   bool pinned_ok = false;
   size_t pinned_cpus = 0;
-  std::thread pinned([&pinned_ok, &pinned_cpus] {
-    pinned_ok = PinCurrentThreadToCore(0);
+  std::thread pinned([first, &pinned_ok, &pinned_cpus] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    pinned_ok = pthread_setaffinity_np(pthread_self(), sizeof(one), &one) == 0;
     pinned_cpus = UsableCpus();
   });
   pinned.join();
-  if (!pinned_ok) GTEST_SKIP() << "could not pin a thread to core 0";
+  if (!pinned_ok) GTEST_SKIP() << "could not pin a thread to CPU " << first;
   EXPECT_EQ(pinned_cpus, 1u);
+#else
+  GTEST_SKIP() << "no thread affinity here";
+#endif
 }
 
 }  // namespace

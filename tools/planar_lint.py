@@ -39,9 +39,9 @@ Rules (library code under src/ unless stated otherwise):
                     cancellation flag or counter into a race.
   threads-via-pool  raw `std::thread` / `std::jthread` construction is
                     forbidden in src/ outside common/ (the ThreadPool's
-                    home): library parallelism runs on the shared pinned
-                    pool (common/thread_pool.h) so thread counts, core
-                    affinity, and shutdown stay centralized. A site that
+                    home): library parallelism runs on the shared pool
+                    (common/thread_pool.h) so thread counts and shutdown
+                    stay centralized. A site that
                     genuinely needs a dedicated thread (e.g. the ingest
                     background merger, which blocks on a CondVar for its
                     whole lifetime and must not occupy a pool slot)
@@ -123,6 +123,13 @@ Rules (library code under src/ unless stated otherwise):
                     place. The multi-query `dot_block_many` /
                     `CompressAcceptMany` kernels of core/batch.cc are
                     other names and never fire.
+  ingest-answers-no-queries
+                    no file under src/ingest/ may call `ScanRows*`,
+                    `MergeTopK`, `FoldCount` or `FoldAggregate`: ingest
+                    hands out epochs (IngestManager::Pin returns an
+                    OverlaySet) and answers no query itself. The delta
+                    folds live once, in core/overlay.cc, so a new read
+                    kind is added to OverlaySet, never beside it.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
@@ -212,6 +219,12 @@ RE_VERIFY_KERNEL = re.compile(
     r"(?<![A-Za-z0-9_])(?:dot_gather|CompressAccept|CompressAcceptRange)"
     r"\s*\(")
 VERIFY_LOOP_FILE = Path("src/core/scan.h")
+# Per-kind read code (ingest-answers-no-queries): the delta scans and the
+# partition folds an overlay read is made of.
+RE_QUERY_ANSWERING = re.compile(
+    r"(?<![A-Za-z0-9_])(?:ScanRows[A-Za-z0-9_]*|MergeTopK|FoldCount"
+    r"|FoldAggregate)\s*[(<]")
+INGEST_DIR = ("src", "ingest")
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -342,6 +355,12 @@ def findings_for_file(root: Path, path: Path):
                        "single-query verification runs through VerifyRows "
                        "(core/scan.h) with a sink; do not write another "
                        "block loop over the verify kernels")
+            if (rel.parts[:2] == INGEST_DIR
+                    and RE_QUERY_ANSWERING.search(line)):
+                yield (rel, lineno, "ingest-answers-no-queries",
+                       "ingest hands out epochs and answers no query; "
+                       "read the pinned OverlaySet (core/overlay.h) and "
+                       "put delta folds there")
             if rel not in AGG_EXEMPT_FILES and RE_AGG_MUTATION.search(line):
                 if lineno - last_agg_ok <= AGG_COMMENT_WINDOW:
                     last_agg_ok = lineno  # consecutive uses chain
@@ -675,6 +694,30 @@ def self_test() -> int:
          "// no dot_gather( here\n"
          "const char* s = \"CompressAccept(\";\n",
          "one-verify-loop", 0),
+        # ingest-answers-no-queries: a delta scan or a partition fold in
+        # src/ingest fires, templated or spaced,
+        ("src/ingest/ingest.cc",
+         "auto n = ScanRowsCountInequality(d, dim, rows, q, deadline);\n"
+         "Status s = ScanRowsTopK (d, dim, rows, 0, q, deadline, &buf);\n"
+         "auto merged = MergeTopK(k, c, offer);\n"
+         "FoldCount(delta, result);\n"
+         "FoldAggregate<AggregateResult>(delta, result);\n",
+         "ingest-answers-no-queries", 5),
+        ("src/ingest/ingest.h",
+         "inline void F() { ScanRowsInequality(d, 2, 3, 0, q, dl, &v); }\n",
+         "ingest-answers-no-queries", 1),
+        # but not in core, where the overlay's folds live,
+        ("src/core/overlay.cc",
+         "auto merged = MergeTopK(k, c, offer);\n"
+         "FoldCount(delta, result);\n",
+         "ingest-answers-no-queries", 0),
+        # and comments, strings, longer names and pins never fire.
+        ("src/ingest/ingest.cc",
+         "// no ScanRowsInequality( here\n"
+         "const char* s = \"MergeTopK(\";\n"
+         "MyFoldCountHelper(x);\n"
+         "const auto view = manager.Pin(target);\n",
+         "ingest-answers-no-queries", 0),
     ]
     for i, (rel_path, content, rule, want) in enumerate(file_cases):
         root = write_source(rel_path, content)
