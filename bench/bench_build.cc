@@ -5,9 +5,12 @@
 // rows/s — r fixed normals over n rows — swept over set-level
 // build_threads, against the serial (threads = 1) baseline. Fixed normals
 // keep every configuration building the exact same indices, so the sweep
-// measures the pipeline, not the workload. speedup > 1 needs real cores:
-// the JSON carries host_threads so a single-core runner's ~1.0x reads as
-// what it is.
+// measures the pipeline, not the workload. A second table times
+// ShardedIndexSet::Build (4 shards, r = 10, the shape of perfbench's
+// ingest_sharded archive) at width 1 and at full width: every shard's
+// indices build in one fan-out. speedup > 1 needs real cores: the JSON
+// carries host_threads and effective_threads so a single-core runner's
+// ~1.0x reads as what it is.
 //
 //   --n      rows per index           (default 262144; --full 1048576)
 //   --runs   measured repetitions     (default 5, best-of)
@@ -24,7 +27,9 @@
 #include "common/macros.h"
 #include "common/random.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "core/index_set.h"
+#include "core/sharded.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -60,6 +65,38 @@ double BuildMillis(const PhiMatrix& phi,
     const double ms = timer.ElapsedMillis();
     PLANAR_CHECK(set.ok());
     g_sink = static_cast<double>(set->num_indices());
+    if (i == 0 || ms < best) best = ms;
+  }
+  return best;
+}
+
+// Threads a build of `tasks` indices at `width` (0 = all cores) really
+// runs on: ParallelFor caps the width at the task count and at the pool
+// plus the calling thread.
+size_t EffectiveThreads(size_t width, size_t tasks) {
+  if (width == 0) width = std::max(1u, std::thread::hardware_concurrency());
+  return std::min({width, tasks, ThreadPool::Shared().threads() + 1});
+}
+
+// Best-of-`runs` ShardedIndexSet::Build time; sampling and slicing are
+// inside the timed region, as they are for every caller.
+double ShardedBuildMillis(const PhiMatrix& phi, size_t shards, size_t r,
+                          size_t width, int runs) {
+  ShardedIndexSetOptions options;
+  options.shards = shards;
+  options.set_options.budget = r;
+  options.set_options.build_threads = width;
+  const std::vector<ParameterDomain> domains(phi.dim(),
+                                             ParameterDomain{1.0, 4.0});
+  double best = 0.0;
+  for (int i = 0; i < runs; ++i) {
+    PhiMatrix copy = phi;
+    WallTimer timer;
+    auto set = ShardedIndexSet::Build(std::move(copy), domains, options);
+    const double ms = timer.ElapsedMillis();
+    PLANAR_CHECK(set.ok());
+    PLANAR_CHECK(set->num_shards() == shards);
+    g_sink = static_cast<double>(set->shard(0).num_indices());
     if (i == 0 || ms < best) best = ms;
   }
   return best;
@@ -109,11 +146,43 @@ int main(int argc, char** argv) {
           "{\"bench\":\"build\",\"r\":%zu,\"n\":%zu,\"threads\":%zu,"
           "\"rows_per_sec\":%.0f,\"speedup_vs_serial\":%.2f%s}\n",
           normals.size(), n, threads, rows_per_sec, speedup,
-          bench::JsonStamp(threads).c_str());
+          bench::JsonStamp(EffectiveThreads(threads, normals.size()))
+              .c_str());
     }
+  }
+
+  // Sharded: width 1 against full width (threads 0 = all cores).
+  const size_t shards = 4;
+  const size_t sharded_r = 10;
+  const size_t sharded_n = smoke ? 20000 : 400000;
+  const PhiMatrix sharded_phi = RandomPhi(sharded_n, dim, 1.0, 100.0, 59);
+  TablePrinter sharded_table({"shards", "r", "n", "threads", "Mrows/s",
+                              "speedup vs serial"});
+  double sharded_serial_ms = 0.0;
+  for (const size_t width : {size_t{1}, size_t{0}}) {
+    const double ms =
+        ShardedBuildMillis(sharded_phi, shards, sharded_r, width, runs);
+    if (width == 1) sharded_serial_ms = ms;
+    const double rows =
+        static_cast<double>(sharded_r) * static_cast<double>(sharded_n);
+    const double rows_per_sec = rows / (ms / 1000.0);
+    const double speedup = ms > 0.0 ? sharded_serial_ms / ms : 0.0;
+    sharded_table.AddRow({std::to_string(shards), std::to_string(sharded_r),
+                          std::to_string(sharded_n), std::to_string(width),
+                          FormatDouble(rows_per_sec / 1e6, 1),
+                          FormatDouble(speedup, 2)});
+    std::printf(
+        "{\"bench\":\"build_sharded\",\"shards\":%zu,\"r\":%zu,\"n\":%zu,"
+        "\"threads\":%zu,\"rows_per_sec\":%.0f,\"speedup_vs_serial\":%.2f%s}"
+        "\n",
+        shards, sharded_r, sharded_n, width, rows_per_sec, speedup,
+        bench::JsonStamp(EffectiveThreads(width, shards * sharded_r))
+            .c_str());
   }
 
   std::printf("\n");
   build_table.Print();
+  std::printf("\n");
+  sharded_table.Print();
   return 0;
 }

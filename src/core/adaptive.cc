@@ -106,7 +106,7 @@ Result<size_t> AdaptiveIndexSet::Readapt() {
   // build_threads knob applies to re-adaptation too.
   const size_t adding = drop.size();
   wanted.resize(adding);
-  PLANAR_RETURN_IF_ERROR(set_.AddIndices(std::move(wanted)));
+  PLANAR_RETURN_IF_ERROR(set_.AddIndices(wanted));
   replaced = adding;
   use_counts_.assign(set_.num_indices(), 0);
   return replaced;

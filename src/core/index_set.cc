@@ -23,6 +23,8 @@ namespace {
 // normals (point domains) ends after at most kMaxIndexBudget * 16 draws.
 constexpr size_t kMaxAttemptsPerIndex = 16;
 
+constexpr char kEmptyPhiMsg[] = "cannot index an empty phi matrix";
+
 // Derives the octant from the domain signs; fails when a domain straddles
 // zero (octant would be ambiguous).
 Result<Octant> OctantFromDomains(const std::vector<ParameterDomain>& domains) {
@@ -62,13 +64,35 @@ std::vector<double> SampleNormal(const std::vector<ParameterDomain>& domains,
   return c;
 }
 
+// Build and BuildWithNormals: BuildEach over one matrix.
+Result<PlanarIndexSet> BuildOne(
+    PhiMatrix phi,
+    const std::vector<PlanarIndexSet::IndexDefinition>& definitions,
+    const IndexSetOptions& options) {
+  std::vector<PhiMatrix> phis;
+  phis.push_back(std::move(phi));
+  PLANAR_ASSIGN_OR_RETURN(
+      std::vector<PlanarIndexSet> sets,
+      PlanarIndexSet::BuildEach(std::move(phis), definitions, options));
+  return std::move(sets.front());
+}
+
 }  // namespace
 
 Result<PlanarIndexSet> PlanarIndexSet::Build(
     PhiMatrix phi, const std::vector<ParameterDomain>& domains,
     const IndexSetOptions& options) {
+  PLANAR_ASSIGN_OR_RETURN(std::vector<IndexDefinition> definitions,
+                          SampleDefinitions(phi, domains, options));
+  return BuildOne(std::move(phi), definitions, options);
+}
+
+Result<std::vector<PlanarIndexSet::IndexDefinition>>
+PlanarIndexSet::SampleDefinitions(const PhiMatrix& phi,
+                                  const std::vector<ParameterDomain>& domains,
+                                  const IndexSetOptions& options) {
   if (phi.empty()) {
-    return Status::InvalidArgument("cannot index an empty phi matrix");
+    return Status::InvalidArgument(kEmptyPhiMsg);
   }
   if (domains.size() != phi.dim()) {
     return Status::InvalidArgument(
@@ -83,10 +107,9 @@ Result<PlanarIndexSet> PlanarIndexSet::Build(
   }
   PLANAR_ASSIGN_OR_RETURN(Octant octant, OctantFromDomains(domains));
 
-  PlanarIndexSet set(std::move(phi), options);
-  // Phase 1 (serial, RNG-sequential): sample and deduplicate the normals.
-  // This is O(budget^2 d') with no data access, so parallelizing it would
-  // buy nothing and cost determinism of the accepted sequence.
+  // Serial and RNG-sequential: O(budget^2 d') with no data access, so
+  // parallelizing it would buy nothing and cost determinism of the
+  // accepted sequence.
   Rng rng(options.seed);
   const size_t max_attempts = options.budget * kMaxAttemptsPerIndex;
   std::vector<IndexDefinition> definitions;
@@ -107,59 +130,79 @@ Result<PlanarIndexSet> PlanarIndexSet::Build(
   if (definitions.empty()) {
     return Status::Internal("failed to sample any index normal");
   }
-  // Phase 2: build the accepted indices across build_threads threads.
-  PLANAR_RETURN_IF_ERROR(set.BuildIndicesParallel(std::move(definitions)));
-  return set;
+  return definitions;
 }
 
 Result<PlanarIndexSet> PlanarIndexSet::BuildWithNormals(
     PhiMatrix phi, const std::vector<std::vector<double>>& normals,
     const Octant& octant, const IndexSetOptions& options) {
-  if (phi.empty()) {
-    return Status::InvalidArgument("cannot index an empty phi matrix");
-  }
-  if (normals.empty()) {
-    return Status::InvalidArgument("at least one normal is required");
-  }
-  PlanarIndexSet set(std::move(phi), options);
   std::vector<IndexDefinition> definitions;
   definitions.reserve(normals.size());
   for (const auto& normal : normals) {
     definitions.emplace_back(normal, octant);
   }
-  PLANAR_RETURN_IF_ERROR(set.BuildIndicesParallel(std::move(definitions)));
-  return set;
+  return BuildOne(std::move(phi), definitions, options);
 }
 
-Status PlanarIndexSet::BuildIndicesParallel(
-    std::vector<IndexDefinition> definitions) {
-  const size_t count = definitions.size();
+Result<std::vector<PlanarIndexSet>> PlanarIndexSet::BuildEach(
+    std::vector<PhiMatrix> phis,
+    const std::vector<IndexDefinition>& definitions,
+    const IndexSetOptions& options) {
+  for (const PhiMatrix& phi : phis) {
+    if (phi.empty()) return Status::InvalidArgument(kEmptyPhiMsg);
+  }
+  if (definitions.empty()) {
+    return Status::InvalidArgument("at least one normal is required");
+  }
+  std::vector<PlanarIndexSet> sets;
+  sets.reserve(phis.size());
+  for (PhiMatrix& phi : phis) {
+    sets.push_back(PlanarIndexSet(std::move(phi), options));
+  }
+  PLANAR_RETURN_IF_ERROR(BuildIndices(sets, definitions));
+  return sets;
+}
+
+Status PlanarIndexSet::BuildIndices(
+    std::span<PlanarIndexSet> sets,
+    const std::vector<IndexDefinition>& definitions) {
+  const size_t per_set = definitions.size();
+  const size_t count = sets.size() * per_set;
   if (count == 0) return Status::OK();
-  // Each slot builds independently against the shared (read-only) phi
-  // matrix; slots keep definition order, so the resulting indices_ layout
+  size_t rows = 0;
+  for (const PlanarIndexSet& set : sets) rows += set.size();
+  const size_t width =
+      rows < kParallelBuildMinRows ? 1 : sets.front().options_.build_threads;
+  // Each slot builds independently against its set's (read-only) phi
+  // matrix; slots keep definition order, so every set's indices_ layout
   // — and therefore SelectBestIndex tie-breaking, serialization order,
   // and every stretch/angle score — is identical to the serial build.
   std::vector<std::optional<PlanarIndex>> slots(count);
   std::vector<Status> statuses(count, Status::OK());
   ThreadPool::Shared().ParallelFor(
       count,
-      [&](size_t i) {
+      [&](size_t slot) {
+        const PlanarIndexSet& set = sets[slot / per_set];
+        const IndexDefinition& definition = definitions[slot % per_set];
         Result<PlanarIndex> index =
-            PlanarIndex::Build(phi_.get(), std::move(definitions[i].first),
-                               definitions[i].second, options_.index_options);
+            PlanarIndex::Build(set.phi_.get(), definition.first,
+                               definition.second, set.options_.index_options);
         if (index.ok()) {
-          slots[i].emplace(std::move(index).value());
+          slots[slot].emplace(std::move(index).value());
         } else {
-          statuses[i] = index.status();
+          statuses[slot] = index.status();
         }
       },
-      options_.build_threads);
+      width);
   for (const Status& status : statuses) {
     PLANAR_RETURN_IF_ERROR(status);
   }
-  indices_.reserve(indices_.size() + count);
-  for (std::optional<PlanarIndex>& slot : slots) {
-    indices_.push_back(std::move(*slot));
+  for (size_t s = 0; s < sets.size(); ++s) {
+    std::vector<PlanarIndex>& indices = sets[s].indices_;
+    indices.reserve(indices.size() + per_set);
+    for (size_t i = 0; i < per_set; ++i) {
+      indices.push_back(std::move(*slots[s * per_set + i]));
+    }
   }
   return Status::OK();
 }
@@ -360,8 +403,8 @@ Status PlanarIndexSet::AddIndex(std::vector<double> normal,
 }
 
 Status PlanarIndexSet::AddIndices(
-    std::vector<IndexDefinition> definitions) {
-  return BuildIndicesParallel(std::move(definitions));
+    const std::vector<IndexDefinition>& definitions) {
+  return BuildIndices({this, 1}, definitions);
 }
 
 Status PlanarIndexSet::RemoveIndex(size_t i) {

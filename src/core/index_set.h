@@ -74,20 +74,24 @@ struct IndexSetOptions {
   /// 1.0 disables the fallback.
   double scan_fallback_fraction = 0.85;
 
-  /// Set-level build parallelism (1 = serial, 0 = hardware concurrency,
-  /// n = at most n threads): Build / BuildWithNormals / AddIndices shard
-  /// the construction of the r indices across this many threads. Normal
-  /// sampling and dedup stay serial (they are RNG-sequential and cheap),
-  /// so the accepted normals, their order, and every selection score are
-  /// identical to the serial build; per-index key computation uses the
-  /// same dot_range kernel either way, so the built indices — and their
-  /// serialized v2 blobs — are bit-identical for any thread count
-  /// (machine-checked by tests/build_determinism_test.cc). Not persisted
-  /// by SaveIndexSet: it is a build-machine knob, not part of the index
-  /// definition. Composes with PlanarIndexOptions::build_threads
-  /// (intra-index sort parallelism); enable one or the other, not both,
-  /// to avoid oversubscription.
-  size_t build_threads = 1;
+  /// The one set-level build width (0 = hardware concurrency, 1 =
+  /// serial, n = at most n threads): Build, BuildWithNormals, BuildEach
+  /// (and through it ShardedIndexSet::Build, every shard's indices in
+  /// one fan-out) and AddIndices build their indices across this many
+  /// threads of the shared ThreadPool. Sets of fewer than
+  /// kParallelBuildMinRows rows (all shards together) build serially:
+  /// there a pool handoff costs more than the builds it would split.
+  /// Normal sampling and dedup stay serial (they are RNG-sequential and
+  /// cheap), so the accepted normals, their order, and every selection
+  /// score are identical to the serial build; per-index key computation
+  /// uses the same dot_range kernel either way, so the built indices —
+  /// and their serialized v2 blobs — are bit-identical for any width or
+  /// shard count (machine-checked by tests/build_determinism_test.cc).
+  /// Not persisted by SaveIndexSet: it is a build-machine knob, not part
+  /// of the index definition. PlanarIndexOptions::build_threads
+  /// (intra-index sort parallelism) applies inside each index build;
+  /// raise it only with this width at 1, or the two fan-outs nest.
+  size_t build_threads = 0;
 };
 
 /// A budget of Planar indices over one owned phi matrix.
@@ -98,12 +102,26 @@ class PlanarIndexSet {
   PlanarIndexSet(const PlanarIndexSet&) = delete;
   PlanarIndexSet& operator=(const PlanarIndexSet&) = delete;
 
+  /// One (mirrored-space normal, octant) index definition.
+  using IndexDefinition = std::pair<std::vector<double>, Octant>;
+
   /// Builds `options.budget` indices with normals sampled uniformly from
   /// `domains` (one domain per phi output axis), deduplicating parallel
-  /// normals. Takes ownership of the matrix.
+  /// normals: SampleDefinitions, then BuildEach. Takes ownership of the
+  /// matrix.
   static Result<PlanarIndexSet> Build(
       PhiMatrix phi, const std::vector<ParameterDomain>& domains,
       const IndexSetOptions& options = IndexSetOptions());
+
+  /// The definitions Build samples for `phi`: up to options.budget
+  /// deduplicated normals in acceptance order, all for the octant the
+  /// domain signs fix. Validates what Build validates but reads only
+  /// phi's shape, so every matrix of one width gets the same definitions
+  /// from the same domains and options — ShardedIndexSet::Build samples
+  /// once for all its shards.
+  static Result<std::vector<IndexDefinition>> SampleDefinitions(
+      const PhiMatrix& phi, const std::vector<ParameterDomain>& domains,
+      const IndexSetOptions& options);
 
   /// Builds with explicitly chosen mirrored-space normals (all entries
   /// strictly positive) for the given octant. Useful when good normals are
@@ -112,6 +130,18 @@ class PlanarIndexSet {
   static Result<PlanarIndexSet> BuildWithNormals(
       PhiMatrix phi, const std::vector<std::vector<double>>& normals,
       const Octant& octant, const IndexSetOptions& options = IndexSetOptions());
+
+  /// Builds one set per matrix of `phis`, each holding `definitions` in
+  /// order — the one build path under Build, BuildWithNormals, snapshot
+  /// loading and ShardedIndexSet::Build. Every (set, definition) pair
+  /// builds in one flat fan-out across options.build_threads, so the
+  /// width spans all the sets; each set is bit-identical to a serial
+  /// build of its matrix alone. Fails when any matrix is empty or
+  /// `definitions` is.
+  static Result<std::vector<PlanarIndexSet>> BuildEach(
+      std::vector<PhiMatrix> phis,
+      const std::vector<IndexDefinition>& definitions,
+      const IndexSetOptions& options);
 
   /// Problem 1 via the best index; falls back to a sequential scan when no
   /// index can serve the query (stats.index_used == -1 then).
@@ -199,18 +229,15 @@ class PlanarIndexSet {
   };
   SelectivityBounds EstimateSelectivity(const ScalarProductQuery& q) const;
 
-  /// One (mirrored-space normal, octant) index definition.
-  using IndexDefinition = std::pair<std::vector<double>, Octant>;
-
   /// Adds one more index with the given mirrored-space normal for octant
   /// `octant` (e.g. MOVIES-style rotation of time-instant indices).
   Status AddIndex(std::vector<double> normal, const Octant& octant);
 
   /// Adds several indices at once, building them across
   /// options().build_threads threads (the batch analogue of AddIndex,
-  /// used by snapshot loading and adaptive re-indexing). All-or-nothing:
+  /// used by adaptive re-indexing). All-or-nothing:
   /// on failure no index is added. Definition order is preserved.
-  Status AddIndices(std::vector<IndexDefinition> definitions);
+  Status AddIndices(const std::vector<IndexDefinition>& definitions);
 
   /// Drops the i-th index.
   Status RemoveIndex(size_t i);
@@ -271,10 +298,13 @@ class PlanarIndexSet {
   // fallback would abort on it.
   Status CheckQueryDim(const ScalarProductQuery& q) const;
 
-  // Builds every definition (sharded across options_.build_threads on
-  // the shared ThreadPool) and appends the indices in definition order;
-  // on any failure appends nothing and returns the first failing status.
-  Status BuildIndicesParallel(std::vector<IndexDefinition> definitions);
+  // Builds every definition into every set of `sets` (which share one
+  // IndexSetOptions) as one flat (set × definition) fan-out on the
+  // shared ThreadPool, and appends the indices in definition order; on
+  // any failure appends nothing anywhere and returns the first failing
+  // status.
+  static Status BuildIndices(std::span<PlanarIndexSet> sets,
+                             const std::vector<IndexDefinition>& definitions);
 
   // The index selection picked for a query (-1: none can serve) and the
   // query's plan on it, which the fallback test and the serve call read.

@@ -181,7 +181,9 @@ struct PlanarIndexOptions {
 };
 
 /// Smallest matrix worth building with threads; below this, spawn/join
-/// costs more than the key computation and sort combined.
+/// costs more than the key computation and sort combined. The set-level
+/// build fan-out (IndexSetOptions::build_threads) applies the same
+/// cutoff to the rows of all the sets it builds together.
 inline constexpr size_t kParallelBuildMinRows = 16384;
 
 /// Largest learned-CDF fit error worth probing: the probe window is

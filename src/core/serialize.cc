@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -189,7 +188,7 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
     return Status::InvalidArgument("truncated index table in '" + path +
                                    "'");
   }
-  std::vector<std::pair<std::vector<double>, Octant>> definitions;
+  std::vector<PlanarIndexSet::IndexDefinition> definitions;
   definitions.reserve(num_indices);
   for (uint64_t i = 0; i < num_indices; ++i) {
     uint64_t octant_bits = 0;
@@ -207,20 +206,12 @@ Result<PlanarIndexSet> ParsePayload(ByteReader reader,
                              Octant::FromNormal(representative));
   }
 
+  std::vector<PhiMatrix> phis;
+  phis.push_back(std::move(phi));
   PLANAR_ASSIGN_OR_RETURN(
-      PlanarIndexSet set,
-      PlanarIndexSet::BuildWithNormals(std::move(phi),
-                                       {definitions[0].first},
-                                       definitions[0].second, options));
-  if (definitions.size() > 1) {
-    // Rebuild the remaining indices as one batch so snapshot loading
-    // benefits from IndexSetOptions::build_threads.
-    std::vector<PlanarIndexSet::IndexDefinition> rest(
-        std::make_move_iterator(definitions.begin() + 1),
-        std::make_move_iterator(definitions.end()));
-    PLANAR_RETURN_IF_ERROR(set.AddIndices(std::move(rest)));
-  }
-  return set;
+      std::vector<PlanarIndexSet> sets,
+      PlanarIndexSet::BuildEach(std::move(phis), definitions, options));
+  return std::move(sets.front());
 }
 
 }  // namespace

@@ -191,6 +191,12 @@ ShardedIndexSet::ShardedIndexSet(std::vector<PlanarIndexSet> shards,
 Result<ShardedIndexSet> ShardedIndexSet::Build(
     PhiMatrix phi, const std::vector<ParameterDomain>& domains,
     const ShardedIndexSetOptions& options) {
+  // Normal sampling is data-independent: sampled once, the definitions
+  // serve every shard, so each shard differs from its siblings only in
+  // its rows.
+  PLANAR_ASSIGN_OR_RETURN(
+      std::vector<PlanarIndexSet::IndexDefinition> definitions,
+      PlanarIndexSet::SampleDefinitions(phi, domains, options.set_options));
   const size_t n = phi.size();
   size_t shards = options.shards;
   if (shards == 0) {
@@ -198,7 +204,7 @@ Result<ShardedIndexSet> ShardedIndexSet::Build(
   }
   const size_t min_rows = std::max<size_t>(1, options.min_rows_per_shard);
   shards = std::min(shards, std::max<size_t>(1, n / min_rows));
-  if (n > 0) shards = std::min(shards, n);
+  shards = std::min(shards, n);
 
   // Contiguous near-equal partition: the first n % shards slices get one
   // extra row, so global row order is preserved and offsets are dense.
@@ -218,29 +224,12 @@ Result<ShardedIndexSet> ShardedIndexSet::Build(
   }
   PLANAR_CHECK(row == n);
 
-  // Every shard builds with the same options (in particular the same
-  // sampling seed): normal sampling is data-independent, so each shard
-  // holds the same index definitions and differs only in its rows.
-  std::vector<Result<PlanarIndexSet>> built;
-  built.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    built.emplace_back(Status::Internal("shard not built"));
-  }
-  ThreadPool::Shared().ParallelFor(
-      shards,
-      [&](size_t s) {
-        built[s] = PlanarIndexSet::Build(std::move(slices[s]), domains,
-                                         options.set_options);
-      },
-      options.build_threads);
-  for (size_t s = 0; s < shards; ++s) {
-    if (!built[s].ok()) return built[s].status();
-  }
-  std::vector<PlanarIndexSet> sets;
-  sets.reserve(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    sets.push_back(std::move(built[s]).value());
-  }
+  // Every shard's indices build in one flat fan-out across
+  // set_options.build_threads.
+  PLANAR_ASSIGN_OR_RETURN(std::vector<PlanarIndexSet> sets,
+                          PlanarIndexSet::BuildEach(std::move(slices),
+                                                    definitions,
+                                                    options.set_options));
   return ShardedIndexSet(std::move(sets), std::move(offsets), options);
 }
 

@@ -2,11 +2,13 @@
 //
 // Shard-per-core scatter-gather serving. A ShardedIndexSet partitions
 // the phi matrix into S contiguous row-range shards, builds one
-// PlanarIndexSet per shard over its slice (same options and sampling
-// seed, so every shard holds the same index definitions — normal
-// sampling is data-independent), and fans each query across the shards
-// on the process-wide ThreadPool, merging per-shard results in shard
-// order with row ids rebased by the shard's row offset.
+// PlanarIndexSet per shard over its slice (the index definitions are
+// sampled once and shared, so every shard holds the same normals —
+// normal sampling is data-independent; the S x r index builds run as
+// one fan-out on the process-wide ThreadPool, and every built byte is
+// the same for any build width), and fans each query across the shards
+// on the same pool, merging per-shard results in shard order with row
+// ids rebased by the shard's row offset.
 //
 // Result contract (machine-checked by tests/sharded_test.cc and the
 // bench_shard --smoke CI gate):
@@ -68,11 +70,10 @@ struct ShardedIndexSetOptions {
   /// Worker width per query fan-out (0 = hardware concurrency). The
   /// calling thread participates; results do not depend on this value.
   size_t query_threads = 0;
-  /// Threads used to build the per-shard sets (1 = serial; the shard
-  /// slices are disjoint, so shard builds are independent).
-  size_t build_threads = 1;
-  /// Options forwarded to every per-shard PlanarIndexSet::Build. The
-  /// same seed in every shard yields identical index definitions.
+  /// Options of every per-shard PlanarIndexSet. Build samples the index
+  /// definitions once from these and builds every shard's indices in one
+  /// flat fan-out across set_options.build_threads (the one build width:
+  /// default all cores, serial below kParallelBuildMinRows rows in all).
   IndexSetOptions set_options;
 };
 
@@ -87,9 +88,11 @@ class ShardedIndexSet {
   ShardedIndexSet& operator=(const ShardedIndexSet&) = delete;
 
   /// Partitions `phi` into near-equal contiguous row ranges and builds
-  /// one PlanarIndexSet per range. Takes ownership of the matrix (rows
-  /// are moved into per-shard matrices; the set does not keep a
-  /// monolithic copy).
+  /// one PlanarIndexSet per range, all from the definitions that
+  /// PlanarIndexSet::SampleDefinitions draws once, in one
+  /// PlanarIndexSet::BuildEach. Takes ownership of the matrix (rows are
+  /// moved into per-shard matrices; the set does not keep a monolithic
+  /// copy).
   static Result<ShardedIndexSet> Build(
       PhiMatrix phi, const std::vector<ParameterDomain>& domains,
       const ShardedIndexSetOptions& options = ShardedIndexSetOptions());

@@ -54,9 +54,8 @@ Result<Catalog::ShardedPtr> Catalog::BuildAndInstallSharded(
 
 Result<Catalog::SetPtr> Catalog::BuildAndInstall(
     const std::string& name, PhiMatrix phi,
-    const std::vector<ParameterDomain>& domains, IndexSetOptions options,
-    size_t build_threads) {
-  options.build_threads = build_threads;
+    const std::vector<ParameterDomain>& domains,
+    const IndexSetOptions& options) {
   PLANAR_ASSIGN_OR_RETURN(
       PlanarIndexSet set,
       PlanarIndexSet::Build(std::move(phi), domains, options));

@@ -45,15 +45,14 @@ class Catalog {
   SetPtr Install(const std::string& name, PlanarIndexSet set)
       PLANAR_EXCLUDES(mu_);
 
-  /// Builds a set with `options` (its build_threads overridden by
-  /// `build_threads`, default 0 = all hardware threads: an explicit
-  /// install is a foreground provisioning step, not a query-path
-  /// operation) and installs it under `name`. The build runs outside any
-  /// catalog lock, so concurrent readers and installs are unaffected.
-  Result<SetPtr> BuildAndInstall(const std::string& name, PhiMatrix phi,
-                                 const std::vector<ParameterDomain>& domains,
-                                 IndexSetOptions options = IndexSetOptions(),
-                                 size_t build_threads = 0)
+  /// Builds a set with `options` (its build width is
+  /// options.build_threads, default all cores) and installs it under
+  /// `name`. The build runs outside any catalog lock, so concurrent
+  /// readers and installs are unaffected.
+  Result<SetPtr> BuildAndInstall(
+      const std::string& name, PhiMatrix phi,
+      const std::vector<ParameterDomain>& domains,
+      const IndexSetOptions& options = IndexSetOptions())
       PLANAR_EXCLUDES(mu_);
 
   /// Installs (or replaces) `name` with a sharded set; same snapshot
@@ -63,8 +62,9 @@ class Catalog {
       PLANAR_EXCLUDES(mu_);
 
   /// Builds a ShardedIndexSet with `options` and installs it under
-  /// `name`. The build (slice copies plus per-shard index builds) runs
-  /// outside any catalog lock.
+  /// `name`. The build (slice copies plus every shard's indices, across
+  /// options.set_options.build_threads, default all cores) runs outside
+  /// any catalog lock.
   Result<ShardedPtr> BuildAndInstallSharded(
       const std::string& name, PhiMatrix phi,
       const std::vector<ParameterDomain>& domains,

@@ -231,13 +231,15 @@ void IngestManager::MergerLoop(Shard* shard) {
             metrics_.load(std::memory_order_acquire)) {
       metrics->OnMergeCompleted(merge_timer.ElapsedMillis());
     }
+    // The fresh delta is allocated (and zero-filled) before the lock:
+    // Append and Pin of this target wait on shard->mu.
+    auto fresh =
+        std::make_shared<DeltaBuffer>(shard->dim, options_.delta_capacity);
     {
       MutexLock lock(&shard->mu);
       // Epoch swap: surviving tail rows (appended during the merge) move
-      // to a fresh delta. Their global ids are unchanged — the base grew
+      // to the fresh delta. Their global ids are unchanged — the base grew
       // by exactly the number of rows removed in front of them.
-      auto fresh =
-          std::make_shared<DeltaBuffer>(shard->dim, options_.delta_capacity);
       const size_t now = shard->delta->size();
       if (now > drain) {
         PLANAR_CHECK(fresh->Append(shard->delta->data() + drain * shard->dim,

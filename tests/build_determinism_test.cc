@@ -1,9 +1,10 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Parallel index construction must be invisible in the result: building
-// the same data with build_threads 1, 2, and 8 — at the set level and at
-// the per-index level — must produce identical in-memory indices and
-// byte-identical serialized v2 snapshots (equal stored CRCs included).
+// the same data with build_threads 1, 2, and 8 — at the set level, at
+// the per-index level, and for every shard of a sharded set — must
+// produce identical in-memory indices and byte-identical serialized v2
+// snapshots (equal stored CRCs included).
 
 #include <cstdint>
 #include <cstring>
@@ -15,6 +16,7 @@
 
 #include "core/index_set.h"
 #include "core/serialize.h"
+#include "core/sharded.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -39,21 +41,36 @@ uint32_t StoredCrc(const std::vector<unsigned char>& blob) {
   return crc;
 }
 
-// Builds over enough rows to cross both parallel cutoffs
-// (kParallelBuildMinRows and kParallelSortMinEntries), so the sharded
-// key-computation and parallel-sort paths actually run at threads > 1.
-PlanarIndexSet BuildSet(size_t set_threads, size_t index_threads) {
-  PhiMatrix phi = RandomPhi(20'000, 3, 1.0, 100.0, 91);
-  const std::vector<ParameterDomain> domains = {
-      {1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}};
+// Enough rows to cross both parallel cutoffs (kParallelBuildMinRows and
+// kParallelSortMinEntries), so the sharded key-computation and
+// parallel-sort paths actually run at threads > 1.
+PhiMatrix Phi() { return RandomPhi(20'000, 3, 1.0, 100.0, 91); }
+
+std::vector<ParameterDomain> Domains() {
+  return {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}};
+}
+
+IndexSetOptions SetOptions(size_t set_threads, size_t index_threads) {
   IndexSetOptions options;
   options.budget = 5;
   options.seed = 92;
   options.build_threads = set_threads;
   options.index_options.build_threads = index_threads;
-  auto set = PlanarIndexSet::Build(std::move(phi), domains, options);
+  return options;
+}
+
+PlanarIndexSet BuildSet(size_t set_threads, size_t index_threads) {
+  auto set = PlanarIndexSet::Build(Phi(), Domains(),
+                                   SetOptions(set_threads, index_threads));
   EXPECT_TRUE(set.ok()) << set.status().ToString();
   return std::move(set).value();
+}
+
+std::vector<unsigned char> SavedBytes(const PlanarIndexSet& set,
+                                      const std::string& name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(SaveIndexSet(set, path).ok());
+  return ReadFileBytes(path);
 }
 
 void ExpectIdenticalIndices(const PlanarIndexSet& a, const PlanarIndexSet& b) {
@@ -131,6 +148,49 @@ TEST(BuildDeterminismTest, LoadedSnapshotSerializesBackIdentically) {
   const std::string second = TempPath("det_roundtrip_b.planar");
   ASSERT_TRUE(SaveIndexSet(*loaded, second).ok());
   EXPECT_TRUE(ReadFileBytes(first) == ReadFileBytes(second));
+}
+
+TEST(BuildDeterminismTest, ShardedBuildSerializesIdenticallyAtEveryWidth) {
+  const std::vector<unsigned char> monolithic =
+      SavedBytes(BuildSet(1, 1), "det_mono.planar");
+  for (size_t shards : {1u, 3u, 4u}) {
+    // blobs[w][s]: shard s's snapshot built at the w-th width.
+    std::vector<std::vector<std::vector<unsigned char>>> blobs;
+    for (size_t width : {1u, 2u, 8u}) {
+      ShardedIndexSetOptions options;
+      options.shards = shards;
+      options.min_rows_per_shard = 1;
+      options.set_options = SetOptions(width, 1);
+      auto set = ShardedIndexSet::Build(Phi(), Domains(), options);
+      ASSERT_TRUE(set.ok()) << set.status().ToString();
+      ASSERT_EQ(set->num_shards(), shards);
+      blobs.emplace_back();
+      for (size_t s = 0; s < shards; ++s) {
+        const PlanarIndexSet& shard = set->shard(s);
+        ASSERT_EQ(shard.num_indices(), set->shard(0).num_indices());
+        for (size_t i = 0; i < shard.num_indices(); ++i) {
+          EXPECT_EQ(shard.index(i).normal(), set->shard(0).index(i).normal())
+              << "shard " << s << " index " << i;
+        }
+        blobs.back().push_back(SavedBytes(
+            shard, "det_shard_s" + std::to_string(shards) + "_w" +
+                       std::to_string(width) + "_" + std::to_string(s) +
+                       ".planar"));
+      }
+    }
+    for (size_t w = 1; w < blobs.size(); ++w) {
+      for (size_t s = 0; s < shards; ++s) {
+        EXPECT_EQ(StoredCrc(blobs[w][s]), StoredCrc(blobs[0][s]));
+        EXPECT_TRUE(blobs[w][s] == blobs[0][s])
+            << shards << " shards: shard " << s << " differs at width "
+            << w;
+      }
+    }
+    // One shard holds the whole matrix: it is the monolithic set.
+    if (shards == 1) {
+      EXPECT_TRUE(blobs[0][0] == monolithic);
+    }
+  }
 }
 
 }  // namespace

@@ -80,11 +80,13 @@ TEST(CatalogTest, InstallFindDrop) {
 
 TEST(CatalogTest, BuildAndInstallBuildsWithThePool) {
   Catalog catalog;
-  // build_threads = 4: the built set must be indistinguishable from a
-  // serial Install of the same definition.
+  // The width rides in the options: the built set must be
+  // indistinguishable from an Install of the same definition.
+  IndexSetOptions options;
+  options.build_threads = 4;
   auto installed = catalog.BuildAndInstall(
       "main", RandomPhi(500, 3, -20.0, 80.0, 11),
-      {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}}, IndexSetOptions(), 4);
+      {{1.0, 6.0}, {-6.0, -1.0}, {1.0, 6.0}}, options);
   ASSERT_TRUE(installed.ok()) << installed.status().ToString();
   ASSERT_NE(*installed, nullptr);
   EXPECT_EQ(catalog.Find("main"), *installed);
