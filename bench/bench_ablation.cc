@@ -7,10 +7,15 @@
 //   2. axis exclusion on/off (this library's extension of the paper's
 //      zero-parameter-axis remark).
 //
-// Flags: --n (default 200k), --runs.
+// Flags: --n (default 200k), --runs, --smoke (n = 20k, one run, and
+// every configuration's ids checked against ScanInequality on 32
+// queries; a mismatch exits non-zero).
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "bench/synthetic_harness.h"
@@ -22,8 +27,9 @@ int main(int argc, char** argv) {
   using namespace planar;         // NOLINT
   using namespace planar::bench;  // NOLINT
   FlagParser flags(argc, argv);
-  const size_t n = ScaledN(flags, 200000, 1000000);
-  const int runs = Runs(flags);
+  const bool smoke = flags.GetBool("smoke", false);
+  const size_t n = smoke ? 20000 : ScaledN(flags, 200000, 1000000);
+  const int runs = smoke ? 1 : Runs(flags);
   const size_t dim = 6;
   const int rq = 8;  // enough query randomness that selection matters
   const size_t budget = 50;
@@ -54,6 +60,21 @@ int main(int argc, char** argv) {
     options.selector = config.selector;
     options.index_options.enable_axis_exclusion = config.axis_exclusion;
     PlanarIndexSet set = BuildEq18Set(data, rq, budget, options);
+    if (smoke) {
+      // Identity gate: every configuration answers the scan's ids.
+      Eq18Workload check(set.phi(), rq, 0.25, /*seed=*/61);
+      for (int i = 0; i < 32; ++i) {
+        const ScalarProductQuery q = check.Next();
+        std::vector<uint32_t> ids = set.Inequality(q).ids;
+        std::sort(ids.begin(), ids.end());
+        if (ids != ScanInequality(set.phi(), q).ids) {
+          std::fprintf(stderr,
+                       "FAIL: %s: ids differ from the scan at query %d\n",
+                       config.name.c_str(), i);
+          return 1;
+        }
+      }
+    }
     Eq18Workload queries(set.phi(), rq, 0.25, /*seed=*/59);
     RunningStats pruning;
     const double ms = MeanMillis(

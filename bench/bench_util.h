@@ -20,19 +20,17 @@
 #include "common/stats.h"
 #include "common/timer.h"
 
-// Generated at build time by bench/git_sha.cmake: `git rev-parse --short
-// HEAD`, "-dirty" when src/ or bench/ differ from it. A build that does
-// not generate it may define PLANAR_GIT_SHA itself; otherwise "unknown"
-// (e.g. a source tarball).
+// Generated at build time by bench/git_sha.cmake: PLANAR_GIT_SHA is
+// `git rev-parse --short HEAD`, "-dirty" when src/ or bench/ differ from
+// it, and PLANAR_BUILD_UTC the build time (UTC, ISO-8601). A build that
+// does not generate it may define both itself; otherwise "unknown" (e.g.
+// a source tarball).
 #if __has_include("planar_git_sha.h")
 #include "planar_git_sha.h"
 #endif
 #ifndef PLANAR_GIT_SHA
 #define PLANAR_GIT_SHA "unknown"
 #endif
-
-// Injected by bench/CMakeLists.txt at configure time (UTC, ISO-8601);
-// "unknown" when the header is compiled outside the bench tree.
 #ifndef PLANAR_BUILD_UTC
 #define PLANAR_BUILD_UTC "unknown"
 #endif

@@ -208,47 +208,59 @@ Status PlanarIndexSet::BuildIndices(
 }
 
 int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
-  return Select(q).index;
+  PlanarIndex::PlanScratch scratch;
+  PlanarIndex::Candidate winner;
+  return Choose(q, &scratch, &winner);
+}
+
+int PlanarIndexSet::Choose(const NormalizedQuery& q,
+                           PlanarIndex::PlanScratch* scratch,
+                           PlanarIndex::Candidate* winner) const {
+  // Non-finite parameters defeat every selection heuristic and the index
+  // pruning math itself; reporting "no index" routes such queries to the
+  // exact sequential-scan fallback.
+  if (!q.IsFinite()) return -1;
+  // Each candidate is built in place; only a new winner is copied.
+  const auto score = [&](const PlanarIndex& index) {
+    PlanarIndex::Candidate c;
+    switch (options_.selector) {
+      case IndexSetOptions::Selector::kStretch:
+        c.score = index.MaxStretch(q);  // smaller is better
+        break;
+      case IndexSetOptions::Selector::kAngle:
+        c.score = -index.CosAngle(q);  // larger cosine is better
+        break;
+      case IndexSetOptions::Selector::kIntervalCount:
+        // The CDF-predicted |II|: no key probe until the winner is known.
+        return index.Score(q, scratch);
+    }
+    return c;
+  };
+  int best = -1;
+  for (size_t i = 0; i < indices_.size(); ++i) {
+    const PlanarIndex& index = indices_[i];
+    if (!index.CanServe(q)) continue;
+    const PlanarIndex::Candidate c = score(index);
+    if (best == -1 || c.score < winner->score) {
+      best = static_cast<int>(i);
+      *winner = c;
+    }
+  }
+  return best;
 }
 
 PlanarIndexSet::Selection PlanarIndexSet::Select(
     const NormalizedQuery& q) const {
-  // Non-finite parameters defeat every selection heuristic and the index
-  // pruning math itself; reporting "no index" routes such queries to the
-  // exact sequential-scan fallback.
-  Selection best;
-  if (!q.IsFinite()) return best;
   // One scratch for every candidate's plan: Prepare stays off the heap.
   PlanarIndex::PlanScratch scratch;
-  const bool by_count =
-      options_.selector == IndexSetOptions::Selector::kIntervalCount;
-  double best_score = 0.0;
-  for (size_t i = 0; i < indices_.size(); ++i) {
-    const PlanarIndex& index = indices_[i];
-    if (!index.CanServe(q)) continue;
-    double score = 0.0;
-    PlanarIndex::Plan plan;
-    switch (options_.selector) {
-      case IndexSetOptions::Selector::kStretch:
-        score = index.MaxStretch(q);  // smaller is better
-        break;
-      case IndexSetOptions::Selector::kAngle:
-        score = -index.CosAngle(q);  // larger cosine is better
-        break;
-      case IndexSetOptions::Selector::kIntervalCount:
-        plan = index.MakePlan(q, &scratch);
-        score = static_cast<double>(plan.intervals.intermediate());
-        break;
-    }
-    if (best.index == -1 || score < best_score) {
-      best.index = static_cast<int>(i);
-      best.plan = plan;
-      best_score = score;
-    }
-  }
-  if (best.index >= 0 && !by_count) {
-    best.plan =
-        indices_[static_cast<size_t>(best.index)].MakePlan(q, &scratch);
+  PlanarIndex::Candidate winner;
+  Selection best;
+  best.index = Choose(q, &scratch, &winner);
+  if (best.index >= 0) {
+    const PlanarIndex& chosen = indices_[static_cast<size_t>(best.index)];
+    best.plan = options_.selector == IndexSetOptions::Selector::kIntervalCount
+                    ? chosen.Finish(winner)
+                    : chosen.MakePlan(q, &scratch);
   }
   return best;
 }

@@ -5,8 +5,9 @@
 // (Section 5.2), and at query time the best index is chosen in O(r d')
 // without touching the data (Section 5.1) — either by minimizing the
 // volume/stretch of the intermediate interval or by minimizing the angle
-// to the query hyperplane. Queries no index can serve fall back to a
-// sequential scan, so the set is always exact.
+// to the query hyperplane — or, by default, by the fewest intermediate
+// points each index's learned key CDF predicts. Queries no index can
+// serve fall back to a sequential scan, so the set is always exact.
 
 #ifndef PLANAR_CORE_INDEX_SET_H_
 #define PLANAR_CORE_INDEX_SET_H_
@@ -48,11 +49,17 @@ struct IndexSetOptions {
   enum class Selector {
     kStretch,  ///< volume / max-stretch minimization (paper's default)
     kAngle,    ///< angle minimization
-    /// Exact |II| per index via two binary searches on its sorted keys —
-    /// O(r (d'^2 + log n)) total, still independent of the interval's
-    /// cardinality. (The paper rules out "counting the points in the
-    /// intermediate interval" as a chicken-and-egg problem, but with the
-    /// sorted key list the count needs no enumeration.)
+    /// Fewest points in the intermediate interval. Each candidate is
+    /// scored by its learned CDF's predicted |II| from the prepared key
+    /// cuts, with no key probe; only the winner runs the two exact
+    /// boundary searches — O(r d'^2 + log n) total. An index with no
+    /// model (below LearnedCdf::Options::min_keys keys, or a fit over
+    /// kLearnedCdfMaxErrorBudget) is scored by its exact |II|. A
+    /// prediction is within 2 (max_error + 1) of the exact |II|, so the
+    /// winner's |II| is at most the exact minimum + 4 (max_error + 2).
+    /// (The paper rules out "counting the points in the intermediate
+    /// interval" as a chicken-and-egg problem; the sorted key list and
+    /// its CDF model count them without enumeration.)
     kIntervalCount,
   };
 
@@ -204,7 +211,8 @@ class PlanarIndexSet {
                           const Deadline& deadline) const;
 
   /// The index the selection heuristic picks for `q`, or -1 when no index
-  /// is octant-compatible. O(r d').
+  /// is octant-compatible or `q` is not finite. Probes no key array:
+  /// O(r d') for stretch and angle, O(r d'^2) for the interval count.
   int SelectBestIndex(const NormalizedQuery& q) const;
 
   /// EXPLAIN output for `q`: which index would serve it, whether the
@@ -312,9 +320,15 @@ class PlanarIndexSet {
     int index = -1;
     PlanarIndex::Plan plan;
   };
-  // SelectBestIndex's choice plus the winner's plan: the interval-count
-  // selector keeps the plan it scored the winner with; the stretch and
-  // angle selectors plan the winner once, after choosing.
+  // The index SelectBestIndex picks (-1: none can serve or `q` is not
+  // finite), with the winning candidate in `winner`. Every candidate is
+  // scored through `scratch`; ties go to the lowest index.
+  int Choose(const NormalizedQuery& q, PlanarIndex::PlanScratch* scratch,
+             PlanarIndex::Candidate* winner) const;
+  // Choose plus the winner's exact plan: the interval-count selector
+  // finishes the candidate it scored the winner with (the two boundary
+  // searches, from the predicted ranks); the stretch and angle selectors
+  // plan the winner once, after choosing.
   Selection Select(const NormalizedQuery& q) const;
 
   // PrefersScan's refine floor for answers that always stream their II:

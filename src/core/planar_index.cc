@@ -159,7 +159,7 @@ double PlanarIndex::RawKey(const double* phi_row) const {
          key_shift_;
 }
 
-size_t PlanarIndex::RankLessEqual(double key) const {
+size_t PlanarIndex::RankLessEqual(double key, double pred) const {
   if (!cdf_.empty()) {
     // Predict-then-probe (DESIGN.md 5k): the model predicts the
     // upper-bound rank, a windowed std::upper_bound probes
@@ -169,7 +169,6 @@ size_t PlanarIndex::RankLessEqual(double key) const {
     // at its window edge (true rank outside the window), a NaN probe,
     // or any model bug falls through to the flat search below. Answers
     // are therefore identical to std::upper_bound by construction.
-    const double pred = cdf_.PredictRank(key);
     const double w = static_cast<double>(cdf_.max_error() + 2);
     const size_t n = keys_.size();
     const size_t lo = pred > w ? static_cast<size_t>(pred - w) : 0;
@@ -258,10 +257,14 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q,
 
   size_t prefix = 0;  // smallest-ratio axes excluded
   size_t suffix = 0;  // largest-ratio axes excluded
-  std::sort(axes, axes + m,
-            [](const PlanScratch::Axis& x, const PlanScratch::Axis& y) {
-              return x.ratio < y.ratio;
-            });
+  // Insertion sort by ratio: m <= d' is small, the pass is O(m^2) like
+  // the exclusion search below, and equal ratios keep their axis order.
+  for (size_t i = 1; i < m; ++i) {
+    const PlanScratch::Axis axis = axes[i];
+    size_t j = i;
+    for (; j > 0 && axis.ratio < axes[j - 1].ratio; --j) axes[j] = axes[j - 1];
+    axes[j] = axis;
+  }
 
   if (options_.enable_axis_exclusion && m > 1) {
     // Prefix sums over ratio order for O(1) evaluation of any
@@ -327,20 +330,43 @@ PlanarIndex::Prepared PlanarIndex::Prepare(const NormalizedQuery& q,
   return p;
 }
 
-PlanarIndex::Plan PlanarIndex::MakePlan(const NormalizedQuery& q,
-                                        PlanScratch* scratch) const {
-  Plan plan;
+PlanarIndex::Candidate PlanarIndex::Score(const NormalizedQuery& q,
+                                          PlanScratch* scratch) const {
   if (q.IsDegenerate()) {
     // Constant predicate: everything is decided outright, nothing is
     // intermediate.
-    plan.intervals = {size(), size()};
-    return plan;
+    Candidate c;
+    c.plan.intervals = {size(), size()};
+    c.complete = true;
+    return c;
   }
-  plan.prepared = Prepare(q, scratch);
-  plan.intervals.smaller_end = RankLessEqual(plan.prepared.low_cut);
-  plan.intervals.larger_begin = RankLessEqual(plan.prepared.high_cut);
+  Candidate c{Plan{Prepare(q, scratch), Intervals()}};
+  if (cdf_.empty()) {
+    c.plan = Finish(c);
+    c.complete = true;
+    c.score = static_cast<double>(c.plan.intervals.intermediate());
+    return c;
+  }
+  c.low_rank = cdf_.PredictRank(c.plan.prepared.low_cut);
+  c.high_rank = cdf_.PredictRank(c.plan.prepared.high_cut);
+  c.score = c.high_rank - c.low_rank;
+  return c;
+}
+
+PlanarIndex::Plan PlanarIndex::Finish(const Candidate& c) const {
+  if (c.complete) return c.plan;
+  Plan plan = c.plan;
+  plan.intervals.smaller_end =
+      RankLessEqual(plan.prepared.low_cut, c.low_rank);
+  plan.intervals.larger_begin =
+      RankLessEqual(plan.prepared.high_cut, c.high_rank);
   PLANAR_DCHECK(plan.intervals.smaller_end <= plan.intervals.larger_begin);
   return plan;
+}
+
+PlanarIndex::Plan PlanarIndex::MakePlan(const NormalizedQuery& q,
+                                        PlanScratch* scratch) const {
+  return Finish(Score(q, scratch));
 }
 
 PlanarIndex::Plan PlanarIndex::StandalonePlan(const NormalizedQuery& q) const {

@@ -480,10 +480,31 @@ class PlanarIndex {
     Prefix* prefix_ = inline_prefix_;
   };
 
+  // A query's plan on this index, scored for interval-count selection
+  // before its boundary searches run. With a learned CDF the score is
+  // the predicted |II|, PredictRank(high_cut) - PredictRank(low_cut),
+  // and no key is probed; the plan's intervals wait for Finish. With no
+  // model (fewer than LearnedCdf::Options::min_keys keys, or a fit over
+  // kLearnedCdfMaxErrorBudget) the plan is complete and the score is
+  // its exact |II|. Each predicted rank lies within max_error + 1 of
+  // its true rank, so |score - |II|| <= 2 (max_error + 1).
+  struct Candidate {
+    Plan plan;
+    double low_rank = 0.0;   // predicted ranks of the two cuts
+    double high_rank = 0.0;
+    double score = 0.0;
+    bool complete = false;  // plan.intervals are exact
+  };
+
   PlanarIndex() = default;
 
   Prepared Prepare(const NormalizedQuery& q, PlanScratch* scratch) const;
-  // The plan of a query this index can serve (finite, CanServe).
+  // The candidate of a query this index can serve (finite, CanServe).
+  Candidate Score(const NormalizedQuery& q, PlanScratch* scratch) const;
+  // The candidate's complete plan: the two exact boundary searches, each
+  // started from the rank Score predicted.
+  Plan Finish(const Candidate& c) const;
+  // The plan of a query this index can serve: Finish(Score(q)).
   Plan MakePlan(const NormalizedQuery& q, PlanScratch* scratch) const;
   // The plan a single-index entry point serves from: empty when this
   // index cannot serve `q`, which every Run* rejects before reading it.
@@ -493,7 +514,10 @@ class PlanarIndex {
   Status CheckServable(const NormalizedQuery& q) const;
   Explanation Describe(const NormalizedQuery& q, const Plan& plan) const;
   double RawKey(const double* phi_row) const;
-  size_t RankLessEqual(double key) const;
+  // The upper-bound rank of `key` in keys_. `pred` is the learned CDF's
+  // PredictRank(key), which centres the windowed search; it is not read
+  // when there is no model.
+  size_t RankLessEqual(double key, double pred) const;
   void InsertKey(double key, uint32_t row);
   // keys_/ids_ hold a sorted run in [0, kept) and room for `fresh` after
   // it: sorts `fresh`, merges it in, and refreshes the sidecars.

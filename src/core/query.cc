@@ -2,6 +2,7 @@
 
 #include "core/query.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 
@@ -27,7 +28,7 @@ double ScalarProductQuery::Distance(const double* phi_row) const {
 
 namespace {
 
-bool AllFinite(const std::vector<double>& a, double b) {
+bool AllFinite(std::span<const double> a, double b) {
   if (!std::isfinite(b)) return false;
   for (double ai : a) {
     if (!std::isfinite(ai)) return false;
@@ -50,11 +51,14 @@ std::string ScalarProductQuery::ToString() const {
   return out;
 }
 
+QueryParams::QueryParams(std::span<const double> values)
+    : size_(values.size()) {
+  if (wide()) heap_.resize(size_);
+  std::copy(values.begin(), values.end(), data());
+}
+
 NormalizedQuery NormalizedQuery::From(const ScalarProductQuery& q) {
-  NormalizedQuery n;
-  n.a = q.a;
-  n.b = q.b;
-  n.cmp = q.cmp;
+  NormalizedQuery n{QueryParams(q.a), q.b, q.cmp};
   if (n.b < 0.0) {
     for (double& ai : n.a) ai = -ai;
     n.b = -n.b;
@@ -73,6 +77,6 @@ bool NormalizedQuery::IsDegenerate() const {
 
 bool NormalizedQuery::IsFinite() const { return AllFinite(a, b); }
 
-double NormalizedQuery::NormA() const { return Norm(a); }
+double NormalizedQuery::NormA() const { return Norm(a.data(), a.size()); }
 
 }  // namespace planar

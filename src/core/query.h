@@ -6,7 +6,9 @@
 #ifndef PLANAR_CORE_QUERY_H_
 #define PLANAR_CORE_QUERY_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,13 +46,42 @@ struct ScalarProductQuery {
   std::string ToString() const;
 };
 
+/// The parameter vector of a NormalizedQuery. Up to kInline entries live
+/// inside the object, so normalizing a low-dimensional query touches no
+/// heap; a wider vector takes one heap buffer.
+class QueryParams {
+ public:
+  static constexpr size_t kInline = 16;
+
+  QueryParams() = default;
+  explicit QueryParams(std::span<const double> values);
+
+  size_t size() const { return size_; }
+  const double* data() const { return wide() ? heap_.data() : inline_; }
+  double* data() { return wide() ? heap_.data() : inline_; }
+  double operator[](size_t i) const { return data()[i]; }
+  double& operator[](size_t i) { return data()[i]; }
+  const double* begin() const { return data(); }
+  const double* end() const { return data() + size_; }
+  double* begin() { return data(); }
+  double* end() { return data() + size_; }
+  operator std::span<const double>() const { return {data(), size_}; }
+
+ private:
+  bool wide() const { return size_ > kInline; }
+
+  double inline_[kInline] = {};
+  std::vector<double> heap_;  // used only past kInline entries
+  size_t size_ = 0;
+};
+
 /// The internal form with a non-negative inequality parameter: when b < 0
 /// the constraint is negated ( <a,phi> <= b  <=>  <-a,phi> >= -b ), so
 /// downstream code may assume b >= 0 (paper, Section 4.5). The octant in
 /// which the query hyperplane meets the axes is then determined by the
 /// signs of `a` alone (Octant::FromNormal(a)).
 struct NormalizedQuery {
-  std::vector<double> a;
+  QueryParams a;
   double b = 0.0;
   Comparison cmp = Comparison::kLessEqual;
 

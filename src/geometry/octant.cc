@@ -6,7 +6,7 @@
 
 namespace planar {
 
-Octant Octant::FromNormal(const std::vector<double>& a) {
+Octant Octant::FromNormal(std::span<const double> a) {
   Octant octant;
   octant.negative_.resize(a.size());
   for (size_t i = 0; i < a.size(); ++i) octant.negative_[i] = a[i] < 0.0;

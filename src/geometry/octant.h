@@ -9,6 +9,7 @@
 #define PLANAR_GEOMETRY_OCTANT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,10 @@ class Octant {
   /// The octant containing the axis intersections of a query hyperplane
   /// with normal `a` (and b >= 0): sign(O, i) = sign(a_i), zero mapped
   /// to +1.
-  static Octant FromNormal(const std::vector<double>& a);
+  static Octant FromNormal(std::span<const double> a);
+  static Octant FromNormal(const std::vector<double>& a) {
+    return FromNormal(std::span<const double>(a));
+  }
 
   /// The first hyper octant (all +1) in dimension d.
   static Octant First(size_t d);

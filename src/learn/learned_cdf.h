@@ -1,8 +1,8 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // LearnedCdf: a piecewise-linear fit of the key -> rank CDF of a sorted
-// key array (PolyFit-style, see PAPERS.md), used by the planar index two
-// ways (DESIGN.md section 5k):
+// key array (PolyFit-style, see PAPERS.md), used by the planar index
+// three ways (DESIGN.md section 5k):
 //
 //   1. Predict-then-probe boundary search: predict the upper-bound rank
 //      of a probe key, then run std::upper_bound on a window of
@@ -21,6 +21,12 @@
 //   2. Model-based approximate counts: PredictRank, clamped to the sound
 //      [SI, LI] bounds, is the count estimate reported before any
 //      intermediate-interval scan.
+//
+//   3. Index selection scores: PredictRank(high_cut) -
+//      PredictRank(low_cut) is a candidate index's predicted |II|, within
+//      2 (max_error() + 1) of the exact count by the bound above. The
+//      interval-count selector ranks every candidate by it without a key
+//      probe and runs the exact boundary searches on the winner alone.
 //
 // The model is a sidecar of the sorted key array: rebuilt from it at
 // every RefreshSearchLayout, never serialized (blobs stay

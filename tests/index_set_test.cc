@@ -2,12 +2,15 @@
 
 #include "core/index_set.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "datagen/workload.h"
 #include "tests/test_util.h"
 
 namespace planar {
@@ -149,6 +152,97 @@ TEST(IndexSetSelectionTest, ParallelIndexYieldsEmptyIntermediate) {
   const ScalarProductQuery q{{2.0, 6.0}, 300.0, Comparison::kLessEqual};
   const InequalityResult result = set->Inequality(q);
   EXPECT_EQ(result.stats.index_used, 0);
+  EXPECT_EQ(result.stats.verified, 0u);  // |II| = 0 for the parallel index
+  EXPECT_EQ(Sorted(result.ids), BruteForceMatches(phi, q));
+}
+
+// The exact |II| of `q` on every index of `set`, in index order.
+std::vector<size_t> ExactIntermediates(const PlanarIndexSet& set,
+                                       const NormalizedQuery& q) {
+  std::vector<size_t> ii;
+  for (size_t i = 0; i < set.num_indices(); ++i) {
+    const Result<PlanarIndex::Intervals> iv = set.index(i).ComputeIntervals(q);
+    EXPECT_TRUE(iv.ok());
+    ii.push_back(iv->intermediate());
+  }
+  return ii;
+}
+
+// Eq.-18 queries, alternating <= and >=.
+ScalarProductQuery NextQuery(Eq18Workload* workload, int trial) {
+  ScalarProductQuery q = workload->Next();
+  if (trial % 2 == 1) q.cmp = Comparison::kGreaterEqual;
+  return q;
+}
+
+// Each candidate is scored by its learned CDF's predicted |II|, within
+// 2 (max_error + 1) of the exact |II|, so the chosen index's exact |II|
+// is at most the exact minimum + 4 (max_error + 2).
+TEST(IndexSetSelectionTest, PredictedCountStaysWithinBoundOfExactMinimum) {
+  for (const size_t dim : {2u, 6u}) {
+    for (const size_t budget : {10u, 50u}) {
+      PhiMatrix phi = RandomPhi(20000, dim, 0.0, 100.0, 60 + dim);
+      Eq18Workload workload(phi, /*rq=*/8, 0.25, /*seed=*/61 + budget);
+      auto set = PlanarIndexSet::Build(std::move(phi), workload.Domains(),
+                                       WithBudget(budget));
+      ASSERT_TRUE(set.ok()) << set.status().ToString();
+      size_t max_error = 0;
+      for (size_t i = 0; i < set->num_indices(); ++i) {
+        const LearnedCdf& cdf = set->index(i).learned_cdf();
+        ASSERT_FALSE(cdf.empty()) << "dim " << dim << " index " << i;
+        max_error = std::max(max_error, cdf.max_error());
+      }
+      const size_t slack = 4 * (max_error + 2);
+      for (int trial = 0; trial < 100; ++trial) {
+        const NormalizedQuery q =
+            NormalizedQuery::From(NextQuery(&workload, trial));
+        const int best = set->SelectBestIndex(q);
+        ASSERT_GE(best, 0);
+        const std::vector<size_t> ii = ExactIntermediates(*set, q);
+        const size_t exact_min = *std::min_element(ii.begin(), ii.end());
+        EXPECT_LE(ii[static_cast<size_t>(best)], exact_min + slack)
+            << "dim " << dim << " budget " << budget << " trial " << trial;
+      }
+    }
+  }
+}
+
+// Below LearnedCdf::Options::min_keys no model is built, and every
+// candidate is scored by its exact |II|: the choice is the exact argmin,
+// lowest index first.
+TEST(IndexSetSelectionTest, SmallSetPicksExactArgmin) {
+  PhiMatrix phi = RandomPhi(3000, 3, 0.0, 100.0, 62);
+  Eq18Workload workload(phi, /*rq=*/8, 0.25, /*seed=*/63);
+  auto set = PlanarIndexSet::Build(std::move(phi), workload.Domains(),
+                                   WithBudget(20));
+  ASSERT_TRUE(set.ok()) << set.status().ToString();
+  for (size_t i = 0; i < set->num_indices(); ++i) {
+    ASSERT_TRUE(set->index(i).learned_cdf().empty()) << i;
+  }
+  for (int trial = 0; trial < 100; ++trial) {
+    const NormalizedQuery q =
+        NormalizedQuery::From(NextQuery(&workload, trial));
+    const std::vector<size_t> ii = ExactIntermediates(*set, q);
+    size_t argmin = 0;
+    for (size_t i = 1; i < ii.size(); ++i) {
+      if (ii[i] < ii[argmin]) argmin = i;
+    }
+    EXPECT_EQ(set->SelectBestIndex(q), static_cast<int>(argmin)) << trial;
+  }
+}
+
+TEST(IndexSetSelectionTest, ParallelIndexWinsOnModelledSet) {
+  PhiMatrix phi = RandomPhi(20000, 2, 1.0, 100.0, 64);
+  PhiMatrix copy(2);
+  for (size_t i = 0; i < phi.size(); ++i) copy.AppendRow(phi.row(i));
+  auto set = PlanarIndexSet::BuildWithNormals(
+      std::move(copy), {{3.0, 1.0}, {1.0, 3.0}, {2.0, 2.0}},
+      Octant::First(2));
+  ASSERT_TRUE(set.ok());
+  ASSERT_FALSE(set->index(1).learned_cdf().empty());
+  const ScalarProductQuery q{{2.0, 6.0}, 300.0, Comparison::kLessEqual};
+  const InequalityResult result = set->Inequality(q);
+  EXPECT_EQ(result.stats.index_used, 1);
   EXPECT_EQ(result.stats.verified, 0u);  // |II| = 0 for the parallel index
   EXPECT_EQ(Sorted(result.ids), BruteForceMatches(phi, q));
 }

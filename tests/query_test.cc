@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -52,7 +53,7 @@ TEST(ScalarProductQueryTest, ToStringMentionsDirection) {
 TEST(NormalizedQueryTest, NonNegativeBUnchanged) {
   ScalarProductQuery q{{1.0, -2.0}, 3.0, Comparison::kLessEqual};
   const NormalizedQuery n = NormalizedQuery::From(q);
-  EXPECT_EQ(n.a, q.a);
+  EXPECT_EQ(std::vector<double>(n.a.begin(), n.a.end()), q.a);
   EXPECT_EQ(n.b, 3.0);
   EXPECT_EQ(n.cmp, Comparison::kLessEqual);
 }
@@ -60,7 +61,8 @@ TEST(NormalizedQueryTest, NonNegativeBUnchanged) {
 TEST(NormalizedQueryTest, NegativeBFlipsEverything) {
   ScalarProductQuery q{{1.0, -2.0}, -3.0, Comparison::kLessEqual};
   const NormalizedQuery n = NormalizedQuery::From(q);
-  EXPECT_EQ(n.a, (std::vector<double>{-1.0, 2.0}));
+  EXPECT_EQ(std::vector<double>(n.a.begin(), n.a.end()),
+            (std::vector<double>{-1.0, 2.0}));
   EXPECT_EQ(n.b, 3.0);
   EXPECT_EQ(n.cmp, Comparison::kGreaterEqual);
 }
