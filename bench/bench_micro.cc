@@ -123,6 +123,27 @@ void BM_SelectBestIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_SelectBestIndex)->Arg(10)->Arg(100)->Arg(200);
 
+// The same selection over 64 rotating Eq.-18 queries: one repeated query
+// trains the branch predictors and keeps every probed key line in L1,
+// which hides the probe cost a served request pays.
+void BM_SelectBestIndexRotating(benchmark::State& state) {
+  const Dataset data = bench::MakeSynthetic(
+      SyntheticDistribution::kIndependent, 10000, 6);
+  PlanarIndexSet set = bench::BuildEq18Set(
+      data, /*rq=*/8, static_cast<size_t>(state.range(0)));
+  Eq18Workload workload(set.phi(), 8, 0.25, 61);
+  std::vector<NormalizedQuery> queries;
+  for (int i = 0; i < 64; ++i) {
+    queries.push_back(NormalizedQuery::From(workload.Next()));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(set.SelectBestIndex(queries[next]));
+    next = (next + 1) % queries.size();
+  }
+}
+BENCHMARK(BM_SelectBestIndexRotating)->Arg(10)->Arg(100)->Arg(200);
+
 // The SI/LI boundary searches that precede every query: a rank lookup in
 // a sorted key array (the flat search the learned CDF falls back to).
 // Random probes defeat the branch predictor.

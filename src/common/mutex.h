@@ -111,8 +111,10 @@ inline constexpr int kLockRankThreadPool = 50;
 /// lock — and below every engine/catalog rank, because user closures
 /// run with no job lock held.
 inline constexpr int kLockRankThreadPoolJob = 60;
-/// Engine admission queue (BoundedQueue::mu_): held only within queue
-/// methods, never while calling into catalog or metrics.
+/// Engine admission queue (BoundedQueue::mu_): guards only the sleep
+/// and wake of idle consumers (items pass through a lock-free ring);
+/// held only within queue methods, never while calling into catalog or
+/// metrics.
 inline constexpr int kLockRankEngineQueue = 100;
 /// Ingest manager registry (IngestManager::mu_): maps target names to
 /// shards; held only for the lookup, released before any shard work.

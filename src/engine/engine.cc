@@ -275,8 +275,8 @@ void Engine::RunBatch(std::vector<Pending>& batch) {
     if (grouped[i]) continue;
     Pending& pending = batch[i];
     // relaxed-ok: in_flight_ is a monitoring gauge only — nothing
-    // synchronizes on it, and Drain() correctness rests on the queue
-    // mutex plus thread joins, not this counter.
+    // synchronizes on it, and Drain() correctness rests on the queue's
+    // close-then-drain plus thread joins, not this counter.
     in_flight_.fetch_add(1, std::memory_order_relaxed);
     const double queue_millis = pending.queued.ElapsedMillis();
     WallTimer execute_timer;

@@ -46,13 +46,16 @@ struct EngineOptions {
   /// thread that may run on only one CPU.
   size_t num_workers = 4;
   /// Admission-control bound: Submit() sheds once this many requests are
-  /// queued.
+  /// queued. The queue's ring holds one cache-line-aligned slot per
+  /// request and is allocated when the Engine is constructed: 192 bytes a
+  /// slot with gcc on x86-64, 192 KiB at the default capacity.
   size_t queue_capacity = 1024;
   /// Upper bound on requests a worker claims per queue round-trip;
-  /// batching amortizes the queue lock — and, for inequality requests
-  /// against the same catalog entry with the same comparison direction,
-  /// feeds the coalesced PlanarIndexSet::BatchInequality path, which
-  /// streams overlapping candidate intervals once for the whole group.
+  /// batching amortizes the worker's wait for its first request — and,
+  /// for inequality requests against the same catalog entry with the same
+  /// comparison direction, feeds the coalesced
+  /// PlanarIndexSet::BatchInequality path, which streams overlapping
+  /// candidate intervals once for the whole group.
   /// Values below 1 are clamped to 1 when the Engine is constructed
   /// (options() reports the clamped value).
   size_t max_batch = 16;
