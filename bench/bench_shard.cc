@@ -2,8 +2,8 @@
 //
 // Shard-per-core scatter-gather sweep: ShardedIndexSet latency against
 // the monolithic PlanarIndexSet baseline across shard count x fan-out
-// worker count, for the three serving paths (inequality, top-k, batched
-// inequality). Every configuration is first cross-checked bit-identical
+// worker count, for the two serving paths (inequality, top-k). Every
+// configuration is first cross-checked bit-identical
 // to the monolithic answers (sorted id lists; memcmp'd top-k neighbors)
 // — a mismatch is a hard failure, which makes --smoke the CI gate for
 // the scatter-gather merge.
@@ -65,19 +65,16 @@ double BestMillis(Fn&& fn, int runs) {
   return best;
 }
 
-/// Cross-checks one sharded set against the monolithic reference on all
-/// three paths. Returns false (after printing the first divergence) on
+/// Cross-checks one sharded set against the monolithic reference on both
+/// paths. Returns false (after printing the first divergence) on
 /// any mismatch — the answers must be bitwise equal, not just close.
 bool BitIdentical(const PlanarIndexSet& mono, const ShardedIndexSet& sharded,
                   const std::vector<ScalarProductQuery>& queries) {
-  const auto batch = sharded.BatchInequality(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
     const InequalityResult mono_ineq = mono.Inequality(queries[i]);
     auto shard_ineq = sharded.Inequality(queries[i]);
     PLANAR_CHECK(shard_ineq.ok());
-    PLANAR_CHECK(batch[i].ok());
-    const std::vector<uint32_t> want = Sorted(mono_ineq.ids);
-    if (shard_ineq.value().ids != want || batch[i].value().ids != want) {
+    if (shard_ineq.value().ids != Sorted(mono_ineq.ids)) {
       std::fprintf(stderr,
                    "FAIL: inequality id mismatch at query %zu "
                    "(shards=%zu)\n",
@@ -110,7 +107,6 @@ bool BitIdentical(const PlanarIndexSet& mono, const ShardedIndexSet& sharded,
 struct ModeTimes {
   double inequality_ms = 0.0;  // whole query sweep, one pass
   double topk_ms = 0.0;
-  double batch_ms = 0.0;
 };
 
 /// The monolithic baseline delivers the same answer the sharded set
@@ -139,12 +135,6 @@ ModeTimes TimeMonolithic(const PlanarIndexSet& set,
   t.topk_ms = BestMillis(
       [&] {
         for (const ScalarProductQuery& q : queries) (void)set.TopK(q, kTopK);
-      },
-      runs);
-  t.batch_ms = BestMillis(
-      [&] {
-        auto results = set.BatchInequality(queries);
-        for (auto& r : results) Canonicalize(set, &r.value());
       },
       runs);
   return t;
@@ -193,12 +183,6 @@ PairTimes TimePaired(const PlanarIndexSet& mono, const ShardedIndexSet& set,
                  (void)set.TopK(q, kTopK);
                }
              }));
-    keep_min(&t.mono.batch_ms, once([&] {
-               auto results = mono.BatchInequality(queries);
-               for (auto& r : results) Canonicalize(mono, &r.value());
-             }));
-    keep_min(&t.sharded.batch_ms,
-             once([&] { (void)set.BatchInequality(queries); }));
   }
   return t;
 }
@@ -249,11 +233,8 @@ int main(int argc, char** argv) {
   PrintJson("inequality", n, num_queries, 0, 1, mono_t.inequality_ms,
             mono_t.inequality_ms, 1);
   PrintJson("topk", n, num_queries, 0, 1, mono_t.topk_ms, mono_t.topk_ms, 1);
-  PrintJson("batch", n, num_queries, 0, 1, mono_t.batch_ms, mono_t.batch_ms,
-            1);
 
-  TablePrinter table({"shards", "workers", "ineq speedup", "topk speedup",
-                      "batch speedup"});
+  TablePrinter table({"shards", "workers", "ineq speedup", "topk speedup"});
   bool all_identical = true;
   for (const size_t shards : shard_counts) {
     for (const size_t workers : worker_counts) {
@@ -274,13 +255,10 @@ int main(int argc, char** argv) {
                 t.sharded.inequality_ms, t.mono.inequality_ms, effective);
       PrintJson("topk", n, num_queries, shards, workers, t.sharded.topk_ms,
                 t.mono.topk_ms, effective);
-      PrintJson("batch", n, num_queries, shards, workers, t.sharded.batch_ms,
-                t.mono.batch_ms, effective);
       table.AddRow(
           {std::to_string(shards), std::to_string(workers),
            FormatDouble(t.mono.inequality_ms / t.sharded.inequality_ms, 2),
-           FormatDouble(t.mono.topk_ms / t.sharded.topk_ms, 2),
-           FormatDouble(t.mono.batch_ms / t.sharded.batch_ms, 2)});
+           FormatDouble(t.mono.topk_ms / t.sharded.topk_ms, 2)});
     }
   }
 
@@ -290,7 +268,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bit-identity check FAILED\n");
     return 1;
   }
-  std::printf("bit-identity: OK (%zu queries x %zu configs x 3 modes)\n",
+  std::printf("bit-identity: OK (%zu queries x %zu configs x 2 modes)\n",
               num_queries, shard_counts.size() * worker_counts.size());
   return 0;
 }

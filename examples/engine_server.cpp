@@ -54,7 +54,6 @@ int main() {
   EngineOptions options;
   options.num_workers = 4;
   options.queue_capacity = 512;
-  options.max_batch = 16;
   Engine engine(&catalog, options);
 
   // 3. Concurrent clients fire scalar product queries while, in

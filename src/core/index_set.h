@@ -21,7 +21,6 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/batch.h"
 #include "core/planar_index.h"
 #include "core/query.h"
 #include "core/row_matrix.h"
@@ -181,27 +180,6 @@ class PlanarIndexSet {
       const ScalarProductQuery& q,
       const CountTolerance& tolerance = CountTolerance(),
       const Deadline& deadline = Deadline::Infinite()) const;
-
-  /// Problem 1 for a whole batch of queries with cross-query work
-  /// sharing (implemented in core/batch.cc). Each query gets the usual
-  /// best-index selection, SI/LI/II boundary searches, and scan-fallback
-  /// decision; then, per serving index, the intermediate intervals are
-  /// coalesced — overlapping rank ranges merged and streamed exactly once
-  /// through the multi-query verification kernel — so phi rows demanded
-  /// by several queries are read once instead of once per query. Queries
-  /// served by scan batch the same way over the full row range.
-  ///
-  /// Results are bit-identical to calling Inequality(q, deadline) per
-  /// query: same ids in the same order, same statistics, same error
-  /// statuses. `deadlines` is empty (no query is bounded) or holds one
-  /// deadline per query; each query cancels cooperatively at
-  /// verification-block granularity with kDeadlineExceeded without
-  /// failing the rest of the batch. Optional `exec_stats` receives the
-  /// sharing accounting of this call.
-  std::vector<Result<InequalityResult>> BatchInequality(
-      std::span<const ScalarProductQuery> queries,
-      std::span<const Deadline> deadlines = {},
-      BatchExecStats* exec_stats = nullptr) const;
 
   /// Problem 2 via the best index, with the same scan fallback.
   Result<TopKResult> TopK(const ScalarProductQuery& q, size_t k) const;

@@ -9,8 +9,6 @@
 
 #include <cstdlib>
 
-#include "core/kernels/kernels_internal.h"
-
 namespace planar {
 namespace kernels {
 
@@ -62,8 +60,7 @@ void DotRangeScalar(const double* a, size_t dim, const double* rows,
 }
 
 constexpr DotOps kScalarOps = {&DotOneScalar, &DotGatherScalar,
-                               &DotRangeScalar, &detail::DotBlockManyScalar,
-                               "scalar"};
+                               &DotRangeScalar, "scalar"};
 
 bool SimdDisabledByEnv() {
   // Read exactly once, from the dispatch latch below, before any worker

@@ -58,23 +58,6 @@ struct DotOps {
                     size_t stride, size_t first_row, size_t count,
                     double bias, double* out);
 
-  /// Multi-query form:
-  ///
-  ///   out[q * out_stride + i] = dot(qs[q], rows + ids[i] * stride)
-  ///                             + biases[q]
-  ///
-  /// for q in [0, num_q), i in [0, count): one gathered block of rows
-  /// dotted against `num_q` query vectors at once (cross-query batched
-  /// verification, core/batch.cc). The SIMD implementation loads each row
-  /// block once and amortizes it across queries (register-blocked
-  /// micro-GEMM); per (query, row) the summation order is the canonical
-  /// blocked order, so results are bit-identical to num_q separate
-  /// dot_gather calls. Requires count <= out_stride.
-  void (*dot_block_many)(const double* const* qs, const double* biases,
-                         size_t num_q, size_t dim, const double* rows,
-                         size_t stride, const uint32_t* ids, size_t count,
-                         double* out, size_t out_stride);
-
   /// Human-readable backend name ("scalar", "avx2").
   const char* name;
 };
@@ -111,20 +94,6 @@ size_t CompressAccept(const double* residuals, const uint32_t* ids,
 /// (the sequential-scan case, where materializing an id array is waste).
 size_t CompressAcceptRange(const double* residuals, uint32_t first_id,
                            size_t count, bool less_equal, uint32_t* out);
-
-/// Per-query CompressAccept over a dot_block_many residual matrix: for
-/// each query q in [0, num_q), scans its residual row
-/// (residuals + q * residual_stride) over the sub-slice [begin[q], end[q])
-/// of the block and scatters the accepted ids — order preserved, no
-/// per-row branch — into outs[q], recording the count in kept[q]. The
-/// sub-slices let queries whose intermediate interval only partially
-/// overlaps a coalesced block skip the foreign rows. outs[q] must have
-/// room for end[q] - begin[q] entries and the buffers must be disjoint
-/// from `ids` and from each other.
-void CompressAcceptMany(const double* residuals, size_t residual_stride,
-                        size_t num_q, const uint32_t* ids, const size_t* begin,
-                        const size_t* end, const bool* less_equal,
-                        uint32_t* const* outs, size_t* kept);
 
 }  // namespace kernels
 }  // namespace planar

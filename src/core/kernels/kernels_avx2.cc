@@ -19,8 +19,6 @@
 
 #include <immintrin.h>
 
-#include "core/kernels/kernels_internal.h"
-
 namespace planar {
 namespace kernels {
 
@@ -124,7 +122,7 @@ void DotRangeAvx2(const double* a, size_t dim, const double* rows,
 }
 
 constexpr DotOps kAvx2Ops = {&DotOneAvx2, &DotGatherAvx2, &DotRangeAvx2,
-                             &detail::DotBlockManyAvx2, "avx2"};
+                             "avx2"};
 
 }  // namespace
 

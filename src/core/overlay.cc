@@ -12,22 +12,7 @@ namespace planar {
 
 namespace {
 
-// Scan-verifies `delta_rows` published delta rows and appends the matches
-// (ids from `id_offset` on).
-Status FoldDeltaInequality(const DeltaBuffer& delta, size_t delta_rows,
-                           uint32_t id_offset, const ScalarProductQuery& q,
-                           const Deadline& deadline, InequalityResult* result) {
-  const Result<size_t> appended =
-      ScanRowsInequality(delta.data(), delta.dim(), delta_rows, id_offset, q,
-                         deadline, &result->ids);
-  PLANAR_RETURN_IF_ERROR(appended.status());
-  result->stats.num_points += delta_rows;
-  result->stats.verified += delta_rows;
-  result->stats.result_size = result->ids.size();
-  return Status::OK();
-}
-
-// The delta overlay every single-query read shares: answers `base(set)`
+// The delta overlay every read shares: answers `base(set)`
 // on the base snapshot, and lets `fold(delta_rows, &answer)` scan the
 // unmerged rows into the answer.
 template <typename T, typename Base, typename Fold>
@@ -55,9 +40,14 @@ Result<InequalityResult> OverlaySet::Inequality(
       *this,
       [&](const PlanarIndexSet& base) { return base.Inequality(q, deadline); },
       [&](size_t delta_rows, InequalityResult* result) {
-        return FoldDeltaInequality(*delta_, delta_rows,
-                                   static_cast<uint32_t>(base_->size()), q,
-                                   deadline, result);
+        const Result<size_t> appended = ScanRowsInequality(
+            delta_->data(), delta_->dim(), delta_rows,
+            static_cast<uint32_t>(base_->size()), q, deadline, &result->ids);
+        PLANAR_RETURN_IF_ERROR(appended.status());
+        result->stats.num_points += delta_rows;
+        result->stats.verified += delta_rows;
+        result->stats.result_size = result->ids.size();
+        return Status::OK();
       });
 }
 
@@ -86,24 +76,6 @@ Result<TopKResult> OverlaySet::TopK(const ScalarProductQuery& q, size_t k,
         result->stats.verified_intermediate += delta_rows;
         return Status::OK();
       });
-}
-
-std::vector<Result<InequalityResult>> OverlaySet::BatchInequality(
-    std::span<const ScalarProductQuery> queries,
-    std::span<const Deadline> deadlines, BatchExecStats* exec_stats) const {
-  const size_t delta_rows = delta_->size();
-  std::vector<Result<InequalityResult>> out =
-      base_->BatchInequality(queries, deadlines, exec_stats);
-  if (delta_rows == 0) return out;
-  for (size_t i = 0; i < out.size(); ++i) {
-    Result<InequalityResult>& result = out[i];
-    if (!result.ok()) continue;
-    const Status folded = FoldDeltaInequality(
-        *delta_, delta_rows, static_cast<uint32_t>(base_->size()), queries[i],
-        deadlines.empty() ? Deadline() : deadlines[i], &result.value());
-    if (!folded.ok()) result = folded;
-  }
-  return out;
 }
 
 Result<CountResult> OverlaySet::CountInequality(

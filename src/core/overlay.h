@@ -22,13 +22,10 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/deadline.h"
 #include "common/result.h"
-#include "core/batch.h"
 #include "core/delta_buffer.h"
 #include "core/index_set.h"
 #include "core/planar_index.h"
@@ -49,13 +46,6 @@ class OverlaySet {
   Result<InequalityResult> Inequality(
       const ScalarProductQuery& q,
       const Deadline& deadline = Deadline::Infinite()) const;
-
-  /// Batch Problem 1: the base's coalesced batch, then each OK answer
-  /// folds the delta as Inequality does. result[i] answers queries[i].
-  std::vector<Result<InequalityResult>> BatchInequality(
-      std::span<const ScalarProductQuery> queries,
-      std::span<const Deadline> deadlines = {},
-      BatchExecStats* exec_stats = nullptr) const;
 
   /// COUNT: the base's bounds shifted by the exact delta match count, so
   /// a tolerance-0 count stays bit-equal to a quiesced merge.

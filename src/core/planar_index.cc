@@ -436,7 +436,14 @@ Result<PlanarIndex::Regions> PlanarIndex::Split(const NormalizedQuery& q,
   return r;
 }
 
-InequalityResult PlanarIndex::AcceptRegion(const Regions& r) const {
+VerifySource PlanarIndex::IISource(const Regions& r) const {
+  return {phi_->data(), phi_->dim(), r.ii(), ids_.data() + r.ii_begin};
+}
+
+Result<InequalityResult> PlanarIndex::RunInequality(
+    const NormalizedQuery& q, const Plan& plan,
+    const Deadline& deadline) const {
+  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
   InequalityResult result;
   result.stats.num_points = r.n;
   result.stats.accepted_directly = r.accepted();
@@ -453,18 +460,6 @@ InequalityResult PlanarIndex::AcceptRegion(const Regions& r) const {
   } else {
     CollectRange(r.accept_begin, r.accept_end, &result.ids);
   }
-  return result;
-}
-
-VerifySource PlanarIndex::IISource(const Regions& r) const {
-  return {phi_->data(), phi_->dim(), r.ii(), ids_.data() + r.ii_begin};
-}
-
-Result<InequalityResult> PlanarIndex::RunInequality(
-    const NormalizedQuery& q, const Plan& plan,
-    const Deadline& deadline) const {
-  PLANAR_ASSIGN_OR_RETURN(const Regions r, Split(q, plan));
-  InequalityResult result = AcceptRegion(r);
   AppendIds sink{&result.ids};
   if (!VerifyRows(q, IISource(r), deadline, sink)) {
     return Status::DeadlineExceeded(

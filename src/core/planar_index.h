@@ -310,9 +310,7 @@ class PlanarIndex {
                     std::vector<uint32_t>* out) const;
 
   /// Zero-copy view of the rank-ordered row ids (RankIds()[r] = row with
-  /// rank r). The batched execution layer (core/batch.cc) streams
-  /// coalesced candidate ranges straight off this array. Invalidated by
-  /// any maintenance call.
+  /// rank r). Invalidated by any maintenance call.
   const uint32_t* RankIds() const { return ids_.data(); }
 
   /// Zero-copy view of the ascending key array (RankKeys()[r] = key of
@@ -545,10 +543,6 @@ class PlanarIndex {
   // The preamble of every Run* call: CheckServable, then the regions of
   // `plan`, which must be this index's plan of `q`.
   Result<Regions> Split(const NormalizedQuery& q, const Plan& plan) const;
-  // An inequality answer holding the accept region's ids (ascending rows
-  // for a degenerate query) with room reserved for every II id, and its
-  // pruning stats; RunInequality and the batch path verify the II into it.
-  InequalityResult AcceptRegion(const Regions& r) const;
   // The II's rank-id span, as VerifyRows reads it.
   VerifySource IISource(const Regions& r) const;
   // The serve calls: each runs every check of its public entry point,

@@ -314,60 +314,6 @@ Result<TopKResult> ShardedIndexSet::TopK(const ScalarProductQuery& q,
       });
 }
 
-std::vector<Result<InequalityResult>> ShardedIndexSet::BatchInequality(
-    std::span<const ScalarProductQuery> queries,
-    std::span<const Deadline> deadlines, BatchExecStats* exec_stats) const {
-  const size_t shards = shards_.size();
-  const size_t count = queries.size();
-  if (exec_stats != nullptr) *exec_stats = BatchExecStats{};
-  if (count == 0) return {};
-
-  // The whole batch fans to every shard, so each shard's cross-query
-  // coalescing applies within its slice; per query, the shards' answers
-  // then gather exactly as a single query's do.
-  std::vector<std::vector<Result<InequalityResult>>> partial(shards);
-  std::vector<BatchExecStats> shard_stats(shards);
-  RunShards(shards, options_.query_threads, [&](size_t s) {
-    partial[s] =
-        shards_[s].BatchInequality(queries, deadlines, &shard_stats[s]);
-    uint64_t verified = 0;
-    for (Result<InequalityResult>& result : partial[s]) {
-      if (!result.ok()) continue;
-      verified += RowsVerified(result.value());
-      ToGlobal(offsets_[s], offsets_[s + 1] - offsets_[s], &result.value());
-    }
-    // relaxed-ok: monotone monitoring counter (see header); nothing
-    // orders on it.
-    rows_verified_[s].fetch_add(verified, std::memory_order_relaxed);
-  });
-
-  std::vector<Result<InequalityResult>> merged;
-  merged.reserve(count);
-  std::vector<Result<InequalityResult>> column;
-  column.reserve(shards);
-  for (size_t qi = 0; qi < count; ++qi) {
-    column.clear();
-    for (size_t s = 0; s < shards; ++s) {
-      column.push_back(std::move(partial[s][qi]));
-    }
-    merged.push_back(Gather(column, kInequalityDeadlineMsg, ConcatIds));
-  }
-  if (exec_stats != nullptr) {
-    // Per-shard sums; `queries` counts each query once. A query that
-    // scan-served in k shards contributes k to scan_queries — the
-    // fan-out really did run k scans.
-    exec_stats->queries = count;
-    for (const BatchExecStats& stats : shard_stats) {
-      exec_stats->index_groups += stats.index_groups;
-      exec_stats->scan_queries += stats.scan_queries;
-      exec_stats->merged_ranges += stats.merged_ranges;
-      exec_stats->rows_streamed += stats.rows_streamed;
-      exec_stats->rows_demanded += stats.rows_demanded;
-    }
-  }
-  return merged;
-}
-
 size_t ShardedIndexSet::MemoryUsage() const {
   size_t total = offsets_.capacity() * sizeof(uint32_t) +
                  shards_.size() * sizeof(std::atomic<uint64_t>);

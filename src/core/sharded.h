@@ -48,7 +48,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "common/deadline.h"
@@ -102,16 +101,6 @@ class ShardedIndexSet {
   Result<InequalityResult> Inequality(
       const ScalarProductQuery& q,
       const Deadline& deadline = Deadline::Infinite()) const;
-
-  /// Batch Problem 1: the whole batch fans to every shard, so each
-  /// shard's cross-query coalescing (core/batch.cc) still applies
-  /// within its slice. result[i] corresponds to queries[i]; per-query
-  /// deadlines propagate per shard. Optional `exec_stats` receives
-  /// per-shard sums (queries counts each query once).
-  std::vector<Result<InequalityResult>> BatchInequality(
-      std::span<const ScalarProductQuery> queries,
-      std::span<const Deadline> deadlines = {},
-      BatchExecStats* exec_stats = nullptr) const;
 
   /// COUNT fanned across shards: per-shard [lower, upper] bounds sum to
   /// the global bounds (shards partition the rows, so the sums are

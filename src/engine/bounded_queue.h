@@ -137,47 +137,23 @@ class BoundedQueue {
   }
 
   /// Waits until at least one item is available or the queue is closed,
-  /// then moves up to `max_batch` items into `out` (appended). The wait
+  /// then moves up to `max_items` items into `out` (appended). The wait
   /// spins for up to kPopSpinBudget (not at all on one usable CPU), then
   /// blocks on the condition variable. Returns the number of items
-  /// popped; 0 means closed-and-drained when `max_batch` > 0. A
-  /// `max_batch` of 0 pops nothing and returns 0 on an open queue too.
-  size_t PopBatch(std::vector<T>* out, size_t max_batch)
+  /// popped; 0 means closed-and-drained when `max_items` > 0. A
+  /// `max_items` of 0 pops nothing and returns 0 on an open queue too.
+  size_t PopBatch(std::vector<T>* out, size_t max_items)
       PLANAR_EXCLUDES(mu_) {
-    return PopBatchLinger(out, max_batch, std::chrono::nanoseconds::zero());
+    if (max_items == 0 || !TakeFirst(out)) return 0;
+    return 1 + TryPopBatch(out, max_items - 1);
   }
 
-  /// PopBatch that lingers: waits for the first item (or close) like
-  /// PopBatch — spin, then block — then, if the batch is not yet full,
-  /// keeps waiting up to `linger` past the first pop for more items to
-  /// coalesce with, popping greedily as they arrive. The linger wait
-  /// blocks without spinning and counts as a sleeper, so a push during
-  /// it signals. This is what lets a worker gather a batch worth sharing
-  /// work across instead of racing away with a single request under
-  /// light load. A non-positive linger behaves exactly like PopBatch.
-  /// Returns the number of items popped; 0 means closed-and-drained when
-  /// `max_batch` > 0.
-  size_t PopBatchLinger(std::vector<T>* out, size_t max_batch,
-                        std::chrono::nanoseconds linger)
-      PLANAR_EXCLUDES(mu_) {
-    if (max_batch == 0 || !TakeFirst(out)) return 0;
-    size_t popped = 1 + TryPopBatch(out, max_batch - 1);
-    if (popped >= max_batch || linger <= std::chrono::nanoseconds::zero()) {
-      return popped;
-    }
-    const auto deadline = std::chrono::steady_clock::now() + linger;
-    while (popped < max_batch && SleepUntilAdmitted(deadline)) {
-      popped += TryPopBatch(out, max_batch - popped);
-    }
-    return popped;
-  }
-
-  /// Non-blocking variant: pops whatever is admitted, up to `max_batch`.
+  /// Non-blocking variant: pops whatever is admitted, up to `max_items`.
   /// Used by the manual (0-worker) execution mode.
-  size_t TryPopBatch(std::vector<T>* out, size_t max_batch)
+  size_t TryPopBatch(std::vector<T>* out, size_t max_items)
       PLANAR_EXCLUDES(mu_) {
     size_t popped = 0;
-    while (popped < max_batch && TakeOne(out) == Take::kItem) ++popped;
+    while (popped < max_items && TakeOne(out) == Take::kItem) ++popped;
     return popped;
   }
 
@@ -286,24 +262,13 @@ class BoundedQueue {
     return (tail_.load(std::memory_order_seq_cst) >> 1) > head;
   }
 
-  // The two waits on ready_. Each is bracketed by sleepers_ and re-checks
+  // The one wait on ready_. It is bracketed by sleepers_ and re-checks
   // tail_ after counting itself (see the header comment), under mu_.
   void SleepUntilPoppable() PLANAR_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     sleepers_.fetch_add(1, std::memory_order_seq_cst);
     while (!closed() && !Admitted()) ready_.Wait(&mu_);
     sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-  }
-  /// Returns whether an item is admitted: false after `deadline` with
-  /// none, or once the queue is closed and drained.
-  bool SleepUntilAdmitted(std::chrono::steady_clock::time_point deadline)
-      PLANAR_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    sleepers_.fetch_add(1, std::memory_order_seq_cst);
-    while (!closed() && !Admitted() && ready_.WaitUntil(&mu_, deadline)) {
-    }
-    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-    return Admitted();
   }
 
   /// Called by a push that saw a sleeper: taking mu_ orders the signal
@@ -324,7 +289,7 @@ class BoundedQueue {
   alignas(kCacheLineBytes) std::atomic<uint64_t> head_{0};
   /// Positions claimed by producers, shifted left past kClosedBit.
   alignas(kCacheLineBytes) std::atomic<uint64_t> tail_{0};
-  /// Consumers blocked in SleepUntilPoppable / SleepUntilAdmitted.
+  /// Consumers blocked in SleepUntilPoppable.
   alignas(kCacheLineBytes) std::atomic<size_t> sleepers_{0};
   mutable Mutex mu_{kLockRankEngineQueue};
   CondVar ready_;

@@ -2,47 +2,32 @@
 
 #include "engine/engine.h"
 
-#include <algorithm>
-#include <chrono>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/batch.h"
 #include "core/fold.h"
 
 namespace planar {
 
 namespace {
 
-// A max_batch of 0 would pop nothing from an open queue, which WorkerLoop
-// and Drain read as closed-and-drained: workers would exit on their first
-// request and Drain would leave admitted promises unanswered.
-EngineOptions ClampOptions(EngineOptions options) {
-  options.max_batch = std::max<size_t>(options.max_batch, 1);
-  return options;
-}
+// Requests a worker (or RunPending) claims per queue pop. Popping one at
+// a time measured the same end to end (perfbench, both workloads).
+constexpr size_t kRequestsPerPop = 16;
 
-// Rows the exact scalar product verified for one answer, or for every OK
-// answer of a batch: what the shard-fanout metrics account.
+// Rows the exact scalar product verified for one answer: what the
+// shard-fanout metrics account.
 template <typename T>
 uint64_t RowsVerifiedBy(const Result<T>& result) {
   return result.ok() ? RowsVerified(result.value()) : 0;
-}
-
-uint64_t RowsVerifiedBy(const std::vector<Result<InequalityResult>>& results) {
-  uint64_t verified = 0;
-  for (const Result<InequalityResult>& result : results) {
-    verified += RowsVerifiedBy(result);
-  }
-  return verified;
 }
 
 }  // namespace
 
 Engine::Engine(Catalog* catalog, const EngineOptions& options)
     : catalog_(catalog),
-      options_(ClampOptions(options)),
+      options_(options),
       queue_(options.queue_capacity) {
   if (options_.num_workers > 0) {
     ThreadPoolOptions pool_options;
@@ -79,8 +64,8 @@ Result<std::future<EngineResponse>> Engine::Submit(EngineRequest request) {
 
 size_t Engine::RunPending() {
   std::vector<Pending> batch;
-  batch.reserve(options_.max_batch);
-  if (queue_.TryPopBatch(&batch, options_.max_batch) == 0) return 0;
+  batch.reserve(kRequestsPerPop);
+  if (queue_.TryPopBatch(&batch, kRequestsPerPop) == 0) return 0;
   RunBatch(batch);
   return batch.size();
 }
@@ -106,8 +91,6 @@ DebugSnapshot Engine::Snapshot() const {
   snapshot.counters = metrics_.counters();
   snapshot.latency_millis = metrics_.latency_millis();
   snapshot.queue_wait_millis = metrics_.queue_wait_millis();
-  snapshot.batch_occupancy = metrics_.batch_occupancy();
-  snapshot.rows_shared_per_query = metrics_.rows_shared_per_query();
   snapshot.merge_latency_millis = metrics_.merge_latency_millis();
   if (IngestBackend* ingest = ingest_.load(std::memory_order_acquire)) {
     const IngestBackend::Gauges gauges = ingest->gauges();
@@ -245,35 +228,7 @@ EngineResponse Engine::Execute(const EngineRequest& request) {
 }
 
 void Engine::RunBatch(std::vector<Pending>& batch) {
-  // Opportunistic micro-batching: inequality requests that name the same
-  // catalog entry and share a comparison direction are compatible with
-  // one coalesced BatchInequality call. Groups of two or more take that
-  // path; singletons and every other request kind run serially, exactly
-  // as before.
-  std::vector<char> grouped(batch.size(), 0);
-  std::vector<size_t> members;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (grouped[i] || batch[i].request.kind != QueryKind::kInequality) {
-      continue;
-    }
-    members.clear();
-    members.push_back(i);
-    for (size_t j = i + 1; j < batch.size(); ++j) {
-      if (grouped[j] || batch[j].request.kind != QueryKind::kInequality) {
-        continue;
-      }
-      if (batch[j].request.target == batch[i].request.target &&
-          batch[j].request.query.cmp == batch[i].request.query.cmp) {
-        members.push_back(j);
-      }
-    }
-    if (members.size() < 2) continue;
-    for (size_t m : members) grouped[m] = 1;
-    RunGroup(batch, members);
-  }
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (grouped[i]) continue;
-    Pending& pending = batch[i];
+  for (Pending& pending : batch) {
     // relaxed-ok: in_flight_ is a monitoring gauge only — nothing
     // synchronizes on it, and Drain() correctness rests on the queue's
     // close-then-drain plus thread joins, not this counter.
@@ -291,83 +246,10 @@ void Engine::RunBatch(std::vector<Pending>& batch) {
   }
 }
 
-void Engine::RunGroup(std::vector<Pending>& batch,
-                      const std::vector<size_t>& members) {
-  // relaxed-ok: monitoring gauge, same contract as RunBatch above.
-  in_flight_.fetch_add(members.size(), std::memory_order_relaxed);
-  std::vector<double> queue_millis(members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    queue_millis[m] = batch[members[m]].queued.ElapsedMillis();
-  }
-  Target target;
-  const Status resolved = Resolve(batch[members[0]].request.target, &target);
-  // Requests that cannot execute — unknown target, or a deadline already
-  // spent in the queue — are answered up front with the same statuses the
-  // serial path produces; the rest form the live group.
-  std::vector<size_t> live;  // indices into `members`
-  live.reserve(members.size());
-  for (size_t m = 0; m < members.size(); ++m) {
-    Pending& pending = batch[members[m]];
-    EngineResponse response;
-    if (!resolved.ok()) {
-      response.status = resolved;
-    } else if (pending.request.deadline.Expired()) {
-      response.status = Status::DeadlineExceeded(
-          "deadline expired before execution started");
-    } else {
-      live.push_back(m);
-      continue;
-    }
-    response.queue_millis = queue_millis[m];
-    metrics_.OnCompleted(response.status, response.queue_millis, 0.0);
-    pending.promise.set_value(std::move(response));
-  }
-  if (!live.empty()) {
-    std::vector<ScalarProductQuery> queries;
-    std::vector<Deadline> deadlines;
-    queries.reserve(live.size());
-    deadlines.reserve(live.size());
-    for (size_t m : live) {
-      queries.push_back(batch[members[m]].request.query);
-      deadlines.push_back(batch[members[m]].request.deadline);
-    }
-    BatchExecStats exec_stats;
-    WallTimer execute_timer;
-    // A sharded group fans to every shard, so each shard's cross-query
-    // coalescing still applies within its slice; an overlay folds its
-    // delta into each answer of the base's coalesced batch.
-    std::vector<Result<InequalityResult>> results =
-        Read(target, [&](const auto& s) {
-          return s.BatchInequality(queries, deadlines, &exec_stats);
-        });
-    const double execute_millis = execute_timer.ElapsedMillis();
-    metrics_.OnBatchExecuted(live.size(), exec_stats.RowsSharedPerQuery());
-    for (size_t li = 0; li < live.size(); ++li) {
-      const size_t m = live[li];
-      Pending& pending = batch[members[m]];
-      EngineResponse response;
-      if (results[li].ok()) {
-        response.inequality = std::move(results[li]).value();
-      } else {
-        response.status = results[li].status();
-      }
-      response.queue_millis = queue_millis[m];
-      response.execute_millis = execute_millis;
-      metrics_.OnCompleted(response.status, response.queue_millis,
-                           response.execute_millis);
-      pending.promise.set_value(std::move(response));
-    }
-  }
-  // relaxed-ok: monitoring gauge (see the fetch_add above).
-  in_flight_.fetch_sub(members.size(), std::memory_order_relaxed);
-}
-
 void Engine::WorkerLoop() {
-  const auto linger = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      std::chrono::duration<double, std::milli>(options_.batch_linger_millis));
   std::vector<Pending> batch;
-  batch.reserve(options_.max_batch);
-  while (queue_.PopBatchLinger(&batch, options_.max_batch, linger) > 0) {
+  batch.reserve(kRequestsPerPop);
+  while (queue_.PopBatch(&batch, kRequestsPerPop) > 0) {
     RunBatch(batch);
     batch.clear();
   }

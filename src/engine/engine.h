@@ -3,7 +3,7 @@
 // Engine: a concurrent query-serving runtime over a Catalog of planar
 // index sets. Requests enter through a bounded queue (admission control:
 // a full queue sheds with kResourceExhausted, never blocks the caller)
-// and are executed in batches by a worker pool. Each request can carry a
+// and a worker pool executes them one at a time. Each request can carry a
 // deadline that is honored both before execution starts and cooperatively
 // inside the II verification loops of the core query paths. Shutdown is a
 // graceful drain: queued requests still execute, then workers exit.
@@ -39,7 +39,7 @@ namespace planar {
 struct EngineOptions {
   /// Worker threads. 0 means no threads: the owner calls RunPending().
   /// An idle worker spins for at most kPopSpinBudget (50 µs, see
-  /// engine/bounded_queue.h) after each batch before it sleeps, so a
+  /// engine/bounded_queue.h) after each pop before it sleeps, so a
   /// request that arrives within that window starts without a thread
   /// wake-up; a fully idle engine costs that much CPU per worker and
   /// then none. Workers never spin when the engine is constructed on a
@@ -50,22 +50,6 @@ struct EngineOptions {
   /// request and is allocated when the Engine is constructed: 192 bytes a
   /// slot with gcc on x86-64, 192 KiB at the default capacity.
   size_t queue_capacity = 1024;
-  /// Upper bound on requests a worker claims per queue round-trip;
-  /// batching amortizes the worker's wait for its first request — and,
-  /// for inequality requests against the same catalog entry with the same
-  /// comparison direction, feeds the coalesced
-  /// PlanarIndexSet::BatchInequality path, which streams overlapping
-  /// candidate intervals once for the whole group.
-  /// Values below 1 are clamped to 1 when the Engine is constructed
-  /// (options() reports the clamped value).
-  size_t max_batch = 16;
-  /// How long (milliseconds) a worker lingers after claiming its first
-  /// request, waiting for more to coalesce into the same batch. 0 (the
-  /// default) never waits: batching then only happens when the queue is
-  /// already backlogged. A small linger (say 0.2–1 ms) trades that much
-  /// added latency under light load for larger batches — worth it when
-  /// queries overlap heavily and the batch path's row sharing pays.
-  double batch_linger_millis = 0.0;
   /// Default shard count for BuildAndInstallSharded when the caller's
   /// ShardedIndexSetOptions leave shards == 0. 0 = one shard per
   /// hardware core (the shard-per-core serving layout).
@@ -89,8 +73,8 @@ class Engine {
   /// queue is at capacity and kUnavailable once draining has begun.
   Result<std::future<EngineResponse>> Submit(EngineRequest request);
 
-  /// Pops and executes up to options().max_batch queued requests on the
-  /// calling thread; returns how many ran. Never blocks. This is the
+  /// Pops and executes up to 16 queued requests on the calling thread,
+  /// one at a time; returns how many ran. Never blocks. This is the
   /// execution path when num_workers == 0, and is also safe to call as a
   /// helping hand alongside a worker pool.
   size_t RunPending();
@@ -157,17 +141,9 @@ class Engine {
   /// deadline check, deadline-aware query call through Read.
   EngineResponse Execute(const EngineRequest& request);
 
-  /// Executes one popped batch, fulfilling promises and recording
-  /// metrics. Inequality requests that share a catalog entry and
-  /// comparison direction are grouped and executed through RunGroup;
-  /// everything else runs serially through Execute.
+  /// Executes the requests of one pop in order through Execute,
+  /// fulfilling promises and recording metrics.
   void RunBatch(std::vector<Pending>& batch);
-
-  /// Executes `members` (indices into `batch`, all inequality requests
-  /// with the same target and comparison) through one coalesced
-  /// BatchInequality call, answering each future individually.
-  void RunGroup(std::vector<Pending>& batch,
-                const std::vector<size_t>& members);
 
   void WorkerLoop();
 

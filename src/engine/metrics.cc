@@ -9,17 +9,6 @@
 
 namespace planar {
 
-FixedBucketHistogram BatchOccupancyHistogram() {
-  return FixedBucketHistogram({1, 2, 4, 8, 16, 32, 64, 128, 256});
-}
-
-FixedBucketHistogram RowsSharedHistogram() {
-  // Powers of four: sharing spans from "none" (0) through a handful of
-  // overlapping II rows up to full-dataset scans shared by the batch.
-  return FixedBucketHistogram({0, 1, 4, 16, 64, 256, 1024, 4096, 16384,
-                               65536, 262144, 1048576});
-}
-
 FixedBucketHistogram ShardFanoutHistogram() {
   return FixedBucketHistogram({1, 2, 4, 8, 16, 32, 64});
 }
@@ -34,8 +23,6 @@ FixedBucketHistogram BoundGapHistogram() {
 EngineMetrics::EngineMetrics()
     : latency_millis_(FixedBucketHistogram::LatencyMillis()),
       queue_wait_millis_(FixedBucketHistogram::LatencyMillis()),
-      batch_occupancy_(BatchOccupancyHistogram()),
-      rows_shared_per_query_(RowsSharedHistogram()),
       merge_latency_millis_(FixedBucketHistogram::LatencyMillis()),
       shard_fanout_(ShardFanoutHistogram()),
       bound_gap_(BoundGapHistogram()) {}
@@ -117,26 +104,9 @@ FixedBucketHistogram EngineMetrics::latency_millis() const {
   return latency_millis_;
 }
 
-void EngineMetrics::OnBatchExecuted(size_t occupancy,
-                                    double rows_shared_per_query) {
-  MutexLock lock(&hist_mu_);
-  batch_occupancy_.Add(static_cast<double>(occupancy));
-  rows_shared_per_query_.Add(rows_shared_per_query);
-}
-
 FixedBucketHistogram EngineMetrics::queue_wait_millis() const {
   MutexLock lock(&hist_mu_);
   return queue_wait_millis_;
-}
-
-FixedBucketHistogram EngineMetrics::batch_occupancy() const {
-  MutexLock lock(&hist_mu_);
-  return batch_occupancy_;
-}
-
-FixedBucketHistogram EngineMetrics::rows_shared_per_query() const {
-  MutexLock lock(&hist_mu_);
-  return rows_shared_per_query_;
 }
 
 std::string DebugSnapshot::ToString() const {
@@ -187,8 +157,6 @@ std::string DebugSnapshot::ToString() const {
     table.AddRow({prefix + "_p90", FormatDouble(h.ApproxPercentile(90))});
     table.AddRow({prefix + "_p99", FormatDouble(h.ApproxPercentile(99))});
   };
-  add_count_histogram("batch_occupancy", batch_occupancy);
-  add_count_histogram("rows_shared_per_query", rows_shared_per_query);
   add_count_histogram("shard_fanout", shard_fanout);
   add_count_histogram("bound_gap", bound_gap);
   return table.ToText();

@@ -45,19 +45,9 @@ struct EngineCounters {
   uint64_t count_refined = 0;       ///< of those, how many refined the II
 };
 
-/// Bucket layout for batch-occupancy samples: how many inequality
-/// requests one coalesced BatchInequality call served (powers of two up
-/// to the largest max_batch anyone sensibly configures).
-FixedBucketHistogram BatchOccupancyHistogram();
-
-/// Bucket layout for rows-shared-per-query samples: phi rows a query
-/// obtained from another query's streaming instead of demanding its own
-/// read (powers of four; 0 means no sharing happened).
-FixedBucketHistogram RowsSharedHistogram();
-
 /// Bucket layout for shard-fanout samples: how many shards one sharded
-/// query (or batch) scattered across (powers of two up to the largest
-/// shard count a sane deployment configures).
+/// query scattered across (powers of two up to the largest shard count a
+/// sane deployment configures).
 FixedBucketHistogram ShardFanoutHistogram();
 
 /// Bucket layout for bound-gap samples: the upper - lower width a
@@ -73,12 +63,12 @@ struct DebugSnapshot {
   /// Time requests spent queued before execution (milliseconds).
   FixedBucketHistogram queue_wait_millis =
       FixedBucketHistogram::LatencyMillis();
-  /// Requests served per coalesced batch execution (one sample per
-  /// BatchInequality call the engine issued; unitless counts).
-  FixedBucketHistogram batch_occupancy = BatchOccupancyHistogram();
-  /// Per-query average of phi rows obtained from a batch-mate's stream
-  /// (one sample per batch execution; unitless row counts).
-  FixedBucketHistogram rows_shared_per_query = RowsSharedHistogram();
+  /// Always empty: the engine no longer coalesces requests. Kept because
+  /// perfbench still reads both fields as engine.batch_occupancy and
+  /// engine.rows_shared_per_query (which now read 0); remove them with
+  /// the next benchmark change.
+  FixedBucketHistogram batch_occupancy = FixedBucketHistogram({1});
+  FixedBucketHistogram rows_shared_per_query = FixedBucketHistogram({1});
   /// Wall time of each background delta merge, clone through install
   /// (one sample per merge; milliseconds).
   FixedBucketHistogram merge_latency_millis =
@@ -117,12 +107,6 @@ class EngineMetrics {
   void OnCompleted(const Status& status, double queue_millis,
                    double execute_millis) PLANAR_EXCLUDES(hist_mu_);
 
-  /// Records one coalesced batch execution: how many requests it served
-  /// and how many phi rows each of them got from a batch-mate's stream
-  /// on average (BatchExecStats::RowsSharedPerQuery()).
-  void OnBatchExecuted(size_t occupancy, double rows_shared_per_query)
-      PLANAR_EXCLUDES(hist_mu_);
-
   /// Ingest lifecycle, bumped by the attached IngestBackend.
   void OnAppendedRows(size_t rows) {
     // relaxed-ok: independent monotone counter, same contract as Bump.
@@ -149,9 +133,6 @@ class EngineMetrics {
   /// Copies of the histograms (bucket layouts included).
   FixedBucketHistogram latency_millis() const PLANAR_EXCLUDES(hist_mu_);
   FixedBucketHistogram queue_wait_millis() const PLANAR_EXCLUDES(hist_mu_);
-  FixedBucketHistogram batch_occupancy() const PLANAR_EXCLUDES(hist_mu_);
-  FixedBucketHistogram rows_shared_per_query() const
-      PLANAR_EXCLUDES(hist_mu_);
   FixedBucketHistogram merge_latency_millis() const PLANAR_EXCLUDES(hist_mu_);
   FixedBucketHistogram shard_fanout() const PLANAR_EXCLUDES(hist_mu_);
   FixedBucketHistogram bound_gap() const PLANAR_EXCLUDES(hist_mu_);
@@ -182,8 +163,6 @@ class EngineMetrics {
   mutable Mutex hist_mu_{kLockRankEngineMetrics};
   FixedBucketHistogram latency_millis_ PLANAR_GUARDED_BY(hist_mu_);
   FixedBucketHistogram queue_wait_millis_ PLANAR_GUARDED_BY(hist_mu_);
-  FixedBucketHistogram batch_occupancy_ PLANAR_GUARDED_BY(hist_mu_);
-  FixedBucketHistogram rows_shared_per_query_ PLANAR_GUARDED_BY(hist_mu_);
   FixedBucketHistogram merge_latency_millis_ PLANAR_GUARDED_BY(hist_mu_);
   FixedBucketHistogram shard_fanout_ PLANAR_GUARDED_BY(hist_mu_);
   FixedBucketHistogram bound_gap_ PLANAR_GUARDED_BY(hist_mu_);

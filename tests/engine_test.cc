@@ -2,7 +2,6 @@
 
 #include "engine/engine.h"
 
-#include <chrono>
 #include <future>
 #include <memory>
 #include <string>
@@ -228,12 +227,12 @@ TEST_F(EngineTest, ExecutesCountAndAggregateRequests) {
 
 TEST_F(EngineTest, CountRequestsStayExactInsideMixedBatches) {
   EngineOptions options;
-  options.num_workers = 0;  // RunPending drives one coalesced batch
+  options.num_workers = 0;  // RunPending drives each pop
   Engine engine(&catalog_, options);
   const Catalog::SetPtr set = catalog_.Find("main");
 
-  // Interleave count requests with a coalescible inequality group; the
-  // counts run serially inside the batch and must stay bit-exact.
+  // Interleave count requests with inequality requests; the counts
+  // popped beside them must stay bit-exact.
   std::vector<std::future<EngineResponse>> count_futures;
   std::vector<std::future<EngineResponse>> ineq_futures;
   std::vector<double> thresholds = {60.0, 100.0, 140.0, 180.0};
@@ -371,11 +370,10 @@ TEST_F(EngineTest, ShardedTargetRoutesThroughScatterGather) {
   EXPECT_EQ(f3->get().status.code(), StatusCode::kNotFound);
 }
 
-TEST_F(EngineTest, GroupedInequalitiesAgainstShardedTargetCountOnce) {
-  // 0 workers + RunPending: one deterministic batch pop. Three
-  // compatible inequality requests against the sharded entry coalesce
-  // into one grouped BatchInequality fan-out — counted as ONE sharded
-  // execution in the metrics, answered individually and canonically.
+TEST_F(EngineTest, PoppedInequalitiesAgainstShardedTargetFanOutEach) {
+  // 0 workers + RunPending: one deterministic pop. Three inequality
+  // requests against the sharded entry each fan out across the shards —
+  // three sharded executions in the metrics, each answered canonically.
   EngineOptions options;
   options.num_workers = 0;
   Engine engine(&catalog_, options);
@@ -410,8 +408,8 @@ TEST_F(EngineTest, GroupedInequalitiesAgainstShardedTargetCountOnce) {
               BruteForceMatches(phi, MakeQuery(cutoffs[i])));
   }
   const DebugSnapshot snapshot = engine.Snapshot();
-  EXPECT_EQ(snapshot.counters.sharded_queries, 1u);
-  EXPECT_EQ(snapshot.shard_fanout.count(), 1u);
+  EXPECT_EQ(snapshot.counters.sharded_queries, 3u);
+  EXPECT_EQ(snapshot.shard_fanout.count(), 3u);
 }
 
 TEST_F(EngineTest, UnknownTargetReturnsNotFound) {
@@ -550,51 +548,13 @@ TEST_F(EngineTest, SnapshotAccountsForEveryAdmittedRequest) {
   EXPECT_NE(rendered.find("latency_p99_ms"), std::string::npos);
 }
 
-TEST_F(EngineTest, ZeroMaxBatchIsClampedAndAnswersEveryRequest) {
-  // Unclamped, a max_batch of 0 pops nothing from an open queue, which
-  // the workers and Drain read as closed-and-drained: workers would exit
-  // on their first request and Drain would leave futures unanswered.
-  for (size_t workers : {size_t{2}, size_t{0}}) {
-    EngineOptions options;
-    options.num_workers = workers;
-    options.max_batch = 0;
-    options.queue_capacity = 64;
-    Engine engine(&catalog_, options);
-    EXPECT_EQ(engine.options().max_batch, 1u);
-
-    constexpr int kRequests = 24;
-    std::vector<std::future<EngineResponse>> futures;
-    for (int i = 0; i < kRequests; ++i) {
-      EngineRequest request;
-      request.target = "main";
-      request.query = MakeQuery(40.0 + i);
-      auto f = engine.Submit(std::move(request));
-      ASSERT_TRUE(f.ok()) << "workers=" << workers;
-      futures.push_back(std::move(*f));
-    }
-    engine.Drain();
-    for (auto& f : futures) {
-      ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-                std::future_status::ready)
-          << "workers=" << workers;
-      EXPECT_TRUE(f.get().status.ok()) << "workers=" << workers;
-    }
-    const EngineCounters c = engine.Snapshot().counters;
-    EXPECT_EQ(c.submitted,
-              c.admitted + c.rejected_queue_full + c.rejected_draining);
-    EXPECT_EQ(c.admitted, c.completed_ok + c.deadline_exceeded + c.failed);
-    EXPECT_EQ(c.completed_ok, static_cast<uint64_t>(kRequests));
-  }
-}
-
-TEST_F(EngineTest, MicroBatchGroupsCompatibleInequalities) {
-  // 0 workers + RunPending: one deterministic batch pop. Five inequality
-  // requests against "main" (3 le + 2 ge) plus one top-k must form
-  // exactly two coalesced groups; the top-k runs serially.
+TEST_F(EngineTest, PoppedInequalitiesAnswerLikeDirectCalls) {
+  // 0 workers + RunPending: one deterministic pop. Five inequality
+  // requests against "main" (3 le + 2 ge) plus one top-k run one after
+  // the other, each answered as a direct call answers it.
   EngineOptions options;
   options.num_workers = 0;
   options.queue_capacity = 16;
-  options.max_batch = 16;
   Engine engine(&catalog_, options);
 
   std::vector<std::future<EngineResponse>> futures;
@@ -619,7 +579,7 @@ TEST_F(EngineTest, MicroBatchGroupsCompatibleInequalities) {
 
   EXPECT_EQ(engine.RunPending(), 6u);
 
-  // Every grouped answer is bit-identical to the serial path.
+  // Every answer is bit-identical to a direct call.
   const Catalog::SetPtr set = catalog_.Find("main");
   for (size_t i = 0; i < futures.size(); ++i) {
     const EngineResponse response = futures[i].get();
@@ -633,23 +593,18 @@ TEST_F(EngineTest, MicroBatchGroupsCompatibleInequalities) {
   EXPECT_EQ(ftopk->get().topk.neighbors.size(), 4u);
 
   const DebugSnapshot snapshot = engine.Snapshot();
-  // Two batch executions: the le group (3) and the ge group (2).
-  EXPECT_EQ(snapshot.batch_occupancy.count(), 2u);
-  EXPECT_DOUBLE_EQ(snapshot.batch_occupancy.mean(), 2.5);
-  EXPECT_EQ(snapshot.rows_shared_per_query.count(), 2u);
   EXPECT_EQ(snapshot.counters.completed_ok, 6u);
-  const std::string rendered = snapshot.ToString();
-  EXPECT_NE(rendered.find("batch_occupancy_p50"), std::string::npos);
-  EXPECT_NE(rendered.find("rows_shared_per_query_mean"), std::string::npos);
+  EXPECT_EQ(snapshot.latency_millis.count(), 6u);
+  EXPECT_EQ(snapshot.ToString().find("batch_occupancy"), std::string::npos);
 }
 
-TEST_F(EngineTest, GroupedRequestsHandleNotFoundAndExpiredDeadlines) {
+TEST_F(EngineTest, PoppedRequestsHandleNotFoundAndExpiredDeadlines) {
   EngineOptions options;
   options.num_workers = 0;
   Engine engine(&catalog_, options);
 
-  // Two groups: "missing" (both NotFound) and "main" (one live, one with
-  // a pre-expired deadline).
+  // One pop: two against "missing" (both NotFound) and two against
+  // "main" (one live, one with a pre-expired deadline).
   std::vector<std::future<EngineResponse>> futures;
   for (int i = 0; i < 2; ++i) {
     EngineRequest request;
@@ -681,50 +636,14 @@ TEST_F(EngineTest, GroupedRequestsHandleNotFoundAndExpiredDeadlines) {
   EXPECT_EQ(c.completed_ok, 1u);
   EXPECT_EQ(c.deadline_exceeded, 1u);
   EXPECT_EQ(c.failed, 2u);
-  // Only the "main" group had live queries; the "missing" group answered
-  // everything up front and never reached BatchInequality.
-  EXPECT_EQ(snapshot.batch_occupancy.count(), 1u);
-}
-
-TEST_F(EngineTest, BatchLingerCoalescesAcrossSubmissionGaps) {
-  // One worker with a generous linger: requests submitted back-to-back
-  // from this thread should coalesce into few batches. Timing-dependent
-  // only in the loose direction — the assertions hold whether or not the
-  // linger actually gathers everything into one batch.
-  EngineOptions options;
-  options.num_workers = 1;
-  options.max_batch = 8;
-  options.batch_linger_millis = 50.0;
-  Engine engine(&catalog_, options);
-
-  std::vector<std::future<EngineResponse>> futures;
-  for (int i = 0; i < 8; ++i) {
-    EngineRequest request;
-    request.target = "main";
-    request.query = MakeQuery(60.0 + 15.0 * i);
-    auto f = engine.Submit(std::move(request));
-    ASSERT_TRUE(f.ok());
-    futures.push_back(std::move(*f));
-  }
-  const Catalog::SetPtr set = catalog_.Find("main");
-  for (int i = 0; i < 8; ++i) {
-    const EngineResponse response = futures[static_cast<size_t>(i)].get();
-    ASSERT_TRUE(response.status.ok());
-    const auto serial = set->Inequality(MakeQuery(60.0 + 15.0 * i),
-                                        Deadline::Infinite());
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(response.inequality.ids, serial->ids) << i;
-  }
-  engine.Drain();
-  EXPECT_EQ(engine.Snapshot().counters.completed_ok, 8u);
 }
 
 TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
   // A query with fewer parameters than the indexed function has no index
   // that can serve it, so it falls to the scan fallback — which must
   // answer InvalidArgument, not abort the serving process. Checked for
-  // every read kind and a grouped inequality, on a monolithic, a sharded
-  // and an ingest-managed target.
+  // every read kind and for two inequalities popped together, on a
+  // monolithic, a sharded and an ingest-managed target.
   EngineOptions options;
   options.num_workers = 0;  // RunPending drives each batch
   Engine engine(&catalog_, options);
@@ -769,8 +688,8 @@ TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
           << target << " kind " << i;
     }
 
-    // Grouped: the bad slot fails alone, its well-formed neighbor is
-    // answered.
+    // Popped together: the bad request fails alone, its well-formed
+    // neighbor is answered.
     std::vector<std::future<EngineResponse>> grouped;
     for (const ScalarProductQuery& q : {short_query, MakeQuery()}) {
       EngineRequest request;
@@ -785,7 +704,6 @@ TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
         << target;
     EXPECT_TRUE(grouped[1].get().status.ok()) << target;
   }
-  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 3u);
   manager.Stop();
 }
 

@@ -154,45 +154,6 @@ TEST(IngestOverlayTest, TopKMatchesQuiescedRebuild) {
   }
 }
 
-TEST(IngestOverlayTest, BatchInequalityMatchesSerialOverlay) {
-  Catalog catalog;
-  PhiMatrix all(3);
-  InstallBase(&catalog, 350, 13, &all);
-  IngestOptions options;
-  options.merge_threshold = 1 << 20;
-  options.delta_capacity = 1 << 20;
-  IngestManager manager(&catalog, options);
-  ASSERT_TRUE(manager.Manage(kTarget).ok());
-
-  Rng rng(14);
-  const std::vector<double> rows = RandomRows(90, &rng);
-  ASSERT_TRUE(manager.Append(kTarget, rows).ok());
-  for (size_t i = 0; i < 90; ++i) all.AppendRow(rows.data() + i * 3);
-
-  std::vector<ScalarProductQuery> queries;
-  for (int i = 0; i < 6; ++i) {
-    ScalarProductQuery q = RandomQuery(&rng);
-    q.cmp = Comparison::kLessEqual;  // one coalescible group
-    queries.push_back(q);
-  }
-  const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
-  ASSERT_NE(view, nullptr);
-  const std::vector<Result<InequalityResult>> batch =
-      view->BatchInequality(queries, {}, nullptr);
-  ASSERT_EQ(batch.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok()) << i;
-    const std::shared_ptr<const OverlaySet> serial_view = manager.Pin(kTarget);
-    ASSERT_NE(serial_view, nullptr);
-    const Result<InequalityResult> serial =
-        serial_view->Inequality(queries[i], Deadline::Infinite());
-    ASSERT_TRUE(serial.ok());
-    // Bit-identical to the serial overlay, which matches brute force.
-    EXPECT_EQ(batch[i]->ids, serial->ids) << i;
-    EXPECT_EQ(Sorted(batch[i]->ids), BruteForceMatches(all, queries[i])) << i;
-  }
-}
-
 TEST(IngestOverlayTest, CountOverlayIsBitExactAcrossMerge) {
   Catalog catalog;
   PhiMatrix all(3);
@@ -507,7 +468,7 @@ TEST(IngestEngineTest, AppendRequestsAndOverlayReadsThroughTheEngine) {
   EXPECT_EQ(Sorted(query_response.inequality.ids),
             BruteForceMatches(all, query.query));
 
-  // Grouped queries: the coalesced path overlays the delta too.
+  // Four inequalities popped together: each overlays the delta too.
   std::vector<std::future<EngineResponse>> futures;
   std::vector<ScalarProductQuery> queries;
   for (int i = 0; i < 4; ++i) {
@@ -584,10 +545,10 @@ TEST(IngestEngineTest, EveryReadKindOnTheOverlayMatchesTheFlushedAnswer) {
   const size_t k = 7;
   // One round: per query, an inequality, a top-k, a count and an
   // aggregate, each run alone; then two same-cmp inequalities submitted
-  // together, which RunPending serves through the grouped path.
+  // together, which one RunPending pops and serves one after the other.
   struct Answers {
     std::vector<EngineResponse> single;
-    std::vector<EngineResponse> grouped;
+    std::vector<EngineResponse> together;
   };
   const auto run = [&](Answers* answers) {
     for (const ScalarProductQuery& q : queries) {
@@ -619,20 +580,18 @@ TEST(IngestEngineTest, EveryReadKindOnTheOverlayMatchesTheFlushedAnswer) {
     }
     ASSERT_EQ(engine.RunPending(), 2u);
     for (std::future<EngineResponse>& future : futures) {
-      answers->grouped.push_back(future.get());
-      ASSERT_TRUE(answers->grouped.back().status.ok());
+      answers->together.push_back(future.get());
+      ASSERT_TRUE(answers->together.back().status.ok());
     }
   };
 
   Answers overlaid;
   run(&overlaid);
   EXPECT_EQ(engine.Snapshot().delta_rows, 90u);
-  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 1u);
   ASSERT_TRUE(manager.Flush(kTarget).ok());
   EXPECT_EQ(engine.Snapshot().delta_rows, 0u);
   Answers flushed;
   run(&flushed);
-  EXPECT_EQ(engine.Snapshot().batch_occupancy.count(), 2u);
 
   ASSERT_EQ(overlaid.single.size(), flushed.single.size());
   for (size_t i = 0; i < overlaid.single.size(); ++i) {
@@ -654,11 +613,11 @@ TEST(IngestEngineTest, EveryReadKindOnTheOverlayMatchesTheFlushedAnswer) {
     EXPECT_EQ(got.aggregate.count.estimate, want.aggregate.count.estimate)
         << i;
   }
-  ASSERT_EQ(overlaid.grouped.size(), 2u);
-  ASSERT_EQ(flushed.grouped.size(), 2u);
+  ASSERT_EQ(overlaid.together.size(), 2u);
+  ASSERT_EQ(flushed.together.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(Sorted(overlaid.grouped[i].inequality.ids),
-              Sorted(flushed.grouped[i].inequality.ids))
+    EXPECT_EQ(Sorted(overlaid.together[i].inequality.ids),
+              Sorted(flushed.together[i].inequality.ids))
         << i;
   }
   manager.Stop();

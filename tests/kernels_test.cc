@@ -252,125 +252,6 @@ TEST(KernelsTest, CompressAcceptMatchesBranchyReference) {
   }
 }
 
-// dot_block_many against its definition: per query, the same residuals
-// dot_gather produces (which in turn matches dot_one + bias). Covers the
-// out_stride layout and query counts that exercise the AVX2 query-pair
-// loop and its odd-query tail.
-TEST(KernelsTest, DotBlockManyMatchesPerQueryGather) {
-  Rng rng(20);
-  const kernels::DotOps& ops = kernels::Ops();
-  for (size_t d = 1; d <= 16; ++d) {
-    const size_t n = 50;
-    std::vector<double> rows;
-    rows.reserve(n * d);
-    for (size_t i = 0; i < n * d; ++i) rows.push_back(StressValue(rng, i));
-    for (size_t num_q : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
-      std::vector<std::vector<double>> queries(num_q);
-      std::vector<const double*> q_ptrs(num_q);
-      std::vector<double> biases(num_q);
-      for (size_t q = 0; q < num_q; ++q) {
-        queries[q] = StressVector(rng, d);
-        q_ptrs[q] = queries[q].data();
-        biases[q] = rng.Uniform(-10.0, 10.0);
-      }
-      for (size_t count : {size_t{0}, size_t{1}, size_t{4}, size_t{7},
-                           size_t{33}, n}) {
-        std::vector<uint32_t> ids(count);
-        for (uint32_t& id : ids) {
-          id = static_cast<uint32_t>(rng.UniformInt(n));
-        }
-        const size_t out_stride = n + 3;  // out_stride > count is legal
-        std::vector<double> got(num_q * out_stride, -7.0);
-        ops.dot_block_many(q_ptrs.data(), biases.data(), num_q, d,
-                           rows.data(), d, ids.data(), count, got.data(),
-                           out_stride);
-        for (size_t q = 0; q < num_q; ++q) {
-          std::vector<double> want(count, 0.0);
-          ops.dot_gather(q_ptrs[q], d, rows.data(), d, ids.data(), count,
-                         biases[q], want.data());
-          for (size_t i = 0; i < count; ++i) {
-            EXPECT_TRUE(BitEqual(got[q * out_stride + i], want[i]))
-                << "d=" << d << " num_q=" << num_q << " count=" << count
-                << " q=" << q << " i=" << i;
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST_F(KernelsSimdEquivalenceTest, DotBlockManyBitIdentical) {
-  Rng rng(21);
-  const kernels::DotOps& scalar = kernels::ScalarOps();
-  for (size_t d = 1; d <= 16; ++d) {
-    const size_t n = 41;  // odd: 4-row group tail in the AVX2 micro-GEMM
-    std::vector<double> rows;
-    rows.reserve(n * d);
-    for (size_t i = 0; i < n * d; ++i) rows.push_back(StressValue(rng, i));
-    for (size_t num_q : {size_t{1}, size_t{2}, size_t{4}, size_t{5}}) {
-      std::vector<std::vector<double>> queries(num_q);
-      std::vector<const double*> q_ptrs(num_q);
-      std::vector<double> biases(num_q);
-      for (size_t q = 0; q < num_q; ++q) {
-        queries[q] = StressVector(rng, d);
-        q_ptrs[q] = queries[q].data();
-        biases[q] = rng.Uniform(-10.0, 10.0);
-      }
-      std::vector<uint32_t> ids(n);
-      for (uint32_t& id : ids) id = static_cast<uint32_t>(rng.UniformInt(n));
-      std::vector<double> got_scalar(num_q * n, 0.0);
-      std::vector<double> got_simd(num_q * n, 0.0);
-      scalar.dot_block_many(q_ptrs.data(), biases.data(), num_q, d,
-                            rows.data(), d, ids.data(), n, got_scalar.data(),
-                            n);
-      simd_->dot_block_many(q_ptrs.data(), biases.data(), num_q, d,
-                            rows.data(), d, ids.data(), n, got_simd.data(),
-                            n);
-      for (size_t i = 0; i < got_scalar.size(); ++i) {
-        EXPECT_TRUE(BitEqual(got_scalar[i], got_simd[i]))
-            << "d=" << d << " num_q=" << num_q << " flat=" << i;
-      }
-    }
-  }
-}
-
-TEST(KernelsTest, CompressAcceptManyMatchesBranchyReference) {
-  Rng rng(22);
-  const size_t count = 64;
-  const size_t num_q = 3;
-  std::vector<double> residuals(num_q * count);
-  for (size_t i = 0; i < residuals.size(); ++i) {
-    switch (rng.UniformInt(5)) {
-      case 0: residuals[i] = 0.0; break;
-      case 1: residuals[i] = -0.0; break;
-      case 2: residuals[i] = std::nan(""); break;
-      default: residuals[i] = rng.Uniform(-1.0, 1.0); break;
-    }
-  }
-  std::vector<uint32_t> ids(count);
-  for (size_t i = 0; i < count; ++i) ids[i] = static_cast<uint32_t>(i * 2);
-  // Per-query sub-slices, including an empty one.
-  const size_t begin[num_q] = {0, 10, 30};
-  const size_t end[num_q] = {count, 10, 47};
-  const bool le[num_q] = {true, false, true};
-  std::vector<std::vector<uint32_t>> out_bufs(num_q,
-                                              std::vector<uint32_t>(count));
-  uint32_t* outs[num_q] = {out_bufs[0].data(), out_bufs[1].data(),
-                           out_bufs[2].data()};
-  size_t kept[num_q] = {0, 0, 0};
-  kernels::CompressAcceptMany(residuals.data(), count, num_q, ids.data(),
-                              begin, end, le, outs, kept);
-  for (size_t q = 0; q < num_q; ++q) {
-    std::vector<uint32_t> expected;
-    for (size_t i = begin[q]; i < end[q]; ++i) {
-      const double r = residuals[q * count + i];
-      if (le[q] ? r <= 0.0 : r >= 0.0) expected.push_back(ids[i]);
-    }
-    out_bufs[q].resize(kept[q]);
-    EXPECT_EQ(out_bufs[q], expected) << "q=" << q;
-  }
-}
-
 // End-to-end: the batched verification path answers exactly like the
 // brute-force reference for both comparison directions, across
 // dimensionalities with odd tails.

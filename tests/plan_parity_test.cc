@@ -362,13 +362,6 @@ TEST_P(PlanParityTest, PlanServedAnswersMatchReferenceRoute) {
       }
       ExpectSameExplain(*set, q, context + " explain");
     }
-    const std::vector<Result<InequalityResult>> batched =
-        set->BatchInequality(queries);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      ExpectSame(batched[qi], ReferenceInequality(*set, queries[qi]),
-                 "batch query " + std::to_string(qi));
-    }
   }
 }
 

@@ -221,37 +221,6 @@ TEST_F(ShardedIndexSetTest, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST_F(ShardedIndexSetTest, BatchMatchesPerQueryAndMonolithic) {
-  Rng rng(55);
-  std::vector<ScalarProductQuery> queries;
-  for (int i = 0; i < 16; ++i) queries.push_back(MakeQuery(&rng));
-
-  for (const size_t shards : {1u, 3u, 7u}) {
-    const ShardedIndexSet sharded = BuildSharded(phi_, shards);
-    BatchExecStats stats;
-    const auto batched = sharded.BatchInequality(queries, {}, &stats);
-    ASSERT_EQ(batched.size(), queries.size());
-    EXPECT_EQ(stats.queries, queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
-      const auto single = sharded.Inequality(queries[i]);
-      ASSERT_TRUE(single.ok());
-      EXPECT_EQ(batched[i].value().ids, single.value().ids);
-      EXPECT_EQ(batched[i].value().stats.verified,
-                single.value().stats.verified);
-      EXPECT_EQ(batched[i].value().ids,
-                Sorted(mono_->Inequality(queries[i]).ids));
-    }
-  }
-
-  BatchExecStats empty_stats;
-  EXPECT_TRUE(BuildSharded(phi_, 3)
-                  .BatchInequality(std::vector<ScalarProductQuery>{}, {},
-                                   &empty_stats)
-                  .empty());
-  EXPECT_EQ(empty_stats.queries, 0u);
-}
-
 TEST_F(ShardedIndexSetTest, AcceptAllAndAcceptNoneGatherExactly) {
   // <a, phi> lies in [4, 3200] for every row, so b = 1e6 accepts every
   // row and b = -1 accepts none, on every path.
@@ -262,7 +231,6 @@ TEST_F(ShardedIndexSetTest, AcceptAllAndAcceptNoneGatherExactly) {
   none.b = -1.0;
   std::vector<uint32_t> every_row(kRows);
   for (uint32_t i = 0; i < kRows; ++i) every_row[i] = i;
-  const std::vector<ScalarProductQuery> queries = {all, none};
 
   for (const size_t shards : {1u, 3u, 8u}) {
     const ShardedIndexSet sharded = BuildSharded(phi_, shards);
@@ -273,13 +241,6 @@ TEST_F(ShardedIndexSetTest, AcceptAllAndAcceptNoneGatherExactly) {
     const auto rejected = sharded.Inequality(none);
     ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
     EXPECT_TRUE(rejected.value().ids.empty()) << "shards=" << shards;
-
-    const auto batched = sharded.BatchInequality(queries);
-    ASSERT_EQ(batched.size(), 2u);
-    ASSERT_TRUE(batched[0].ok()) << batched[0].status().ToString();
-    ASSERT_TRUE(batched[1].ok()) << batched[1].status().ToString();
-    EXPECT_EQ(batched[0].value().ids, every_row) << "shards=" << shards;
-    EXPECT_TRUE(batched[1].value().ids.empty()) << "shards=" << shards;
   }
 }
 
@@ -319,28 +280,6 @@ TEST_F(ShardedIndexSetTest, DeadlineExpiryFansIn) {
     const auto ok = sharded.Inequality(q, Deadline::After(60000.0));
     ASSERT_TRUE(ok.ok());
     EXPECT_EQ(ok.value().ids, sharded.Inequality(q).value().ids);
-  }
-}
-
-TEST_F(ShardedIndexSetTest, BatchDeadlinePoisonsOnlyExpiredQueries) {
-  Rng rng(402);
-  std::vector<ScalarProductQuery> queries;
-  for (int i = 0; i < 6; ++i) queries.push_back(MakeQuery(&rng));
-  std::vector<Deadline> deadlines(queries.size(), Deadline::Infinite());
-  deadlines[2] = Deadline::After(0.0);
-  deadlines[4] = Deadline::After(0.0);
-
-  const ShardedIndexSet sharded = BuildSharded(phi_, 5);
-  const auto batched = sharded.BatchInequality(queries, deadlines, nullptr);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    if (i == 2 || i == 4) {
-      ASSERT_FALSE(batched[i].ok());
-      EXPECT_EQ(batched[i].status().code(), StatusCode::kDeadlineExceeded);
-      continue;
-    }
-    ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
-    EXPECT_EQ(batched[i].value().ids, Sorted(mono_->Inequality(queries[i]).ids));
   }
 }
 

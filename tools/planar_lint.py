@@ -107,10 +107,10 @@ Rules (library code under src/ unless stated otherwise):
                     and a float that leaks into index math silently
                     breaks the bit-identity contract with the f64 scan.
   serve-from-plan   `ComputeIntervals(` and `Prepare(` calls are forbidden
-                    in src/core/index_set.cc and src/core/batch.cc: the
-                    set-level paths plan a query once, during index
-                    selection (PlanarIndexSet::Select), and the fallback
-                    test, EXPLAIN and the serve call read that plan.
+                    in src/core/index_set.cc: the set-level paths plan a
+                    query once, during index selection
+                    (PlanarIndexSet::Select), and the fallback test,
+                    EXPLAIN and the serve call read that plan.
                     Re-planning the winner repeats its Prepare and two
                     boundary searches on every request.
   one-verify-loop   `dot_gather(`, `CompressAccept(` and
@@ -120,9 +120,7 @@ Rules (library code under src/ unless stated otherwise):
                     (index II, full scan, ingest delta) runs through that
                     one block loop and feeds one of its sinks, so the
                     deadline cadence and the accept predicate live in one
-                    place. The multi-query `dot_block_many` /
-                    `CompressAcceptMany` kernels of core/batch.cc are
-                    other names and never fire.
+                    place.
   ingest-answers-no-queries
                     no file under src/ingest/ may call `ScanRows*`,
                     `MergeTopK`, `FoldCount` or `FoldAggregate`: ingest
@@ -212,7 +210,7 @@ AGG_EXEMPT_FILES = {Path("src/core/aggregate.cc")}
 # plan selection built.
 RE_REPLAN = re.compile(
     r"(?<![A-Za-z0-9_])(?:ComputeIntervals|Prepare)\s*\(")
-PLAN_ONCE_FILES = {Path("src/core/index_set.cc"), Path("src/core/batch.cc")}
+PLAN_ONCE_FILES = {Path("src/core/index_set.cc")}
 # Single-query verify kernels (one-verify-loop) and the one file outside
 # src/core/kernels that may call them.
 RE_VERIFY_KERNEL = re.compile(
@@ -657,9 +655,6 @@ def self_test() -> int:
          "auto iv = index.ComputeIntervals(norm);\n"
          "const Prepared p = index.Prepare (norm, &scratch);\n",
          "serve-from-plan", 2),
-        ("src/core/batch.cc",
-         "const auto iv = index.ComputeIntervals(norms[slot]);\n",
-         "serve-from-plan", 1),
         # but planning through selection, comments and longer names do
         # not,
         ("src/core/index_set.cc",
@@ -687,10 +682,8 @@ def self_test() -> int:
         ("src/core/kernels/kernels.cc",
          "size_t CompressAccept(const double* r, const uint32_t* ids) {\n",
          "one-verify-loop", 0),
-        # and the multi-query kernels, comments and strings never fire.
-        ("src/core/batch.cc",
-         "ops.dot_block_many(qs, biases, na, dim, rows, dim, ids, blk);\n"
-         "kernels::CompressAcceptMany(res, kBlockRows, na, ids);\n"
+        # and comments and strings never fire.
+        ("src/core/planar_index.cc",
          "// no dot_gather( here\n"
          "const char* s = \"CompressAccept(\";\n",
          "one-verify-loop", 0),
