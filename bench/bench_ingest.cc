@@ -86,7 +86,7 @@ void RunReaders(const IngestManager& manager, size_t readers, int queries,
         }
         const ScalarProductQuery q = RandomQuery(&rng);
         WallTimer timer;
-        const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+        const Catalog::ShardedPtr view = manager.Pin(kTarget);
         if (view == nullptr ||
             !view->Inequality(q, Deadline::Infinite()).ok()) {
           std::fprintf(stderr, "bench_ingest: query failed\n");
@@ -216,7 +216,7 @@ bool SmokeBitIdentity(const PhiMatrix& all) {
   Rng rng(29);
   for (int trial = 0; trial < 40; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     if (view == nullptr) return false;
     const Result<InequalityResult> got =
         view->Inequality(q, Deadline::Infinite());
@@ -236,7 +236,7 @@ bool SmokeBitIdentity(const PhiMatrix& all) {
   PLANAR_CHECK(flushed.ok());
   for (int trial = 0; trial < 10; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     if (view == nullptr) return false;
     const Result<InequalityResult> got =
         view->Inequality(q, Deadline::Infinite());

@@ -1,10 +1,11 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // DeltaBuffer: the append-only row store behind one ingest-managed
-// catalog entry, read through an OverlaySet (core/overlay.h). Writers
-// (serialized by the owning ingest shard's Mutex) copy whole phi rows
-// into preallocated storage and publish the new row count with a release
-// store; readers pin an epoch, acquire-load the count once, and then
+// catalog entry, read as the delta tail of an epoch
+// (ShardedIndexSet::Epoch, core/sharded.h). Writers (serialized by the
+// owning ingest shard's Mutex) copy whole phi rows into preallocated
+// storage and publish the new row count with a release store; readers
+// pin an epoch, acquire-load the count once, and then
 // scan rows [0, count) with no lock at all — published rows are
 // immutable and the storage never reallocates, so the acquire pairs with
 // the writer's release to make every published row's bytes visible.

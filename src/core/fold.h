@@ -1,13 +1,12 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Result folds for one query answered over disjoint row partitions: the
-// shards of a ShardedIndexSet (core/sharded.cc) and the base plus
-// unmerged delta of an ingest epoch (OverlaySet, core/overlay.cc). The
-// partitions hold disjoint rows, so COUNT and SUM bounds add, and the
-// global top-k is the top-k of the union of the partial top-ks — the
-// same aggregate in different semirings (id union, sum of 1, sum of
-// payload). QueryStats bookkeeping stays with each caller: the shard
-// fan-out sums per-shard stats, the overlay charges its delta scan.
+// parts of a ShardedIndexSet (core/sharded.cc), whether row-range shards
+// or the base and unmerged delta of an ingest epoch. The partitions hold
+// disjoint rows, so COUNT and SUM bounds add, and the global top-k is the
+// top-k of the union of the partial top-ks — the same aggregate in
+// different semirings (id union, sum of 1, sum of payload). QueryStats
+// bookkeeping stays with the caller: the gather sums every part's stats.
 
 #ifndef PLANAR_CORE_FOLD_H_
 #define PLANAR_CORE_FOLD_H_

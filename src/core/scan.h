@@ -5,7 +5,7 @@
 // O(n d' + n log k) for the top-k query.
 //
 // Also the home of VerifyRows, the one single-query verify loop: the
-// scan, the ingest delta overlay and every PlanarIndex query kind
+// scan, the ingest delta scan and every PlanarIndex query kind
 // evaluate <a, phi(x)> through it (DESIGN.md section 5d).
 
 #ifndef PLANAR_CORE_SCAN_H_
@@ -33,7 +33,7 @@ namespace planar {
 /// `rows` (`stride` doubles per row). Either a rank-id span (the index
 /// II: row ids[i], carrying id ids[i]) or, with ids == nullptr, the
 /// contiguous rows [0, count) carrying ids id_offset + i (the full scan
-/// and the ingest delta overlay).
+/// and the ingest delta scan).
 struct VerifySource {
   const double* rows = nullptr;
   size_t stride = 0;
@@ -72,7 +72,7 @@ struct VerifiedBlock {
 /// Sink: appends the satisfying ids to `*out` in row order. A block
 /// grows the vector only by its matches, so a caller that reserved the
 /// worst case up front never reallocates, and one appending to a full
-/// vector (the ingest delta overlay) reallocates only when a row matches.
+/// vector (the ingest delta scan) reallocates only when a row matches.
 struct AppendIds {
   std::vector<uint32_t>* out = nullptr;
 
@@ -169,8 +169,9 @@ bool VerifyRows(const Query& q, const VerifySource& source,
 /// appending the id `id_offset + i` of every row i that satisfies `q` to
 /// `*out` through VerifyRows, so the accept decision per row is
 /// bit-identical to the full-matrix scan and the index paths. Exposed raw
-/// so the ingest delta overlay (src/ingest) can verify not-yet-merged
-/// rows; returns the number of ids appended, or kDeadlineExceeded.
+/// so the delta part of an ingest epoch (core/sharded.cc) can verify
+/// not-yet-merged rows; returns the number of ids appended, or
+/// kDeadlineExceeded.
 Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
                                   uint32_t id_offset,
                                   const ScalarProductQuery& q,
@@ -179,7 +180,7 @@ Result<size_t> ScanRowsInequality(const double* rows, size_t dim, size_t count,
 
 /// Counting form of ScanRowsInequality: how many of the `count` rows
 /// satisfy `q`, bit-equal to ScanRowsInequality(...)'s appended size.
-/// Used by ScanCountInequality and the ingest delta overlay.
+/// Used by ScanCountInequality and the ingest delta scan.
 Result<size_t> ScanRowsCountInequality(const double* rows, size_t dim,
                                        size_t count,
                                        const ScalarProductQuery& q,
@@ -188,7 +189,7 @@ Result<size_t> ScanRowsCountInequality(const double* rows, size_t dim,
 /// Raw exact aggregate: adds to `*matched` / `*sum` the match count and
 /// the payload-column total of the matching rows among the `count` rows
 /// (the CountAccepts sink). Shared by ScanAggregateInequality and the
-/// ingest delta overlay.
+/// ingest delta scan.
 Status ScanRowsAggregateInequality(const double* rows, size_t dim,
                                    size_t count, int payload_column,
                                    const ScalarProductQuery& q,

@@ -3,7 +3,6 @@
 #include "core/sort_util.h"
 
 #include <algorithm>
-#include <bit>
 #include <thread>
 #include <utility>
 
@@ -11,14 +10,6 @@
 #include "common/thread_pool.h"
 
 namespace planar {
-
-namespace {
-
-/// Widest radix digit: 2048 four-byte buckets (8 KiB) stay L1-resident
-/// while a pass scatters.
-constexpr int kMaxDigitBits = 11;
-
-}  // namespace
 
 void SortEntries(std::vector<SortEntry>* entries, size_t threads) {
   PLANAR_CHECK(entries != nullptr);
@@ -84,55 +75,6 @@ void SortEntries(std::vector<SortEntry>* entries, size_t threads) {
   if (src != entries->data()) {
     std::copy(src, src + n, entries->data());
   }
-}
-
-void SortIds(std::vector<uint32_t>* ids, uint32_t bound) {
-  PLANAR_CHECK(ids != nullptr);
-  const size_t n = ids->size();
-  if (n == 0) return;
-
-  // Split the bits the bound needs into equal digits of at most
-  // kMaxDigitBits: a 100k-row shard (17 bits) sorts in two 9-bit passes.
-  PLANAR_CHECK(bound > 0 && n <= UINT32_MAX);
-  const int bits = std::max(1, static_cast<int>(std::bit_width(bound - 1)));
-  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
-  const int digit_bits = (bits + passes - 1) / passes;
-  const size_t buckets = size_t{1} << digit_bits;
-  const uint32_t mask = static_cast<uint32_t>(buckets - 1);
-
-  // One read builds every pass's histogram (and the bound check).
-  std::vector<uint32_t> counts(static_cast<size_t>(passes) * buckets, 0);
-  uint32_t max_id = 0;
-  for (const uint32_t id : *ids) {
-    max_id = std::max(max_id, id);
-    for (int p = 0; p < passes; ++p) {
-      const uint32_t digit = (id >> (p * digit_bits)) & mask;
-      ++counts[static_cast<size_t>(p) * buckets + digit];
-    }
-  }
-  PLANAR_CHECK(max_id < bound);
-
-  // Stable scatter per digit, least significant first, ping-ponging
-  // between the ids and one scratch buffer. A pass whose digit is the
-  // same for every id would only copy, so it is skipped.
-  std::vector<uint32_t> scratch(n);
-  std::vector<uint32_t>* src = ids;
-  std::vector<uint32_t>* dst = &scratch;
-  for (int p = 0; p < passes; ++p) {
-    const int shift = p * digit_bits;
-    uint32_t* offsets = counts.data() + static_cast<size_t>(p) * buckets;
-    if (offsets[((*src)[0] >> shift) & mask] == n) continue;
-    uint32_t next = 0;
-    for (size_t b = 0; b < buckets; ++b) {
-      const uint32_t count = offsets[b];
-      offsets[b] = next;
-      next += count;
-    }
-    uint32_t* out = dst->data();
-    for (const uint32_t id : *src) out[offsets[(id >> shift) & mask]++] = id;
-    std::swap(src, dst);
-  }
-  if (src != ids) ids->swap(*src);
 }
 
 }  // namespace planar

@@ -2,10 +2,10 @@
 //
 // The tree's one sorting chokepoint for core containers (enforced by
 // tools/planar_lint.py, rule core-sort-via-sort-util): index builds sort
-// their (key, id) entries through SortEntries, and the sharded gather
-// puts each shard's row ids into canonical ascending order through
-// SortIds. Both produce exactly the std::sort result, so swapping the
-// algorithm underneath can never change an answer.
+// their (key, id) entries through SortEntries, which produces exactly
+// the std::sort result, so swapping the algorithm underneath can never
+// change an answer. Query answers sort nothing: partitioned reads return
+// ids in part order (core/sharded.h).
 //
 // SortEntries is shard-sort + multiway merge on top of the shared
 // ThreadPool (ThreadPool::Shared().ParallelFor): the entry array is cut
@@ -25,13 +25,6 @@
 // not bit-identical (-0.0 vs +0.0 under the same id) the order among the
 // equivalent duplicates is unspecified, exactly as with std::sort. Index
 // builds never produce such pairs (one entry per row id).
-//
-// SortIds is an LSD radix (counting) sort whose digit count follows the
-// id bound rather than the full 32 bits: a shard of R rows needs
-// ceil(log2(R) / 11) passes — two for any shard up to 4M rows — so
-// ordering a shard's answer costs O(ids + buckets), not
-// O(ids log ids). Equal uint32 values are indistinguishable, so the
-// result equals std::sort's bit for bit, duplicates included.
 
 #ifndef PLANAR_CORE_SORT_UTIL_H_
 #define PLANAR_CORE_SORT_UTIL_H_
@@ -61,11 +54,6 @@ inline constexpr size_t kParallelSortMinEntries = 1u << 14;
 /// concurrency, n = at most n threads. The result is identical to
 /// std::sort for every thread count.
 void SortEntries(std::vector<SortEntry>* entries, size_t threads = 1);
-
-/// Sorts `ids` ascending in time linear in ids->size() (plus at most
-/// 3 * 2048 buckets). Every id must be below `bound` (checked); the
-/// result equals std::sort's for every such input, duplicates included.
-void SortIds(std::vector<uint32_t>* ids, uint32_t bound);
 
 }  // namespace planar
 

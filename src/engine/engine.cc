@@ -129,21 +129,20 @@ Status Engine::Resolve(const std::string& name, Target* target) const {
       return Status::NotFound("no catalog entry named '" + name + "'");
     }
   } else if (IngestBackend* ingest = ingest_.load(std::memory_order_acquire)) {
-    target->overlay = ingest->Pin(name);
+    target->sharded = ingest->Pin(name);
   }
   return Status::OK();
 }
 
 template <typename ReadFn>
 auto Engine::Read(const Target& target, const ReadFn& read) {
-  if (target.sharded != nullptr) {
-    auto result = read(*target.sharded);
+  if (target.sharded == nullptr) return read(*target.set);
+  auto result = read(*target.sharded);
+  if (target.set == nullptr) {
     metrics_.OnShardedExecuted(target.sharded->num_shards(),
                                RowsVerifiedBy(result));
-    return result;
   }
-  if (target.overlay != nullptr) return read(*target.overlay);
-  return read(*target.set);
+  return result;
 }
 
 EngineResponse Engine::Execute(const EngineRequest& request) {

@@ -26,7 +26,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "core/overlay.h"
 #include "engine/bounded_queue.h"
 #include "engine/catalog.h"
 #include "engine/ingest_hook.h"
@@ -119,11 +118,15 @@ class Engine {
   };
 
   /// What a read request's target name resolved to. Read serves
-  /// `sharded` when set, else `overlay` when set, else `set`.
+  /// `sharded` when set, else `set`. `sharded` is a catalog sharded
+  /// entry (then `set` is null) or the pinned epoch of the ingest-managed
+  /// monolithic entry `set`. The fan-out metrics (sharded_queries,
+  /// shard_fanout, shard_rows_verified) count catalog sharded entries
+  /// only, so Read records them when `set` is null: an epoch is one
+  /// index part and a delta, not a fan-out.
   struct Target {
     Catalog::SetPtr set;
     Catalog::ShardedPtr sharded;
-    std::shared_ptr<const OverlaySet> overlay;  ///< ingest-managed `set`
   };
 
   /// Resolves `name`: the catalog's monolithic entry, else its sharded
@@ -131,9 +134,9 @@ class Engine {
   /// manages also gets its pinned epoch.
   Status Resolve(const std::string& name, Target* target) const;
 
-  /// Runs `read(s)` on the set `target` resolved to — PlanarIndexSet,
-  /// ShardedIndexSet and OverlaySet share method names — and feeds a
-  /// sharded answer's fan-out into the metrics.
+  /// Runs `read(s)` on the set `target` resolved to — PlanarIndexSet and
+  /// ShardedIndexSet share method names — and feeds a catalog sharded
+  /// entry's fan-out into the metrics.
   template <typename ReadFn>
   auto Read(const Target& target, const ReadFn& read);
 

@@ -5,9 +5,10 @@
 // MVCC installs), so writes and epoch pins route through this abstract
 // backend, which the engine holds as a borrowed IngestBackend*. The
 // backend answers no queries: a read against a managed target pins the
-// target's current epoch, an OverlaySet (core/overlay.h), and the engine
-// reads it like any other set (CONTRIBUTING: pin the overlay and read it
-// like a set).
+// target's current epoch, a ShardedIndexSet with one base part and the
+// delta as its tail (core/sharded.h), and the engine reads it through
+// the same partitioned read path as a catalog sharded entry
+// (CONTRIBUTING: pin the epoch and read it like a sharded set).
 
 #ifndef PLANAR_ENGINE_INGEST_HOOK_H_
 #define PLANAR_ENGINE_INGEST_HOOK_H_
@@ -19,7 +20,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/overlay.h"
+#include "core/sharded.h"
 
 namespace planar {
 
@@ -51,7 +52,7 @@ class IngestBackend {
   /// Pins `target`'s current epoch — its base snapshot and the delta
   /// appended on top of it — or returns nullptr when `target` takes no
   /// writes through this backend (serve it from the catalog as is).
-  virtual std::shared_ptr<const OverlaySet> Pin(
+  virtual std::shared_ptr<const ShardedIndexSet> Pin(
       const std::string& target) const = 0;
 
   /// Routes the backend's counters (appends, sheds, merges, merge

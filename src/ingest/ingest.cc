@@ -42,7 +42,8 @@ Status IngestManager::Manage(const std::string& target) {
       MutexLock shard_lock(&raw->mu);
       raw->delta =
           std::make_shared<DeltaBuffer>(raw->dim, options_.delta_capacity);
-      raw->view = std::make_shared<const OverlaySet>(base, raw->delta);
+      raw->view = std::make_shared<const ShardedIndexSet>(
+          ShardedIndexSet::Epoch(base, raw->delta));
     }
     // threads-ok: dedicated merger thread (see Shard::merger in
     // ingest.h); joined in Stop(), never pooled.
@@ -59,8 +60,7 @@ IngestManager::Shard* IngestManager::FindShard(
   return it == shards_.end() ? nullptr : it->second.get();
 }
 
-std::shared_ptr<const OverlaySet> IngestManager::Pin(
-    const std::string& target) const {
+Catalog::ShardedPtr IngestManager::Pin(const std::string& target) const {
   Shard* shard = FindShard(target);
   if (shard == nullptr) return nullptr;
   ReaderMutexLock epoch(&shard->mu);
@@ -71,7 +71,7 @@ bool IngestManager::Inequality(const std::string& target,
                                const ScalarProductQuery& q,
                                const Deadline& deadline,
                                Result<InequalityResult>* out) const {
-  const std::shared_ptr<const OverlaySet> view = Pin(target);
+  const Catalog::ShardedPtr view = Pin(target);
   if (view == nullptr) return false;
   *out = view->Inequality(q, deadline);
   return true;
@@ -105,8 +105,7 @@ Result<uint32_t> IngestManager::Append(const std::string& target,
   if (shard->stop) {
     return Status::Unavailable("ingest manager is stopped");
   }
-  const uint32_t first = static_cast<uint32_t>(shard->view->base()->size() +
-                                               shard->delta->size());
+  const uint32_t first = static_cast<uint32_t>(shard->view->size());
   if (!shard->delta->Append(rows.data(), count)) {
     // Shed, never block: the caller retries after the merge the full
     // delta has already triggered.
@@ -137,7 +136,7 @@ IngestBackend::Gauges IngestManager::gauges() const {
   gauges.targets = shards_.size();
   for (const auto& [name, shard] : shards_) {
     ReaderMutexLock epoch(&shard->mu);
-    gauges.delta_rows += shard->view->delta()->size();
+    gauges.delta_rows += shard->delta->size();
   }
   return gauges;
 }
@@ -192,7 +191,8 @@ void IngestManager::Stop() {
 
 void IngestManager::MergerLoop(Shard* shard) {
   for (;;) {
-    std::shared_ptr<const OverlaySet> view;
+    Catalog::ShardedPtr view;
+    std::shared_ptr<const DeltaBuffer> delta;
     size_t drain = 0;
     {
       MutexLock lock(&shard->mu);
@@ -211,6 +211,7 @@ void IngestManager::MergerLoop(Shard* shard) {
         continue;
       }
       view = shard->view;
+      delta = shard->delta;
     }
     // The expensive part runs with no lock held: clone the installed
     // base (readers keep serving it), fold in the drained prefix, and
@@ -218,8 +219,8 @@ void IngestManager::MergerLoop(Shard* shard) {
     // snapshotted under the lock, so concurrent appends (which only
     // extend past `drain`) cannot race this read.
     WallTimer merge_timer;
-    PlanarIndexSet merged = view->base()->Clone();
-    const Status appended = merged.AppendRows(view->delta()->data(), drain);
+    PlanarIndexSet merged = view->shard(0).Clone();
+    const Status appended = merged.AppendRows(delta->data(), drain);
     PLANAR_CHECK(appended.ok());
     const Catalog::SetPtr installed =
         catalog_->Install(shard->name, std::move(merged));
@@ -231,10 +232,13 @@ void IngestManager::MergerLoop(Shard* shard) {
             metrics_.load(std::memory_order_acquire)) {
       metrics->OnMergeCompleted(merge_timer.ElapsedMillis());
     }
-    // The fresh delta is allocated (and zero-filled) before the lock:
-    // Append and Pin of this target wait on shard->mu.
+    // The fresh delta and the epoch over it are allocated (and the delta
+    // zero-filled) before the lock: Append and Pin of this target wait on
+    // shard->mu.
     auto fresh =
         std::make_shared<DeltaBuffer>(shard->dim, options_.delta_capacity);
+    auto epoch = std::make_shared<const ShardedIndexSet>(
+        ShardedIndexSet::Epoch(installed, fresh));
     {
       MutexLock lock(&shard->mu);
       // Epoch swap: surviving tail rows (appended during the merge) move
@@ -246,7 +250,7 @@ void IngestManager::MergerLoop(Shard* shard) {
                                    now - drain));
       }
       shard->delta = fresh;
-      shard->view = std::make_shared<const OverlaySet>(installed, fresh);
+      shard->view = std::move(epoch);
       shard->merged_total += drain;
       if (shard->flush_requested && shard->delta->size() == 0) {
         shard->flush_requested = false;

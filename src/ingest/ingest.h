@@ -11,12 +11,15 @@
 // blocked and never see a partial merge.
 //
 // Ingest answers no queries. Its read job is to hand out epochs: Pin
-// returns the target's current OverlaySet (core/overlay.h) — a {base
-// snapshot, delta} pair swapped atomically at merge install — and the
-// caller reads it like a set. The overlay scan-verifies the unmerged rows,
-// so the ids returned are exactly the ids a quiesced from-scratch Rebuild
-// over the same rows would return (machine-checked by
-// tests/ingest_test.cc, under tsan by tests/ingest_stress_test.cc).
+// returns the target's current epoch, a ShardedIndexSet made by
+// ShardedIndexSet::Epoch (core/sharded.h) — one base part, the installed
+// snapshot, and the delta as its tail, swapped atomically at merge
+// install — and the caller reads it like any partitioned set. The delta
+// part scan-verifies the unmerged rows, so the ids returned are exactly
+// the ids a quiesced from-scratch Rebuild over the same rows would return,
+// the base's ids first and then the delta matches in ascending order
+// (machine-checked by tests/ingest_test.cc, under tsan by
+// tests/ingest_stress_test.cc).
 //
 // Row ids are stable across merges by construction: delta row j of an
 // epoch has global id base->size() + j, and a merge of the first k delta
@@ -41,7 +44,7 @@
 #include "common/status.h"
 #include "engine/catalog.h"
 #include "core/delta_buffer.h"
-#include "core/overlay.h"
+#include "core/sharded.h"
 #include "engine/ingest_hook.h"
 
 namespace planar {
@@ -101,8 +104,8 @@ class IngestManager final : public IngestBackend {
   Result<uint32_t> Append(const std::string& target,
                           const std::vector<double>& rows) override
       PLANAR_EXCLUDES(mu_);
-  std::shared_ptr<const OverlaySet> Pin(const std::string& target) const
-      override PLANAR_EXCLUDES(mu_);
+  Catalog::ShardedPtr Pin(const std::string& target) const override
+      PLANAR_EXCLUDES(mu_);
   void BindMetrics(EngineMetrics* metrics) override;
   Gauges gauges() const override PLANAR_EXCLUDES(mu_);
 
@@ -127,8 +130,8 @@ class IngestManager final : public IngestBackend {
     CondVar merged;
     /// The current epoch: swapped as a unit at merge install, so a reader
     /// that pinned it always sees a consistent (base, delta) pair.
-    std::shared_ptr<const OverlaySet> view PLANAR_GUARDED_BY(mu);
-    /// Writer handle to the same buffer view->delta() points at.
+    Catalog::ShardedPtr view PLANAR_GUARDED_BY(mu);
+    /// Writer handle to the buffer that is `view`'s delta.
     std::shared_ptr<DeltaBuffer> delta PLANAR_GUARDED_BY(mu);
     /// Monotone row counters; Flush waits for merged_total to catch up
     /// to the appended_total it observed.

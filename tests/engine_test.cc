@@ -332,11 +332,12 @@ TEST_F(EngineTest, ShardedTargetRoutesThroughScatterGather) {
   ASSERT_TRUE(f2.ok());
   EXPECT_EQ(engine.RunPending(), 2u);
 
-  // Sharded answers are canonical (ascending ids) — equal to the brute
-  // force reference without re-sorting.
+  // Sharded answers hold the brute-force match set, in part order.
   const EngineResponse r1 = f1->get();
   ASSERT_TRUE(r1.status.ok()) << r1.status.ToString();
-  EXPECT_EQ(r1.inequality.ids, BruteForceMatches(phi, MakeQuery()));
+  EXPECT_EQ(Sorted(r1.inequality.ids), BruteForceMatches(phi, MakeQuery()));
+  EXPECT_EQ(r1.inequality.ids,
+            ShardOrderIds(*installed.value(), MakeQuery()));
 
   // And the top-k is bit-identical to a monolithic set over the same
   // rows.
@@ -373,7 +374,7 @@ TEST_F(EngineTest, ShardedTargetRoutesThroughScatterGather) {
 TEST_F(EngineTest, PoppedInequalitiesAgainstShardedTargetFanOutEach) {
   // 0 workers + RunPending: one deterministic pop. Three inequality
   // requests against the sharded entry each fan out across the shards —
-  // three sharded executions in the metrics, each answered canonically.
+  // three sharded executions in the metrics, each answered in part order.
   EngineOptions options;
   options.num_workers = 0;
   Engine engine(&catalog_, options);
@@ -404,8 +405,11 @@ TEST_F(EngineTest, PoppedInequalitiesAgainstShardedTargetFanOutEach) {
   for (size_t i = 0; i < futures.size(); ++i) {
     const EngineResponse response = futures[i].get();
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
-    EXPECT_EQ(response.inequality.ids,
+    EXPECT_EQ(Sorted(response.inequality.ids),
               BruteForceMatches(phi, MakeQuery(cutoffs[i])));
+    EXPECT_EQ(response.inequality.ids,
+              ShardOrderIds(*catalog_.FindSharded("sharded"),
+                            MakeQuery(cutoffs[i])));
   }
   const DebugSnapshot snapshot = engine.Snapshot();
   EXPECT_EQ(snapshot.counters.sharded_queries, 3u);
@@ -643,7 +647,10 @@ TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
   // that can serve it, so it falls to the scan fallback — which must
   // answer InvalidArgument, not abort the serving process. Checked for
   // every read kind and for two inequalities popped together, on a
-  // monolithic, a sharded and an ingest-managed target.
+  // monolithic, a sharded and an ingest-managed target whose delta holds
+  // a row. Two more top-k inputs, k = 0 and an all-zero normal, must be
+  // refused the same way: an epoch scans its delta only after the base
+  // validated the query.
   EngineOptions options;
   options.num_workers = 0;  // RunPending drives each batch
   Engine engine(&catalog_, options);
@@ -682,10 +689,23 @@ TEST_F(EngineTest, WrongParameterCountIsInvalidArgumentOnEveryTarget) {
       ASSERT_TRUE(f.ok());
       singles.push_back(std::move(*f));
     }
-    EXPECT_EQ(engine.RunPending(), 4u);
+    ScalarProductQuery zero_normal = MakeQuery();
+    zero_normal.a = {0.0, 0.0, 0.0};
+    for (const auto& [query, k] : {std::pair{MakeQuery(), size_t{0}},
+                                   std::pair{zero_normal, size_t{3}}}) {
+      EngineRequest request;
+      request.target = target;
+      request.kind = QueryKind::kTopK;
+      request.query = query;
+      request.k = k;
+      auto f = engine.Submit(std::move(request));
+      ASSERT_TRUE(f.ok());
+      singles.push_back(std::move(*f));
+    }
+    EXPECT_EQ(engine.RunPending(), 6u);
     for (size_t i = 0; i < singles.size(); ++i) {
       EXPECT_EQ(singles[i].get().status.code(), StatusCode::kInvalidArgument)
-          << target << " kind " << i;
+          << target << " input " << i;
     }
 
     // Popped together: the bad request fails alone, its well-formed

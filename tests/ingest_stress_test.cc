@@ -137,7 +137,7 @@ TEST(IngestStressTest, ConcurrentReadsStayConsistentAcrossMerges) {
         const size_t qi = rng.UniformInt(f.queries.size());
         const size_t completed_before =
             completed.load(std::memory_order_acquire);
-        const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+        const Catalog::ShardedPtr view = manager.Pin(kTarget);
         if (view == nullptr) {
           failures.fetch_add(1, std::memory_order_relaxed);
           break;
@@ -194,7 +194,7 @@ TEST(IngestStressTest, ConcurrentReadsStayConsistentAcrossMerges) {
     auto fresh = PlanarIndexSet::Build(std::move(full), Domains(), set_options);
     ASSERT_TRUE(fresh.ok());
     for (size_t qi = 0; qi < f.queries.size(); ++qi) {
-      const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+      const Catalog::ShardedPtr view = manager.Pin(kTarget);
       ASSERT_NE(view, nullptr);
       const Result<InequalityResult> got =
           view->Inequality(f.queries[qi], Deadline::Infinite());

@@ -1,7 +1,7 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // Ingest subsystem tests: manage/append/flush lifecycle, delta-overlay
-// reads on the pinned OverlaySet (every read kind), admission control,
+// reads on the pinned epoch (every read kind), admission control,
 // engine integration (kAppend requests, every read kind through the
 // engine, snapshot gauges), and the randomized
 // bit-identity guarantee — queries through the ingest path answer
@@ -107,13 +107,20 @@ TEST(IngestOverlayTest, InequalitySeesUnmergedRows) {
 
   for (int trial = 0; trial < 20; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<InequalityResult> got =
         view->Inequality(q, Deadline::Infinite());
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->stats.num_points, 550u);
     EXPECT_EQ(Sorted(got->ids), BruteForceMatches(all, q)) << trial;
+    // Part order, exactly: the base's own answer, then the matching delta
+    // rows in ascending id order.
+    std::vector<uint32_t> want = catalog.Find(kTarget)->Inequality(q).ids;
+    for (uint32_t id = 400; id < 550; ++id) {
+      if (q.Matches(all.row(id))) want.push_back(id);
+    }
+    EXPECT_EQ(got->ids, want) << trial;
   }
 }
 
@@ -134,11 +141,11 @@ TEST(IngestOverlayTest, TopKMatchesQuiescedRebuild) {
   const PlanarIndexSet reference = FreshBuild(all);
 
   // The last trial's k exceeds the row count: every match comes back,
-  // and the overlay merge reserves only what it holds.
+  // and the delta's top-k reserves only what it holds.
   for (int trial = 0; trial < 16; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
     const size_t k = trial == 15 ? size_t{1} << 62 : 1 + rng.UniformInt(20);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<TopKResult> got = view->TopK(q, k, Deadline::Infinite());
     ASSERT_TRUE(got.ok());
@@ -174,7 +181,7 @@ TEST(IngestOverlayTest, CountOverlayIsBitExactAcrossMerge) {
 
   // Unmerged: base bounds plus an exact delta scan-count.
   for (const ScalarProductQuery& q : queries) {
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<CountResult> got =
         view->CountInequality(q, CountTolerance(), Deadline::Infinite());
@@ -186,7 +193,7 @@ TEST(IngestOverlayTest, CountOverlayIsBitExactAcrossMerge) {
   // Quiesced: after Flush the same counts come from the merged base.
   ASSERT_TRUE(manager.Flush(kTarget).ok());
   for (const ScalarProductQuery& q : queries) {
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<CountResult> got =
         view->CountInequality(q, CountTolerance(), Deadline::Infinite());
@@ -236,7 +243,7 @@ TEST(IngestOverlayTest, AggregateOverlayMatchesBruteForce) {
 
   for (int trial = 0; trial < 20; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<AggregateResult> got =
         view->AggregateInequality(q, CountTolerance(), Deadline::Infinite());
@@ -272,7 +279,7 @@ TEST(IngestFlushTest, FlushMergesIntoTheCatalogWithStableIds) {
   for (size_t i = 0; i < 130; ++i) all.AppendRow(rows.data() + i * 3);
 
   const ScalarProductQuery q = RandomQuery(&rng);
-  const std::shared_ptr<const OverlaySet> before_view = manager.Pin(kTarget);
+  const Catalog::ShardedPtr before_view = manager.Pin(kTarget);
   ASSERT_NE(before_view, nullptr);
   const Result<InequalityResult> before =
       before_view->Inequality(q, Deadline::Infinite());
@@ -287,7 +294,7 @@ TEST(IngestFlushTest, FlushMergesIntoTheCatalogWithStableIds) {
   EXPECT_EQ(manager.gauges().merges, 1u);
 
   // Ids are stable across the merge: the same query answers the same.
-  const std::shared_ptr<const OverlaySet> after_view = manager.Pin(kTarget);
+  const Catalog::ShardedPtr after_view = manager.Pin(kTarget);
   ASSERT_NE(after_view, nullptr);
   const Result<InequalityResult> after =
       after_view->Inequality(q, Deadline::Infinite());
@@ -350,7 +357,7 @@ TEST(IngestStopTest, StopDrainsAndRejectsFurtherAppends) {
   EXPECT_EQ(manager.Manage(kTarget).code(), StatusCode::kUnavailable);
   // Reads keep serving after Stop.
   const ScalarProductQuery q = RandomQuery(&rng);
-  const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+  const Catalog::ShardedPtr view = manager.Pin(kTarget);
   ASSERT_NE(view, nullptr);
   const Result<InequalityResult> got =
       view->Inequality(q, Deadline::Infinite());
@@ -386,7 +393,7 @@ TEST(IngestRandomizedTest, BitIdenticalToQuiescedRebuildAcrossMerges) {
     const PlanarIndexSet reference = FreshBuild(all);
     for (int trial = 0; trial < 4; ++trial) {
       const ScalarProductQuery q = RandomQuery(&rng);
-      const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+      const Catalog::ShardedPtr view = manager.Pin(kTarget);
       ASSERT_NE(view, nullptr);
       const Result<InequalityResult> got =
           view->Inequality(q, Deadline::Infinite());
@@ -395,7 +402,7 @@ TEST(IngestRandomizedTest, BitIdenticalToQuiescedRebuildAcrossMerges) {
           << "round " << round << " trial " << trial;
 
       const size_t k = 1 + rng.UniformInt(15);
-      const std::shared_ptr<const OverlaySet> topk_view = manager.Pin(kTarget);
+      const Catalog::ShardedPtr topk_view = manager.Pin(kTarget);
       ASSERT_NE(topk_view, nullptr);
       const Result<TopKResult> topk =
           topk_view->TopK(q, k, Deadline::Infinite());
@@ -417,7 +424,7 @@ TEST(IngestRandomizedTest, BitIdenticalToQuiescedRebuildAcrossMerges) {
   const PlanarIndexSet reference = FreshBuild(all);
   for (int trial = 0; trial < 10; ++trial) {
     const ScalarProductQuery q = RandomQuery(&rng);
-    const std::shared_ptr<const OverlaySet> view = manager.Pin(kTarget);
+    const Catalog::ShardedPtr view = manager.Pin(kTarget);
     ASSERT_NE(view, nullptr);
     const Result<InequalityResult> got =
         view->Inequality(q, Deadline::Infinite());

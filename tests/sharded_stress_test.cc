@@ -209,11 +209,10 @@ TEST(ShardedStressTest, DirectSnapshotQueriesRaceInstall) {
           EXPECT_EQ(stats.accepted_directly + stats.rejected_directly +
                         stats.verified,
                     set->size());
+          // Part order, checked against the same pinned snapshot.
           const std::vector<uint32_t>& ids = result.value().ids;
-          EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
-          if (!ids.empty()) {
-            EXPECT_LT(ids.back(), set->size());
-          }
+          EXPECT_EQ(ids, ShardOrderIds(*set, query));
+          for (const uint32_t id : ids) EXPECT_LT(id, set->size());
         }
       }
     });

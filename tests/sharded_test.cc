@@ -1,7 +1,8 @@
 // Copyright (c) 2026 The planar Authors. Licensed under the MIT license.
 //
 // ShardedIndexSet result contract (core/sharded.h): inequality ids are
-// the monolithic match set in canonical ascending order, TopK is
+// the monolithic match set in part order (each shard's own answer,
+// rebased, concatenated in shard order), TopK is
 // bit-identical to the monolithic set, merged stats keep the
 // classification invariant, and — for a fixed shard count — results are
 // bit-identical across worker counts. Every fan-out path in the tree
@@ -100,10 +101,11 @@ TEST_F(ShardedIndexSetTest, InequalityMatchesMonolithicAcrossShardCounts) {
       const InequalityResult mono = mono_->Inequality(q);
       const auto result = sharded.Inequality(q);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
-      // Canonical ascending-id order == sorted monolithic match set ==
-      // brute force.
-      EXPECT_EQ(result.value().ids, Sorted(mono.ids)) << "shards=" << shards;
-      EXPECT_EQ(result.value().ids, BruteForceMatches(phi_, q));
+      // The brute-force match set, in part order.
+      EXPECT_EQ(Sorted(result.value().ids), BruteForceMatches(phi_, q))
+          << "shards=" << shards;
+      EXPECT_EQ(result.value().ids, ShardOrderIds(sharded, q))
+          << "shards=" << shards;
       EXPECT_EQ(result.value().stats.result_size, mono.stats.result_size);
       ExpectStatsInvariant(result.value().stats, kRows);
       reported += result.value().stats.verified;
@@ -171,7 +173,8 @@ TEST(ShardedIndexSetDuplicatesTest, DuplicateRowsMergeExactly) {
       const ScalarProductQuery q = MakeQuery(&rng);
       const auto ineq = sharded.Inequality(q);
       ASSERT_TRUE(ineq.ok());
-      EXPECT_EQ(ineq.value().ids, Sorted(mono.value().Inequality(q).ids));
+      EXPECT_EQ(Sorted(ineq.value().ids), BruteForceMatches(phi, q));
+      EXPECT_EQ(ineq.value().ids, ShardOrderIds(sharded, q));
       const auto mono_topk = mono.value().TopK(q, 64);
       const auto topk = sharded.TopK(q, 64);
       ASSERT_EQ(mono_topk.ok(), topk.ok());
@@ -237,7 +240,9 @@ TEST_F(ShardedIndexSetTest, AcceptAllAndAcceptNoneGatherExactly) {
     ASSERT_EQ(sharded.num_shards(), shards);
     const auto accepted = sharded.Inequality(all);
     ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
-    EXPECT_EQ(accepted.value().ids, every_row) << "shards=" << shards;
+    EXPECT_EQ(Sorted(accepted.value().ids), every_row) << "shards=" << shards;
+    EXPECT_EQ(accepted.value().ids, ShardOrderIds(sharded, all))
+        << "shards=" << shards;
     const auto rejected = sharded.Inequality(none);
     ASSERT_TRUE(rejected.ok()) << rejected.status().ToString();
     EXPECT_TRUE(rejected.value().ids.empty()) << "shards=" << shards;
@@ -250,10 +255,24 @@ TEST_F(ShardedIndexSetTest, DeadlineExpiryFansIn) {
   // Aggregates need a payload column; any phi column serves.
   IndexSetOptions set_options = SetOptions();
   set_options.index_options.payload_column = 0;
-  for (const size_t shards : {1u, 7u}) {
-    const ShardedIndexSet sharded = BuildSharded(phi_, shards, 0, set_options);
+  // An epoch: the monolithic set as its base part, and a delta holding
+  // rows, so the expired base must stop the read before the delta scan.
+  PhiMatrix base_rows(phi_);
+  auto base = PlanarIndexSet::Build(std::move(base_rows), Domains(),
+                                    set_options);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  const PhiMatrix tail = RandomPhi(50, kDim, 1.0, 100.0, kSeed + 1);
+  auto delta = std::make_shared<DeltaBuffer>(kDim, 64);
+  ASSERT_TRUE(delta->Append(tail.data(), tail.size()));
+  std::vector<ShardedIndexSet> sets;
+  sets.push_back(BuildSharded(phi_, 1, 0, set_options));
+  sets.push_back(BuildSharded(phi_, 7, 0, set_options));
+  sets.push_back(ShardedIndexSet::Epoch(
+      std::make_shared<const PlanarIndexSet>(std::move(base).value()),
+      delta));
+  for (const ShardedIndexSet& sharded : sets) {
     // Every kind expires with its one canonical message, on the inline
-    // 1-shard path as on the fan-out.
+    // 1-shard path, on the fan-out and on an epoch.
     const auto ineq = sharded.Inequality(q, Deadline::After(0.0));
     ASSERT_FALSE(ineq.ok());
     EXPECT_EQ(ineq.status().code(), StatusCode::kDeadlineExceeded);

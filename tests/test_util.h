@@ -12,6 +12,7 @@
 #include "common/random.h"
 #include "core/query.h"
 #include "core/row_matrix.h"
+#include "core/sharded.h"
 
 namespace planar {
 
@@ -32,6 +33,20 @@ inline PhiMatrix RandomPhi(size_t n, size_t dim, double lo, double hi,
 /// Sorted copy of an id list (index answers come in unspecified order).
 inline std::vector<uint32_t> Sorted(std::vector<uint32_t> ids) {
   std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// The part-order inequality answer of row-range shards (core/sharded.h):
+/// every shard's own answer, rebased by its row offset, concatenated in
+/// shard order.
+inline std::vector<uint32_t> ShardOrderIds(const ShardedIndexSet& sharded,
+                                           const ScalarProductQuery& q) {
+  std::vector<uint32_t> ids;
+  for (size_t s = 0; s < sharded.num_shards(); ++s) {
+    for (const uint32_t id : sharded.shard(s).Inequality(q).ids) {
+      ids.push_back(sharded.shard_offset(s) + id);
+    }
+  }
   return ids;
 }
 

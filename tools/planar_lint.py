@@ -73,10 +73,10 @@ Rules (library code under src/ unless stated otherwise):
                     sort_util.*: core index sorts must go through
                     SortEntries so the deterministic-parallel-sort
                     guarantee (identical output for any thread count)
-                    holds everywhere, and row-id sorts through SortIds,
-                    the linear radix sort bounded by the row count.
-                    Sorting other containers (axes, positions, heaps)
-                    is fine.
+                    holds everywhere. Row ids are never sorted: every
+                    answer keeps part order (core/sharded.h), so a sort
+                    of ids in src/core fires too. Sorting other
+                    containers (axes, positions, heaps) is fine.
   kernel-ffp-contract
                     every kernel TU (src/core/kernels/*.cc) must appear in
                     a set_source_files_properties(...) block of
@@ -124,10 +124,12 @@ Rules (library code under src/ unless stated otherwise):
   ingest-answers-no-queries
                     no file under src/ingest/ may call `ScanRows*`,
                     `MergeTopK`, `FoldCount` or `FoldAggregate`: ingest
-                    hands out epochs (IngestManager::Pin returns an
-                    OverlaySet) and answers no query itself. The delta
-                    folds live once, in core/overlay.cc, so a new read
-                    kind is added to OverlaySet, never beside it.
+                    hands out epochs (IngestManager::Pin returns a
+                    ShardedIndexSet with one base part and a delta tail)
+                    and answers no query itself. The delta scans and the
+                    partition folds live once, in core/sharded.cc, so a
+                    new read kind is added to ShardedIndexSet, never
+                    beside it.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
@@ -218,7 +220,7 @@ RE_VERIFY_KERNEL = re.compile(
     r"\s*\(")
 VERIFY_LOOP_FILE = Path("src/core/scan.h")
 # Per-kind read code (ingest-answers-no-queries): the delta scans and the
-# partition folds an overlay read is made of.
+# partition folds an epoch read is made of.
 RE_QUERY_ANSWERING = re.compile(
     r"(?<![A-Za-z0-9_])(?:ScanRows[A-Za-z0-9_]*|MergeTopK|FoldCount"
     r"|FoldAggregate)\s*[(<]")
@@ -357,8 +359,8 @@ def findings_for_file(root: Path, path: Path):
                     and RE_QUERY_ANSWERING.search(line)):
                 yield (rel, lineno, "ingest-answers-no-queries",
                        "ingest hands out epochs and answers no query; "
-                       "read the pinned OverlaySet (core/overlay.h) and "
-                       "put delta folds there")
+                       "read the pinned epoch (a ShardedIndexSet) and put "
+                       "delta scans and folds in core/sharded.cc")
             if rel not in AGG_EXEMPT_FILES and RE_AGG_MUTATION.search(line):
                 if lineno - last_agg_ok <= AGG_COMMENT_WINDOW:
                     last_agg_ok = lineno  # consecutive uses chain
@@ -383,9 +385,9 @@ def findings_for_file(root: Path, path: Path):
                        "builds deterministic at any thread count")
             elif RE_IDSLIKE.search(match.group(1)):
                 yield (rel, lineno, "core-sort-via-sort-util",
-                       "sorting row ids in src/core must go through "
-                       "SortIds (core/sort_util.h): a linear radix sort "
-                       "bounded by the row count, identical to std::sort")
+                       "row ids in src/core are never sorted: answers "
+                       "keep part order (core/sharded.h), ids within a "
+                       "part in the order its set returns them")
 
     if path.suffix == ".h" and str(rel.parts[0]) in HEADER_GUARD_DIRS:
         # src/ headers are included as "core/foo.h" (relative to src/),
@@ -638,7 +640,7 @@ def self_test() -> int:
          "void Build(PrefixAggregates* out) { out->sum.assign(9, 0.0); }\n",
          "agg-prefix-construction", 0),
         # core-sort-via-sort-util: a comparison sort of row ids in
-        # src/core fires and points at SortIds,
+        # src/core fires and names the part-order rule,
         ("src/core/fixture.cc",
          "void f(InequalityResult* r) {\n"
          "  std::sort(r->ids.begin(), r->ids.end());\n"
@@ -699,8 +701,8 @@ def self_test() -> int:
         ("src/ingest/ingest.h",
          "inline void F() { ScanRowsInequality(d, 2, 3, 0, q, dl, &v); }\n",
          "ingest-answers-no-queries", 1),
-        # but not in core, where the overlay's folds live,
-        ("src/core/overlay.cc",
+        # but not in core, where the epoch's delta scans and folds live,
+        ("src/core/sharded.cc",
          "auto merged = MergeTopK(k, c, offer);\n"
          "FoldCount(delta, result);\n",
          "ingest-answers-no-queries", 0),
