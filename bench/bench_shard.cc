@@ -9,8 +9,10 @@
 // neighbors — a mismatch is a hard failure, which makes --smoke the CI
 // gate for the scatter-gather merge.
 //
-// Each sharded row carries the monolithic time of the same repetitions,
-// interleaved with it (TimePaired), as speedup_vs_mono.
+// Each repetition times the monolithic and the sharded sweep back to back
+// (TimePaired); a row's speedup_vs_mono is the median over repetitions of
+// that repetition's monolithic / sharded ratio, so both sides of every
+// ratio come from the same host state.
 //
 // The JSON lines carry effective_threads = min(shards, workers): the
 // parallelism the configuration can actually express. On a 1-core host
@@ -19,7 +21,7 @@
 //
 //   --n        dataset size            (default 60000)
 //   --queries  queries per mode        (default 48)
-//   --runs     timed repetitions, best-of (default 5)
+//   --runs     timed repetitions: best-of time, median ratio (default 5)
 //   --full     paper-scale dataset     (n = 500000)
 //   --smoke    tiny sizes, single run — CI answer gate (id set, part
 //              order, top-k)
@@ -34,6 +36,7 @@
 #include "bench/bench_util.h"
 #include "common/macros.h"
 #include "common/random.h"
+#include "common/stats.h"
 #include "common/table_printer.h"
 #include "core/sharded.h"
 #include "tests/test_util.h"
@@ -101,64 +104,60 @@ bool AnswersMatch(const PlanarIndexSet& mono, const ShardedIndexSet& sharded,
   return true;
 }
 
+/// One serving path's paired timings over all repetitions.
 struct ModeTimes {
-  double inequality_ms = 0.0;  // whole query sweep, one pass
-  double topk_ms = 0.0;
+  double sharded_ms = 0.0;     // best sharded sweep (min over runs)
+  std::vector<double> ratios;  // per run: mono sweep / sharded sweep
+
+  double speedup() const { return Percentile(ratios, 50.0); }
 };
 
 struct PairTimes {
-  ModeTimes mono;
-  ModeTimes sharded;
+  ModeTimes inequality;
+  ModeTimes topk;
 };
 
-/// Times the baseline and one sharded configuration interleaved —
-/// alternating mono/sharded sweeps within every repetition — so clock
-/// drift and background noise hit both sides of each ratio equally.
-/// Best-of per side (min, not mean: the sweep compares configurations,
-/// and min is the noise-robust estimator).
+/// Times the baseline and one sharded configuration interleaved: every
+/// repetition runs the mono sweep and then the sharded sweep of a mode,
+/// and keeps their ratio, so clock drift and background noise hit both
+/// sides of each ratio equally. The sharded time is best-of (min is the
+/// noise-robust estimator for comparing configurations); the speedup is
+/// the median of the per-repetition ratios, never a ratio of two minima
+/// that may come from different repetitions.
 PairTimes TimePaired(const PlanarIndexSet& mono, const ShardedIndexSet& set,
                      const std::vector<ScalarProductQuery>& queries,
                      int runs) {
-  const auto once = [](auto&& fn) {
+  const auto sweep = [&](auto&& serve) {
     WallTimer timer;
-    fn();
+    for (const ScalarProductQuery& q : queries) serve(q);
     return timer.ElapsedMillis();
   };
-  const auto keep_min = [](double* slot, double ms) {
-    if (*slot == 0.0 || ms < *slot) *slot = ms;
+  const auto pair = [](ModeTimes* t, double mono_ms, double sharded_ms) {
+    if (t->ratios.empty() || sharded_ms < t->sharded_ms) {
+      t->sharded_ms = sharded_ms;
+    }
+    t->ratios.push_back(sharded_ms > 0.0 ? mono_ms / sharded_ms : 0.0);
   };
   PairTimes t;
   for (int i = 0; i < runs; ++i) {
-    keep_min(&t.mono.inequality_ms, once([&] {
-               for (const ScalarProductQuery& q : queries) {
-                 (void)mono.Inequality(q);
-               }
-             }));
-    keep_min(&t.sharded.inequality_ms, once([&] {
-               for (const ScalarProductQuery& q : queries) {
-                 (void)set.Inequality(q);
-               }
-             }));
-    keep_min(&t.mono.topk_ms, once([&] {
-               for (const ScalarProductQuery& q : queries) {
-                 (void)mono.TopK(q, kTopK);
-               }
-             }));
-    keep_min(&t.sharded.topk_ms, once([&] {
-               for (const ScalarProductQuery& q : queries) {
-                 (void)set.TopK(q, kTopK);
-               }
-             }));
+    const double mono_ineq =
+        sweep([&](const ScalarProductQuery& q) { (void)mono.Inequality(q); });
+    pair(&t.inequality, mono_ineq,
+         sweep([&](const ScalarProductQuery& q) { (void)set.Inequality(q); }));
+    const double mono_topk =
+        sweep([&](const ScalarProductQuery& q) { (void)mono.TopK(q, kTopK); });
+    pair(&t.topk, mono_topk,
+         sweep([&](const ScalarProductQuery& q) { (void)set.TopK(q, kTopK); }));
   }
   return t;
 }
 
 void PrintJson(const char* mode, size_t n, size_t queries, size_t shards,
-               size_t workers, double ms, double mono_ms,
-               size_t effective_threads) {
+               size_t workers, const ModeTimes& t, size_t effective_threads) {
+  const double ms = t.sharded_ms;
   const double qps =
       ms > 0.0 ? static_cast<double>(queries) / (ms / 1000.0) : 0.0;
-  const double speedup = ms > 0.0 ? mono_ms / ms : 0.0;
+  const double speedup = t.speedup();
   std::printf(
       "{\"bench\":\"shard\",\"mode\":\"%s\",\"n\":%zu,\"queries\":%zu,"
       "\"shards\":%zu,\"workers\":%zu,\"mean_ms\":%.4f,\"qps\":%.1f,"
@@ -212,14 +211,12 @@ int main(int argc, char** argv) {
       const PairTimes t = TimePaired(mono.value(), sharded.value(), queries,
                                      runs);
       const size_t effective = std::min(shards, workers);
-      PrintJson("inequality", n, num_queries, shards, workers,
-                t.sharded.inequality_ms, t.mono.inequality_ms, effective);
-      PrintJson("topk", n, num_queries, shards, workers, t.sharded.topk_ms,
-                t.mono.topk_ms, effective);
-      table.AddRow(
-          {std::to_string(shards), std::to_string(workers),
-           FormatDouble(t.mono.inequality_ms / t.sharded.inequality_ms, 2),
-           FormatDouble(t.mono.topk_ms / t.sharded.topk_ms, 2)});
+      PrintJson("inequality", n, num_queries, shards, workers, t.inequality,
+                effective);
+      PrintJson("topk", n, num_queries, shards, workers, t.topk, effective);
+      table.AddRow({std::to_string(shards), std::to_string(workers),
+                    FormatDouble(t.inequality.speedup(), 2),
+                    FormatDouble(t.topk.speedup(), 2)});
     }
   }
 

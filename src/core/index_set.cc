@@ -156,23 +156,14 @@ Result<std::vector<PlanarIndexSet>> PlanarIndexSet::BuildEach(
   }
   std::vector<PlanarIndexSet> sets;
   sets.reserve(phis.size());
+  size_t rows = 0;
   for (PhiMatrix& phi : phis) {
+    rows += phi.size();
     sets.push_back(PlanarIndexSet(std::move(phi), options));
   }
-  PLANAR_RETURN_IF_ERROR(BuildIndices(sets, definitions));
-  return sets;
-}
-
-Status PlanarIndexSet::BuildIndices(
-    std::span<PlanarIndexSet> sets,
-    const std::vector<IndexDefinition>& definitions) {
   const size_t per_set = definitions.size();
   const size_t count = sets.size() * per_set;
-  if (count == 0) return Status::OK();
-  size_t rows = 0;
-  for (const PlanarIndexSet& set : sets) rows += set.size();
-  const size_t width =
-      rows < kParallelBuildMinRows ? 1 : sets.front().options_.build_threads;
+  const size_t width = rows < kParallelBuildMinRows ? 1 : options.build_threads;
   // Each slot builds independently against its set's (read-only) phi
   // matrix; slots keep definition order, so every set's indices_ layout
   // — and therefore SelectBestIndex tie-breaking, serialization order,
@@ -186,7 +177,7 @@ Status PlanarIndexSet::BuildIndices(
         const IndexDefinition& definition = definitions[slot % per_set];
         Result<PlanarIndex> index =
             PlanarIndex::Build(set.phi_.get(), definition.first,
-                               definition.second, set.options_.index_options);
+                               definition.second, options.index_options);
         if (index.ok()) {
           slots[slot].emplace(std::move(index).value());
         } else {
@@ -199,12 +190,12 @@ Status PlanarIndexSet::BuildIndices(
   }
   for (size_t s = 0; s < sets.size(); ++s) {
     std::vector<PlanarIndex>& indices = sets[s].indices_;
-    indices.reserve(indices.size() + per_set);
+    indices.reserve(per_set);
     for (size_t i = 0; i < per_set; ++i) {
       indices.push_back(std::move(*slots[s * per_set + i]));
     }
   }
-  return Status::OK();
+  return sets;
 }
 
 int PlanarIndexSet::SelectBestIndex(const NormalizedQuery& q) const {
@@ -411,19 +402,6 @@ Status PlanarIndexSet::AddIndex(std::vector<double> normal,
       phi_.get(), std::move(normal), octant, options_.index_options);
   PLANAR_RETURN_IF_ERROR(index.status());
   indices_.push_back(std::move(index).value());
-  return Status::OK();
-}
-
-Status PlanarIndexSet::AddIndices(
-    const std::vector<IndexDefinition>& definitions) {
-  return BuildIndices({this, 1}, definitions);
-}
-
-Status PlanarIndexSet::RemoveIndex(size_t i) {
-  if (i >= indices_.size()) {
-    return Status::OutOfRange("index position out of range");
-  }
-  indices_.erase(indices_.begin() + static_cast<ptrdiff_t>(i));
   return Status::OK();
 }
 

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -83,10 +82,10 @@ struct IndexSetOptions {
   /// The one set-level build width (0 = hardware concurrency, 1 =
   /// serial, n = at most n threads): Build, BuildWithNormals, BuildEach
   /// (and through it ShardedIndexSet::Build, every shard's indices in
-  /// one fan-out) and AddIndices build their indices across this many
-  /// threads of the shared ThreadPool. Sets of fewer than
-  /// kParallelBuildMinRows rows (all shards together) build serially:
-  /// there a pool handoff costs more than the builds it would split.
+  /// one fan-out) build their indices across this many threads of the
+  /// shared ThreadPool. Sets of fewer than kParallelBuildMinRows rows
+  /// (all shards together) build serially: there a pool handoff costs
+  /// more than the builds it would split.
   /// Normal sampling and dedup stay serial (they are RNG-sequential and
   /// cheap), so the accepted normals, their order, and every selection
   /// score are identical to the serial build; per-index key computation
@@ -216,17 +215,8 @@ class PlanarIndexSet {
   SelectivityBounds EstimateSelectivity(const ScalarProductQuery& q) const;
 
   /// Adds one more index with the given mirrored-space normal for octant
-  /// `octant` (e.g. MOVIES-style rotation of time-instant indices).
+  /// `octant` (e.g. the time-instant indices of a pair-intersection set).
   Status AddIndex(std::vector<double> normal, const Octant& octant);
-
-  /// Adds several indices at once, building them across
-  /// options().build_threads threads (the batch analogue of AddIndex,
-  /// used by adaptive re-indexing). All-or-nothing:
-  /// on failure no index is added. Definition order is preserved.
-  Status AddIndices(const std::vector<IndexDefinition>& definitions);
-
-  /// Drops the i-th index.
-  Status RemoveIndex(size_t i);
 
   /// Overwrites one row of phi and maintains every index. Indices whose
   /// translation no longer covers the row are rebuilt transparently.
@@ -283,14 +273,6 @@ class PlanarIndexSet {
   // matrix dimensionality: no index can serve such a query, and the scan
   // fallback would abort on it.
   Status CheckQueryDim(const ScalarProductQuery& q) const;
-
-  // Builds every definition into every set of `sets` (which share one
-  // IndexSetOptions) as one flat (set × definition) fan-out on the
-  // shared ThreadPool, and appends the indices in definition order; on
-  // any failure appends nothing anywhere and returns the first failing
-  // status.
-  static Status BuildIndices(std::span<PlanarIndexSet> sets,
-                             const std::vector<IndexDefinition>& definitions);
 
   // The index selection picked for a query (-1: none can serve) and the
   // query's plan on it, which the fallback test and the serve call read.

@@ -139,7 +139,7 @@ TEST(BuildDeterminismTest, ParallelBuildAnswersMatchSerial) {
 
 TEST(BuildDeterminismTest, LoadedSnapshotSerializesBackIdentically) {
   // Round-trip: load (which itself rebuilds indices, possibly in
-  // parallel via AddIndices) and re-save; the blob must not drift.
+  // parallel via BuildEach) and re-save; the blob must not drift.
   const PlanarIndexSet set = BuildSet(2, 1);
   const std::string first = TempPath("det_roundtrip_a.planar");
   ASSERT_TRUE(SaveIndexSet(set, first).ok());

@@ -314,16 +314,13 @@ TEST(IndexSetMaintenanceTest, AppendRows) {
             BruteForceMatches(set->phi(), q));
 }
 
-TEST(IndexSetMaintenanceTest, AddRemoveIndex) {
+TEST(IndexSetMaintenanceTest, AddIndex) {
   PhiMatrix phi = RandomPhi(100, 2, 1.0, 50.0, 56);
   auto set = PlanarIndexSet::Build(std::move(phi),
                                    PositiveDomains(2, 1.0, 4.0), WithBudget(2));
   ASSERT_TRUE(set.ok());
   ASSERT_TRUE(set->AddIndex({9.0, 1.0}, Octant::First(2)).ok());
   EXPECT_EQ(set->num_indices(), 3u);
-  ASSERT_TRUE(set->RemoveIndex(0).ok());
-  EXPECT_EQ(set->num_indices(), 2u);
-  EXPECT_FALSE(set->RemoveIndex(99).ok());
   const ScalarProductQuery q{{9.0, 1.0}, 200.0, Comparison::kLessEqual};
   const InequalityResult r = set->Inequality(q);
   EXPECT_EQ(Sorted(r.ids), BruteForceMatches(set->phi(), q));

@@ -107,12 +107,13 @@ Rules (library code under src/ unless stated otherwise):
                     and a float that leaks into index math silently
                     breaks the bit-identity contract with the f64 scan.
   serve-from-plan   `ComputeIntervals(` and `Prepare(` calls are forbidden
-                    in src/core/index_set.cc: the set-level paths plan a
+                    in every src/core file except planar_index.{h,cc},
+                    where a single index plans: the set-level paths plan a
                     query once, during index selection
                     (PlanarIndexSet::Select), and the fallback test,
-                    EXPLAIN and the serve call read that plan.
-                    Re-planning the winner repeats its Prepare and two
-                    boundary searches on every request.
+                    EXPLAIN, the serve call and the shard fan-out read
+                    that plan. Re-planning the winner repeats its Prepare
+                    and two boundary searches on every request.
   one-verify-loop   `dot_gather(`, `CompressAccept(` and
                     `CompressAcceptRange(` calls are forbidden in src/
                     outside src/core/kernels and src/core/scan.h, the
@@ -130,12 +131,21 @@ Rules (library code under src/ unless stated otherwise):
                     partition folds live once, in core/sharded.cc, so a
                     new read kind is added to ShardedIndexSet, never
                     beside it.
+  module-has-a-caller
+                    every header under src/ must be included by some file
+                    under src/ (other than its own .cc), bench/, tools/,
+                    perfbench/ or examples/. A module that only its own
+                    test reaches serves nothing: route it into a caller
+                    or delete it. The one exemption is core/validate.h,
+                    the index audit the serialization and churn tests
+                    use as a checker.
 
 Exit status 0 when clean, 1 with one "file:line: rule: message" diagnostic
 per finding otherwise. Registered as a ctest (`ctest -R planar_lint`).
-`--self-test` exercises the kernel-ffp-contract rule against synthetic
-fixture trees (missing flag, covered multi-file block, flag only inside a
-comment) and exits nonzero if the rule ever stops firing.
+`--self-test` exercises the rules against synthetic fixture trees (e.g.
+kernel-ffp-contract: missing flag, covered multi-file block, flag only
+inside a comment; module-has-a-caller: an orphan header, a header a bench
+includes) and exits nonzero if a rule ever stops firing.
 """
 
 import argparse
@@ -208,11 +218,12 @@ RE_AGG_MUTATION = re.compile(
 AGG_COMMENT_WINDOW = 8
 # The canonical construction helper's home (core/aggregate.cc) is exempt.
 AGG_EXEMPT_FILES = {Path("src/core/aggregate.cc")}
-# Re-planning calls (serve-from-plan) and the files that serve from the
-# plan selection built.
+# Re-planning calls (serve-from-plan) and the only src/core files that
+# may plan: the single index's own.
 RE_REPLAN = re.compile(
     r"(?<![A-Za-z0-9_])(?:ComputeIntervals|Prepare)\s*\(")
-PLAN_ONCE_FILES = {Path("src/core/index_set.cc")}
+PLANNING_FILES = {Path("src/core/planar_index.h"),
+                  Path("src/core/planar_index.cc")}
 # Single-query verify kernels (one-verify-loop) and the one file outside
 # src/core/kernels that may call them.
 RE_VERIFY_KERNEL = re.compile(
@@ -225,6 +236,11 @@ RE_QUERY_ANSWERING = re.compile(
     r"(?<![A-Za-z0-9_])(?:ScanRows[A-Za-z0-9_]*|MergeTopK|FoldCount"
     r"|FoldAggregate)\s*[(<]")
 INGEST_DIR = ("src", "ingest")
+# module-has-a-caller: the trees whose includes count as callers, and the
+# headers exempt from needing one.
+CALLER_DIRS = ("src", "bench", "tools", "perfbench", "examples")
+RE_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.MULTILINE)
+CALLER_EXEMPT_HEADERS = {"core/validate.h"}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -343,7 +359,8 @@ def findings_for_file(root: Path, path: Path):
                 yield (rel, lineno, "no-naked-float-in-core",
                        "the float type is forbidden in src/core: every "
                        "answer comes from the exact f64 pipeline")
-            if rel in PLAN_ONCE_FILES and RE_REPLAN.search(line):
+            if (in_core and rel not in PLANNING_FILES
+                    and RE_REPLAN.search(line)):
                 yield (rel, lineno, "serve-from-plan",
                        "serve from the plan index selection built "
                        "(PlanarIndexSet::Select); re-planning repeats "
@@ -459,6 +476,40 @@ def kernel_ffp_findings(root: Path):
                    "by a set_source_files_properties(... -ffp-contract=off) "
                    "block; FP contraction would break the scalar/SIMD "
                    "bit-identity contract (see kernels.h)")
+
+
+def strip_line_comments(text: str) -> str:
+    """Drops // comments so a commented-out #include is not a caller."""
+    return "\n".join(line.split("//", 1)[0] for line in text.splitlines())
+
+
+def module_caller_findings(root: Path):
+    """Every src/ header is included by a caller outside its own .cc
+    (module-has-a-caller)."""
+    src = root / "src"
+    if not src.is_dir():
+        return
+    includers = {}  # included path -> files that include it
+    for d in CALLER_DIRS:
+        base = root / d
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            text = strip_line_comments(path.read_text(encoding="utf-8"))
+            for match in RE_INCLUDE.finditer(text):
+                includers.setdefault(match.group(1), set()).add(path)
+    for header in sorted(src.rglob("*.h")):
+        name = header.relative_to(src).as_posix()
+        if name in CALLER_EXEMPT_HEADERS:
+            continue
+        callers = includers.get(name, set()) - {header.with_suffix(".cc")}
+        if not callers:
+            yield (header.relative_to(root), 1, "module-has-a-caller",
+                   f"{name} is included by nothing under "
+                   f"{', '.join(d + '/' for d in CALLER_DIRS)} except its "
+                   "own .cc; route the module into a caller or delete it")
 
 
 def self_test() -> int:
@@ -663,9 +714,17 @@ def self_test() -> int:
          "// never call ComputeIntervals( here\n"
          "plan = index.MakePlan(q, &scratch);\n"
          "Status s = PrepareAll(q);\n", "serve-from-plan", 0),
-        # and other files may still plan on their own.
-        ("src/core/band.cc",
-         "const auto upper_iv = index.ComputeIntervals(upper_norm);\n",
+        # and so does re-planning in any other src/core file,
+        ("src/core/sharded.cc",
+         "const auto iv = part.indices()[0].ComputeIntervals(norm);\n",
+         "serve-from-plan", 1),
+        # but the single index plans for itself, and src/mobility may
+        # still plan its own time-instant queries.
+        ("src/core/planar_index.cc",
+         "const Prepared p = Prepare(norm, &scratch);\n",
+         "serve-from-plan", 0),
+        ("src/mobility/intersection.cc",
+         "const auto iv = index.ComputeIntervals(norm);\n",
          "serve-from-plan", 0),
         # one-verify-loop: a second block loop over the verify kernels
         # fires wherever it is written,
@@ -723,7 +782,34 @@ def self_test() -> int:
                   f"{want} {rule} finding(s), got {got}", file=sys.stderr)
             return 1
 
-    total = len(cases) + len(file_cases)
+    # module-has-a-caller: (files of a fixture tree, expected findings).
+    caller_cases = [
+        # an orphan header that only its own .cc includes fires,
+        ({"src/core/orphan.h": "int F();\n",
+          "src/core/orphan.cc": '#include "core/orphan.h"\n'}, 1),
+        # a commented-out include is not a caller,
+        ({"src/core/orphan.h": "int F();\n",
+          "tools/cli.cc": '// #include "core/orphan.h"\n'}, 1),
+        # a header a bench includes stays quiet,
+        ({"src/core/used.h": "int F();\n",
+          "src/core/used.cc": '#include "core/used.h"\n',
+          "bench/bench_used.cc": '#include "core/used.h"\n'}, 0),
+        # and so does the listed exemption.
+        ({"src/core/validate.h": "int F();\n"}, 0),
+    ]
+    for i, (tree, want) in enumerate(caller_cases):
+        root = Path(tempfile.mkdtemp(prefix="planar_lint_selftest_"))
+        for rel_path, content in tree.items():
+            (root / rel_path).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel_path).write_text(content)
+        got = list(module_caller_findings(root))
+        if len(got) != want:
+            print(f"planar_lint: self-test caller case {i} FAILED: expected "
+                  f"{want} module-has-a-caller finding(s), got {got}",
+                  file=sys.stderr)
+            return 1
+
+    total = len(cases) + len(file_cases) + len(caller_cases)
     print(f"planar_lint: self-test OK ({total} fixture cases)")
     return 0
 
@@ -757,6 +843,9 @@ def main() -> int:
         print(f"{rel}:{lineno}: {rule}: {message}")
         failures += 1
     for rel, lineno, rule, message in kernel_ffp_findings(root):
+        print(f"{rel}:{lineno}: {rule}: {message}")
+        failures += 1
+    for rel, lineno, rule, message in module_caller_findings(root):
         print(f"{rel}:{lineno}: {rule}: {message}")
         failures += 1
 
